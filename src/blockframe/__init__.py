@@ -23,12 +23,10 @@ from .matrixcore import (
 )
 from .frame import (
     BlockFrame,
-    CoherenceReport,
     ValidationRecord,
     average_coherence,
     average_column_coherence,
     chordal_distance,
-    coherence_report,
     gram_map,
     spectral_distance,
     validate,
@@ -106,3 +104,4 @@ from .blockcs import (
     run_ndp_experiment,
 )
 from .io import RunManifest, read_bfm, sha256_file, write_bfm
+from .cli import CoherenceReport, coherence_report

@@ -28,8 +28,10 @@ class SignalSpec:
     def __post_init__(self):
         if not 1 <= self.k <= self.m:
             raise FrameError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
-        if self.dynamic_range < 1.0:
-            raise FrameError("dynamic_range must be >= 1")
+        if not 1.0 <= self.dynamic_range < np.inf:
+            raise FrameError(
+                f"dynamic_range must be finite and >= 1, got {self.dynamic_range}"
+            )
         if self.field_tag not in ("real", "complex"):
             raise FrameError(f"bad field_tag {self.field_tag!r}")
 
@@ -95,70 +97,60 @@ def run_ndp_experiment(
 ):
     """Mean NDP per (frame, sparsity, dynamic range).
 
-    frames: list of (label, frame_or_factory) where a factory is called with
-    the trial index, letting random comparison frames be redrawn per trial.
-    For a fixed (k, dr, trial) every frame sees the same signal, drawn from
-    the substream (seed, k, int(dr), trial) against the first frame's shape,
-    so curves differ only through the frames.  With snr_db set, white
-    Gaussian noise at that SNR relative to the mean measurement power is
-    added from a sibling substream.  Trials parallelize over threads;
-    results are bit-identical either way.
+    frames: list of (label, frame_or_factory) where a factory is called once
+    per trial with the trial index, letting random comparison frames be
+    redrawn per trial.  For a fixed (k, dr, trial) every frame sees the same
+    signal, drawn from the substream (seed, k, bits(dr), trial) against the
+    first frame's shape, so curves differ only through the frames.  bits(dr)
+    is the IEEE-754 bit pattern of dr, so distinct ranges never share draws,
+    whatever the grid order.  With snr_db set, white Gaussian noise at that
+    SNR relative to the mean measurement power is added from a sibling
+    substream.  Trials parallelize over threads; results are bit-identical
+    either way.
     """
     if not frames:
         raise FrameError("no frames given")
+    if trials < 1:
+        raise FrameError(f"need at least one trial, got {trials}")
+    cells = [(k, dr) for k in k_grid for dr in dr_grid]
+
+    def one_trial(t):
+        built = [(label, obj(t) if callable(obj) else obj) for label, obj in frames]
+        shapes = [(frame.n, frame.r, frame.m) for _, frame in built]
+        for (label, _), shape in zip(built, shapes):
+            if shape != shapes[0]:
+                raise FrameError(f"frame {label!r} has shape {shape}, expected {shapes[0]}")
+        _, r, m = shapes[0]
+        scores = []
+        for k, dr in cells:
+            sig_spec = SignalSpec(m=m, r=r, k=k, dynamic_range=dr, field_tag=field_tag)
+            key = (k, int(np.float64(dr).view(np.uint64)), t)
+            x, supp = gen_signal(sig_spec, substream_rng(seed, *key))
+            row = []
+            for _, frame in built:
+                y = frame.data @ x
+                if snr_db is not None:
+                    y = _add_noise(y, snr_db, substream_rng(seed, *key, 1))
+                row.append(ndp(supp, one_step_group_threshold(frame, y, k)))
+            scores.append(row)
+        return scores
+
+    table = np.asarray(parallel_map(one_trial, range(trials), threads))
     results = []
-    for k in k_grid:
-        for dr in dr_grid:
-
-            def one_trial(t, _k=k, _dr=dr):
-                scores = []
-                x = supp = None
-                shape = None
-                for label, obj in frames:
-                    frame = obj(t) if callable(obj) else obj
-                    if shape is None:
-                        shape = (frame.n, frame.r, frame.m)
-                    elif (frame.n, frame.r, frame.m) != shape:
-                        raise FrameError(
-                            f"frame {label!r} has shape {(frame.n, frame.r, frame.m)}, "
-                            f"expected {shape}"
-                        )
-                    if x is None:
-                        sig_spec = SignalSpec(
-                            m=frame.m,
-                            r=frame.r,
-                            k=_k,
-                            dynamic_range=_dr,
-                            field_tag=field_tag,
-                        )
-                        rng = substream_rng(seed, _k, int(_dr), t)
-                        x, supp = gen_signal(sig_spec, rng)
-                    y = frame.data @ x
-                    if snr_db is not None:
-                        y = _add_noise(
-                            y, snr_db, substream_rng(seed, _k, int(_dr), t, 1)
-                        )
-                    est = one_step_group_threshold(frame, y, _k)
-                    scores.append(ndp(supp, est))
-                return scores
-
-            per_trial = parallel_map(one_trial, range(trials), threads)
-            table = np.asarray(per_trial)  # (trials, n_frames)
-            for col, (label, _) in enumerate(frames):
-                vals = table[:, col]
-                stderr = (
-                    float(vals.std(ddof=1) / np.sqrt(len(vals))) if trials > 1 else 0.0
+    for cell, (k, dr) in enumerate(cells):
+        for col, (label, _) in enumerate(frames):
+            vals = table[:, cell, col]
+            stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if trials > 1 else 0.0
+            results.append(
+                NDPResult(
+                    label=label,
+                    k=int(k),
+                    dynamic_range=float(dr),
+                    mean_ndp=float(vals.mean()),
+                    stderr=stderr,
+                    trials=trials,
                 )
-                results.append(
-                    NDPResult(
-                        label=label,
-                        k=int(k),
-                        dynamic_range=float(dr),
-                        mean_ndp=float(vals.mean()),
-                        stderr=stderr,
-                        trials=trials,
-                    )
-                )
+            )
     return results
 
 
@@ -179,15 +171,17 @@ def run_flipping_table(n, m, r_list, realizations, seed, norm_variant="spectral"
     the requested norm.  Rows carry the before/after means, the percentage
     improvement of the mean, the (sqrt(m)+1)/(m-1) bound, and the per-run
     (nu_before, nu_after, mu_before, mu_after) tuples.  Run t of the i-th r
-    uses trial index i*10000+t so rows never share draws.
+    samples along the substream path (i, t), so rows never share draws.
     """
+    if realizations < 1:
+        raise FrameError(f"need at least one realization, got {realizations}")
     cfg = FlipConfig(norm_variant=norm_variant)
     rows = []
     for ri, r in enumerate(r_list):
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=seed, field_tag="real")
 
         def one_run(t, _spec=spec, _ri=ri):
-            frame = sample_block_frame(_spec, trial=_ri * 10_000 + t)
+            frame = sample_block_frame(_spec, _ri, t)
             res = flip(frame, cfg)
             return (res.nu_before, res.nu_after, res.mu_before, res.mu_after)
 

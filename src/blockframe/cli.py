@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 import argparse
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .bounds import (
 )
 from .constructions import FrameRecipe, build_frame
 from .flipping import FlipConfig, flip
-from .frame import coherence_report, gram_map, validate
+from .frame import ValidationRecord, average_coherence, validate
 from .io import (
     RunManifest,
     read_bfm,
@@ -101,18 +102,65 @@ def _parse_float_list(text, flag):
         raise FrameError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
-def _report_payload(frame):
-    rep = coherence_report(frame)
-    val = validate(frame)
-    payload = rep.to_jsonable()
-    payload["validation"] = {
-        "unit_columns": val.unit_columns,
-        "block_orthonormal": val.block_orthonormal,
-        "tight": val.tight,
-        "union_of_orthobases": val.union_of_orthobases,
-        "equi_isoclinic": val.equi_isoclinic,
-    }
-    return payload
+@dataclass(frozen=True)
+class CoherenceReport:
+    """Everything the analyze command reports about one frame."""
+
+    n: int
+    r: int
+    m: int
+    field_tag: str
+    worst_case: float
+    average: float
+    welch_lower: float
+    orthobases_lower: float | None
+    validation: ValidationRecord = field(repr=False)
+
+    @property
+    def gram(self):
+        return self.validation.gram
+
+    def to_jsonable(self):
+        """The report.json payload; the gram map travels separately as CSV."""
+        val = self.validation
+        return {
+            "n": self.n,
+            "r": self.r,
+            "m": self.m,
+            "field": self.field_tag,
+            "worst_case_coherence": self.worst_case,
+            "average_coherence": self.average,
+            "welch_lower_bound": self.welch_lower,
+            "orthobases_lower_bound": self.orthobases_lower,
+            "union_of_orthobases": val.union_of_orthobases,
+            "equi_isoclinic": val.equi_isoclinic,
+            "validation": {
+                "unit_columns": val.unit_columns,
+                "block_orthonormal": val.block_orthonormal,
+                "tight": val.tight,
+                "union_of_orthobases": val.union_of_orthobases,
+                "equi_isoclinic": val.equi_isoclinic,
+            },
+        }
+
+
+def coherence_report(frame):
+    """One validation pass over the block pairs yields the report and gram map."""
+    rec = validate(frame)
+    ortho_lower = None
+    if rec.union_of_orthobases:
+        ortho_lower = orthobases_coherence_lower(frame.n, frame.r)
+    return CoherenceReport(
+        n=frame.n,
+        r=frame.r,
+        m=frame.m,
+        field_tag=frame.field_tag,
+        worst_case=float(rec.gram.max(initial=0.0, where=~np.eye(frame.m, dtype=bool))),
+        average=average_coherence(frame),
+        welch_lower=welch_coherence_lower(frame.n, frame.r, frame.m),
+        orthobases_lower=ortho_lower,
+        validation=rec,
+    )
 
 
 def _print_summary(payload):
@@ -145,7 +193,7 @@ def cmd_construct(args):
     frame_path = os.path.join(out, "frame.bfm")
     report_path = os.path.join(out, "report.json")
     write_bfm(frame_path, frame)
-    payload = _report_payload(frame)
+    payload = coherence_report(frame).to_jsonable()
     write_json(report_path, payload)
     manifest.add_output(frame_path)
     manifest.add_output(report_path)
@@ -162,9 +210,10 @@ def cmd_analyze(args):
     out = _out_dir(args)
     report_path = os.path.join(out, "report.json")
     gram_path = os.path.join(out, "gram.csv")
-    payload = _report_payload(frame)
+    rep = coherence_report(frame)
+    payload = rep.to_jsonable()
     write_json(report_path, payload)
-    write_gram_csv(gram_path, gram_map(frame))
+    write_gram_csv(gram_path, rep.gram)
     manifest.add_output(report_path)
     manifest.add_output(gram_path)
     manifest.write(os.path.join(out, "analyze-manifest.json"))
@@ -395,7 +444,7 @@ def cmd_cs(args):
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=args.seed, field_tag="real")
 
         def factory(t, _spec=spec, _idx=idx):
-            return sample_block_frame(_spec, trial=_idx * 100_000 + t)
+            return sample_block_frame(_spec, _idx, t)
 
         frames.append((label, factory))
     if not frames:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import FrameError
 from .matrixcore import (
     as_matrix,
-    batch_singular_values,
     batch_spectral_norms,
     frobenius_norm,
 )
@@ -29,6 +28,8 @@ _UNIT_TOL = 1e-8
 _ORTHO_TOL = 1e-8
 _TIGHT_TOL = 1e-8
 _ISOCLINIC_TOL = 1e-6
+_CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
+_PRUNE_SLACK = 1e-10  # covers rounding in the certificate and in eigvalsh
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,48 @@ class BlockFrame:
         return cls(n=n, r=r, m=len(blocks), data=data, field_tag=field_tag)
 
 
-def _cross_stack(frame, i, j_from):
-    """Stack of cross-Grams A_i* A_j for j = j_from .. m-1."""
+def _pair_chunks(frame):
+    """Every block pair i < j once, a run of block rows at a time.
+
+    One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with
+    j > i are gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.
+    Yields (i, j, C, H) with the pairs' index vectors and H = C*C (None at
+    r = 1).  Real frames run in float64 on data.real, which BlockFrame
+    guarantees holds the whole frame.
+
+    Everything computed from C or H is sign-invariant bit for bit.  Chunk
+    shapes depend on (m, r) alone, and a gemm of fixed shapes does the same
+    operations on negated inputs, so negating block k negates every C that
+    involves it exactly and leaves H unchanged.
+    """
     r, m = frame.r, frame.m
-    rest = frame.data[:, j_from * r :]
-    c = frame.block(i).conj().T @ rest
-    return c.reshape(r, m - j_from, r).swapaxes(0, 1)
+    x = np.ascontiguousarray(frame.data.real) if frame.field_tag == "real" else frame.data
+    i0 = 0
+    while i0 < m - 1:
+        i1 = min(m - 1, i0 + max(1, _CHUNK_ENTRIES // (r * r * (m - i0))))
+        g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
+        g = g.reshape(i1 - i0, r, m - i0, r).swapaxes(1, 2)
+        a, b = np.triu_indices(i1 - i0, 1, m - i0)
+        c = g[a, b]
+        yield a + i0, b + i0, c, None if r == 1 else np.matmul(c.conj().swapaxes(1, 2), c)
+        i0 = i1
+
+
+def _singular_values(h):
+    """All singular values (ascending) of each C, from eigvalsh of H = C*C."""
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0))
+
+
+def _exhaustive_sweep(frame):
+    """The Gram map and the extreme cross singular values, in one pass."""
+    g = np.eye(frame.m)
+    smin, smax = np.inf, 0.0
+    for i, j, c, h in _pair_chunks(frame):
+        sv = np.abs(c[:, :, 0]) if h is None else _singular_values(h)
+        g[i, j] = g[j, i] = sv[:, -1]
+        smin = min(smin, float(sv[:, 0].min()))
+        smax = max(smax, float(sv[:, -1].max()))
+    return g, smin, smax
 
 
 def gram_map(frame):
@@ -99,23 +136,30 @@ def gram_map(frame):
     symmetric because A_j* A_i is the adjoint.  The diagonal is exactly 1
     (each block has orthonormal columns) and is set rather than computed.
     """
-    m = frame.m
-    g = np.eye(m)
-    for i in range(m - 1):
-        s = batch_spectral_norms(_cross_stack(frame, i, i + 1))
-        g[i, i + 1 :] = s
-        g[i + 1 :, i] = s
-    return g
+    return _exhaustive_sweep(frame)[0]
 
 
 def worst_case_coherence(frame):
-    """Largest cross-block spectral norm over all unordered block pairs."""
+    """Largest cross-block spectral norm over all unordered block pairs.
+
+    Only pairs that can hold the maximum are eigen-solved.  The certificate
+    u = ||C*C||_F^(1/2) = (sum of sigma^4)^(1/4) bounds sigma_max from above;
+    each chunk solves its pair of largest u, then the pairs with
+    u >= best * (1 - 1e-10).  eigvalsh treats each matrix on its own, so the
+    result equals the exhaustive maximum bit for bit.
+    """
     if frame.m < 2:
         raise FrameError("worst-case coherence needs at least two blocks")
     best = 0.0
-    for i in range(frame.m - 1):
-        s = batch_spectral_norms(_cross_stack(frame, i, i + 1))
-        best = max(best, float(s.max()))
+    for _, _, c, h in _pair_chunks(frame):
+        if h is None:
+            best = max(best, float(np.abs(c).max()))
+            continue
+        u = np.sqrt(np.sqrt(np.einsum("pij,pij->p", h.conj(), h).real))
+        top = int(u.argmax())
+        best = max(best, float(_singular_values(h[top : top + 1])[0, -1]))
+        keep = u >= best * (1.0 - _PRUNE_SLACK)
+        best = float(_singular_values(h[keep])[:, -1].max(initial=best))
     return best
 
 
@@ -167,9 +211,19 @@ def spectral_distance(frame, i, j):
     return float(np.sqrt(max(0.0, 1.0 - s**2)))
 
 
+def block_gram_deviation(frame):
+    """max over blocks of |A_i* A_i - I|, entrywise."""
+    blocks = frame.blocks3d()
+    gram_self = np.einsum("ink,inl->ikl", blocks.conj(), blocks)
+    return float(np.abs(gram_self - np.eye(frame.r)).max())
+
+
 @dataclass(frozen=True)
 class ValidationRecord:
-    """Structural facts about a frame, with the deviations behind them."""
+    """Structural facts about a frame, with the deviations behind them.
+
+    gram is the m x m Gram map, a by-product of the pass behind the spread.
+    """
 
     unit_columns: bool
     block_orthonormal: bool
@@ -180,6 +234,7 @@ class ValidationRecord:
     max_block_gram_dev: float
     tight_residual: float
     cross_singular_spread: float
+    gram: np.ndarray = field(repr=False, compare=False)
 
 
 def validate(frame):
@@ -190,10 +245,7 @@ def validate(frame):
     col_norms = np.linalg.norm(data, axis=0)
     col_dev = float(np.abs(col_norms - 1.0).max())
 
-    blocks = frame.blocks3d()
-    gram_self = np.einsum("ink,inl->ikl", blocks.conj(), blocks)
-    eye = np.eye(r)
-    block_dev = float(np.abs(gram_self - eye[None]).max())
+    block_dev = block_gram_deviation(frame)
 
     tight_ratio = m * r / n
     residual = frobenius_norm(data @ data.conj().T - tight_ratio * np.eye(n))
@@ -206,12 +258,8 @@ def validate(frame):
                 union = False
                 break
 
-    smin, smax = np.inf, 0.0
-    for i in range(m - 1):
-        sv = batch_singular_values(_cross_stack(frame, i, i + 1))
-        smin = min(smin, float(sv.min()))
-        smax = max(smax, float(sv.max()))
-    spread = float(smax - smin) if m > 1 else 0.0
+    g, smin, smax = _exhaustive_sweep(frame)
+    spread = smax - smin if m > 1 else 0.0
 
     return ValidationRecord(
         unit_columns=col_dev < _UNIT_TOL,
@@ -223,61 +271,5 @@ def validate(frame):
         max_block_gram_dev=block_dev,
         tight_residual=float(residual),
         cross_singular_spread=spread,
-    )
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Everything the analyze command reports about one frame."""
-
-    n: int
-    r: int
-    m: int
-    field_tag: str
-    worst_case: float
-    average: float
-    welch_lower: float
-    orthobases_lower: float | None
-    union_of_orthobases: bool
-    equi_isoclinic: bool
-    gram: np.ndarray = field(repr=False)
-
-    def to_jsonable(self):
-        """Scalar fields only; the gram map travels separately as CSV."""
-        return {
-            "n": self.n,
-            "r": self.r,
-            "m": self.m,
-            "field": self.field_tag,
-            "worst_case_coherence": self.worst_case,
-            "average_coherence": self.average,
-            "welch_lower_bound": self.welch_lower,
-            "orthobases_lower_bound": self.orthobases_lower,
-            "union_of_orthobases": self.union_of_orthobases,
-            "equi_isoclinic": self.equi_isoclinic,
-        }
-
-
-def coherence_report(frame):
-    from .bounds import orthobases_coherence_lower, welch_coherence_lower
-
-    g = gram_map(frame)
-    off = g[~np.eye(frame.m, dtype=bool)]
-    mu = float(off.max()) if off.size else 0.0
-    rec = validate(frame)
-    ortho_lower = None
-    if rec.union_of_orthobases:
-        ortho_lower = orthobases_coherence_lower(frame.n, frame.r)
-    return CoherenceReport(
-        n=frame.n,
-        r=frame.r,
-        m=frame.m,
-        field_tag=frame.field_tag,
-        worst_case=mu,
-        average=average_coherence(frame),
-        welch_lower=welch_coherence_lower(frame.n, frame.r, frame.m),
-        orthobases_lower=ortho_lower,
-        union_of_orthobases=rec.union_of_orthobases,
-        equi_isoclinic=rec.equi_isoclinic,
         gram=g,
     )

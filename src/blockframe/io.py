@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame
+from .frame import _ORTHO_TOL, BlockFrame, block_gram_deviation
 
 _MAGIC = "BFM 1"
 
@@ -38,7 +38,12 @@ def write_bfm(path, frame):
 
 
 def read_bfm(path):
-    with open(path) as fh:
+    """Read a .bfm file; its blocks must be orthonormal to within 1e-8."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise FrameError(f"{path}: cannot open frame file ({exc.strerror})") from exc
+    with fh:
         header = fh.readline().rstrip("\n")
         if header != _MAGIC:
             raise FrameError(f"{path}: not a frame file (bad magic {header!r})")
@@ -67,7 +72,13 @@ def read_bfm(path):
     if len(rows) != n or any(len(row) != m * r for row in rows):
         raise FrameError(f"{path}: data shape does not match header")
     data = np.asarray(rows, dtype=np.complex128)
-    return BlockFrame(n=n, r=r, m=m, data=data, field_tag=field_tag)
+    frame = BlockFrame(n=n, r=r, m=m, data=data, field_tag=field_tag)
+    dev = block_gram_deviation(frame)
+    if not dev <= _ORTHO_TOL:
+        raise FrameError(
+            f"{path}: blocks are not orthonormal (max |A_i* A_i - I| = {dev:.3g})"
+        )
+    return frame
 
 
 def write_json(path, payload):

@@ -1,8 +1,9 @@
 """Uniformly random subspaces and the empirical coherence curve.
 
 Randomness discipline: every sampled object gets its own counter-based
-substream, keyed by (seed, trial, block) through numpy's SeedSequence /
-Philox pair.  Results are therefore bit-identical however trials are
+substream, keyed by a path (seed, ..., block) through numpy's
+SeedSequence / Philox pair; experiments put their own indices (grid point,
+trial) in the path, never arithmetic on them.  Results are therefore bit-identical however trials are
 scheduled, including across thread counts, and any single trial can be
 regenerated in isolation.
 """
@@ -73,11 +74,18 @@ def sample_unitary(r, rng, field_tag="complex"):
     return orthonormalize(g)
 
 
-def sample_block_frame(spec, trial=0):
+def sample_block_frame(spec, *path, trial=None):
     """Frame of m independent random blocks; block i uses substream
-    (seed, trial, i)."""
+    (seed, *path, i).
+
+    The path defaults to (0,); trial=t appends t, so sample_block_frame(spec,
+    trial=t) draws from (seed, t, i).
+    """
+    if trial is not None:
+        path += (trial,)
+    path = path or (0,)
     blocks = [
-        sample_subspace(spec.n, spec.r, substream_rng(spec.seed, trial, i), spec.field_tag)
+        sample_subspace(spec.n, spec.r, substream_rng(spec.seed, *path, i), spec.field_tag)
         for i in range(spec.m)
     ]
     return BlockFrame.from_blocks(blocks, field_tag=spec.field_tag)
@@ -103,6 +111,8 @@ def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, m_rule=None, threads=
     per trial and the frame's worst-case coherence computed; the row records
     the mean and max over trials next to sqrt(a_hat(beta) * beta).
     """
+    if trials < 1:
+        raise FrameError(f"need at least one trial, got {trials}")
     if m_rule is None:
         m_rule = lambda nn, rr: default_block_count(nn, rr, cap=m_cap)
     points = []
@@ -116,8 +126,7 @@ def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, m_rule=None, threads=
         def one_trial(t, _spec=spec, _ri=ri):
             # trial substreams are keyed on (grid index, trial) so grid
             # points stay independent of each other
-            frame = _sample_frame_at(_spec, _ri, t)
-            return worst_case_coherence(frame)
+            return worst_case_coherence(sample_block_frame(_spec, _ri, t))
 
         mus = parallel_map(one_trial, range(trials), threads)
         theory = float(np.sqrt(solve_threshold(beta).multiplier * beta))
@@ -130,13 +139,3 @@ def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, m_rule=None, threads=
             )
         )
     return points
-
-
-def _sample_frame_at(spec, grid_index, trial):
-    blocks = [
-        sample_subspace(
-            spec.n, spec.r, substream_rng(spec.seed, grid_index, trial, i), spec.field_tag
-        )
-        for i in range(spec.m)
-    ]
-    return BlockFrame.from_blocks(blocks, field_tag=spec.field_tag)

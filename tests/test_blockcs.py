@@ -178,6 +178,46 @@ def test_run_ndp_experiment_shape_mismatch():
         run_ndp_experiment([("a", small), ("b", big)], [1], [10.0], trials=2, seed=0)
 
 
+def test_run_ndp_experiment_builds_each_frame_once_per_trial():
+    spec = RandomFrameSpec(n=4, r=1, m=8, seed=7)
+    calls = []
+
+    def factory(t):
+        calls.append(t)
+        return sample_block_frame(spec, trial=t)
+
+    frames = [("det", _det_frame()), ("rnd", factory)]
+    run_ndp_experiment(frames, [1, 2, 3, 4], [10.0, 100.0], trials=5, seed=0)
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+
+
+def test_run_ndp_experiment_dynamic_ranges_draw_apart(monkeypatch):
+    # DR 10.0 and 10.9 share an integer part; their supports must not coincide,
+    # and each range draws the same signals whatever the grid order
+    import blockframe.blockcs as blockcs
+
+    seen = []
+
+    def recording_gen_signal(spec, rng):
+        x, supp = gen_signal(spec, rng)
+        seen.append((spec.dynamic_range, tuple(supp)))
+        return x, supp
+
+    monkeypatch.setattr(blockcs, "gen_signal", recording_gen_signal)
+    f = sample_block_frame(RandomFrameSpec(n=32, r=2, m=128, seed=0))
+    run_ndp_experiment([("f", f)], [3], [10.0, 10.9], trials=1, seed=0)
+    forward = dict(seen)
+    seen.clear()
+    run_ndp_experiment([("f", f)], [3], [10.9, 10.0], trials=1, seed=0)
+    assert dict(seen) == forward
+    assert forward[10.0] != forward[10.9]
+
+
+def test_run_ndp_experiment_needs_trials():
+    with pytest.raises(FrameError):
+        run_ndp_experiment([("det", _det_frame())], [1], [10.0], trials=0, seed=0)
+
+
 def test_run_ndp_experiment_needs_frames():
     with pytest.raises(FrameError):
         run_ndp_experiment([], [1], [10.0], trials=2, seed=0)

@@ -273,3 +273,37 @@ def test_cs_requires_frames(tmp_path):
 
 def test_cs_bad_frame_argument(tmp_path):
     assert main(["cs", "--frame", "nopath", "--k-grid", "1", "--out-dir", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------- bad input exits 2
+
+
+def test_analyze_missing_file(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path / "missing.bfm"), "--out-dir", str(tmp_path)]) == 2
+    assert "missing.bfm" in capsys.readouterr().err
+
+
+def test_analyze_rejects_non_orthonormal_blocks(tmp_path, capsys):
+    bad = tmp_path / "ones.bfm"
+    bad.write_text("BFM 1\nn=2 r=1 m=3 field=real\n" + "1.0:0.0,1.0:0.0,1.0:0.0\n" * 2)
+    assert main(["analyze", str(bad), "--out-dir", str(tmp_path / "a")]) == 2
+    assert "orthonormal" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "report.json").exists()
+
+
+def test_cs_zero_trials(tmp_path):
+    cdir = tmp_path / "c"
+    assert main(["construct", "--family", "id-hadamard", "--k", "2", "--out-dir", str(cdir)]) == 0
+    argv = ["cs", "--frame", f"det={cdir / 'frame.bfm'}", "--k-grid", "1", "--trials", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path / "cs")]) == 2
+
+
+def test_random_mu_zero_trials(tmp_path):
+    argv = ["random-mu", "--n", "16", "--r-grid", "2", "--trials", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+
+
+def test_flip_table_zero_realizations(tmp_path, capsys):
+    argv = ["flip-table", "--n", "16", "--m", "24", "--r-list", "1", "--realizations", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "nan" not in capsys.readouterr().out

@@ -7,10 +7,14 @@ implementation paths.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import blockframe.frame as frame_module
 from blockframe import (
     BlockFrame,
     FrameError,
+    apply_block_signs,
     average_coherence,
     average_column_coherence,
     chordal_distance,
@@ -18,6 +22,7 @@ from blockframe import (
     gram_map,
     spectral_distance,
     validate,
+    welch_coherence_lower,
     worst_case_coherence,
 )
 from blockframe.constructions import FrameRecipe, build_frame
@@ -129,6 +134,58 @@ def test_gram_map_symmetric_unit_diagonal():
             assert g[i, j] == pytest.approx(
                 np.linalg.svd(pair, compute_uv=False)[0], abs=1e-10
             )
+
+
+# --- the chunked pair sweep -------------------------------------------------
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random frame and a chunk size; small chunks force many partial chunks."""
+    r = draw(st.sampled_from([1, 2, 3, 5, 10]))
+    m = draw(st.integers(2, 24))
+    n = draw(st.integers(r + 1, min(m * r, r + 12)))
+    cplx = draw(st.booleans())
+    chunk = draw(st.sampled_from([1, r * r * 3 + 1, 700, 1 << 16]))
+    return random_frame(n, r, m, draw(st.integers(0, 2**32 - 1)), cplx), chunk
+
+
+def _off_diagonal_max(g):
+    return g[~np.eye(g.shape[0], dtype=bool)].max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases(), st.integers(0, 2**32 - 1))
+def test_pair_sweep_properties(case, sign_seed):
+    frame, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+        chunks = list(frame_module._pair_chunks(frame))
+        mu = worst_case_coherence(frame)
+        g = gram_map(frame)
+        signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)
+        flipped = apply_block_signs(frame, signs)
+        mu_flipped = worst_case_coherence(flipped)
+        g_flipped = gram_map(flipped)
+
+    # every unordered pair exactly once
+    i = np.concatenate([part[0] for part in chunks])
+    j = np.concatenate([part[1] for part in chunks])
+    assert sorted(zip(i, j)) == list(zip(*np.triu_indices(frame.m, 1)))
+    # pruning never changes the maximum, by even one ulp
+    assert mu == _off_diagonal_max(g)
+    # flipping block signs moves neither mu nor the gram map, bit for bit
+    assert mu_flipped == mu
+    assert np.array_equal(g_flipped, g)
+    # the gram map against a batched SVD of every cross-Gram
+    assert np.array_equal(g, g.T)
+    assert np.all(np.diagonal(g) == 1.0)
+    blocks = frame.blocks3d()
+    cross = np.einsum("ink,jnl->ijkl", blocks.conj(), blocks)
+    oracle = np.linalg.svd(cross, compute_uv=False)[..., 0]
+    off = ~np.eye(frame.m, dtype=bool)
+    assert np.abs(g[off] - oracle[off]).max() <= 1e-12
+    assert mu >= welch_coherence_lower(frame.n, frame.r, frame.m) - 1e-12
 
 
 # --- distances --------------------------------------------------------------

@@ -79,6 +79,17 @@ def test_sample_block_frame_deterministic():
     assert rec.unit_columns and rec.block_orthonormal
 
 
+def test_sample_block_frame_path_keys():
+    spec = RandomFrameSpec(n=6, r=2, m=4, seed=3)
+    blocks = [
+        sample_subspace(6, 2, substream_rng(3, 2, 5, i)) for i in range(4)
+    ]
+    assert np.array_equal(sample_block_frame(spec, 2, 5).data, np.concatenate(blocks, axis=1))
+    assert np.array_equal(sample_block_frame(spec, 2, trial=5).data, sample_block_frame(spec, 2, 5).data)
+    assert np.array_equal(sample_block_frame(spec, 0).data, sample_block_frame(spec).data)
+    assert np.array_equal(sample_block_frame(spec, trial=4).data, sample_block_frame(spec, 4).data)
+
+
 def test_sample_block_frame_complex_tag():
     spec = RandomFrameSpec(n=8, r=2, m=5, seed=1, field_tag="complex")
     f = sample_block_frame(spec)
