@@ -44,7 +44,7 @@ def gen_signal(spec, rng):
         phases = rng.integers(0, 2, size=(spec.k, spec.r)) * 2.0 - 1.0
     else:
         phases = np.exp(2j * np.pi * rng.random(size=(spec.k, spec.r)))
-    x = np.zeros(spec.m * spec.r, dtype=np.complex128)
+    x = np.zeros(spec.m * spec.r, dtype=phases.dtype)
     for idx, blk in enumerate(support):
         x[blk * spec.r : (blk + 1) * spec.r] = mags[idx] * phases[idx]
     return x, support
@@ -58,7 +58,7 @@ def one_step_group_threshold(frame, y, k):
     """
     if not 1 <= k <= frame.m:
         raise FrameError(f"need 1 <= k <= m, got k={k}")
-    c = frame.data.conj().T @ np.asarray(y, dtype=np.complex128)
+    c = frame.data.conj().T @ np.asarray(y)
     energies = np.linalg.norm(c.reshape(frame.m, frame.r), axis=1)
     picked = np.argsort(-energies, kind="stable")[:k]
     return np.sort(picked)
@@ -77,7 +77,7 @@ def _add_noise(y, snr_db, rng):
     power = float(np.mean(np.abs(y) ** 2))
     sigma = np.sqrt(power * 10.0 ** (-snr_db / 10.0))
     noise = rng.standard_normal(y.shape)
-    if np.any(y.imag != 0.0):
+    if np.iscomplexobj(y):
         noise = (noise + 1j * rng.standard_normal(y.shape)) / np.sqrt(2.0)
     return y + sigma * noise
 

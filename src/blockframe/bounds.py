@@ -99,34 +99,12 @@ def etf_max_blocks(n, r):
 
 # --- special functions ------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients; ~1e-14 relative for p > 0.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def log_gamma(p):
     """Natural log of Gamma(p) for p > 0."""
     if not p > 0:
         raise FrameError(f"log_gamma needs p > 0, got {p}")
-    if p < 0.5:
-        # reflection keeps the series on its well-conditioned side
-        return math.log(math.pi / math.sin(math.pi * p)) - log_gamma(1.0 - p)
-    z = p - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(p)
 
 
 def log_beta(p, q):

@@ -32,17 +32,7 @@ from .bounds import (
 from .constructions import FrameRecipe, build_frame
 from .flipping import FlipConfig, flip
 from .frame import ValidationRecord, average_coherence, validate
-from .io import (
-    RunManifest,
-    read_bfm,
-    write_bfm,
-    write_curve_csv,
-    write_flip_table_csv,
-    write_gram_csv,
-    write_json,
-    write_ndp_csv,
-    write_threshold_csv,
-)
+from .io import RunManifest, read_bfm, write_bfm, write_csv, write_gram_csv, write_json
 
 _FAMILY_PARAM = {
     "steiner": ("v", "--v"),
@@ -270,6 +260,7 @@ def cmd_threshold(args):
             raise FrameError("--grid needs LO < HI and COUNT >= 2")
         betas = list(np.linspace(lo, hi, count))
     sols = [solve_threshold(float(b)) for b in betas]
+    columns = ("beta", "multiplier", "residual")
     if args.out_dir is not None:
         manifest = RunManifest(
             command="threshold",
@@ -279,20 +270,10 @@ def cmd_threshold(args):
         out = _out_dir(args)
         if args.format == "json":
             path = os.path.join(out, "threshold.json")
-            write_json(
-                path,
-                [
-                    {
-                        "beta": s.beta,
-                        "multiplier": s.multiplier,
-                        "residual": s.residual,
-                    }
-                    for s in sols
-                ],
-            )
+            write_json(path, [{col: getattr(s, col) for col in columns} for s in sols])
         else:
             path = os.path.join(out, "threshold.csv")
-            write_threshold_csv(path, sols)
+            write_csv(path, columns, sols)
         manifest.add_output(path)
         manifest.write(os.path.join(out, "threshold-manifest.json"))
     print("beta,multiplier,residual")
@@ -325,7 +306,7 @@ def cmd_random_mu(args):
     )
     out = _out_dir(args)
     path = os.path.join(out, "curve.csv")
-    write_curve_csv(path, points)
+    write_csv(path, ("beta", "mean_mu", "max_mu", "theory_mu"), points)
     manifest.add_output(path)
     manifest.write(os.path.join(out, "random-mu-manifest.json"))
     for pt in points:
@@ -384,6 +365,7 @@ def cmd_flip_table(args):
         },
         seed=args.seed,
     )
+    columns = ("r", "nu_before_mean", "nu_after_mean", "improvement_pct", "nu_bound")
     rows = run_flipping_table(
         args.n,
         args.m,
@@ -400,11 +382,7 @@ def cmd_flip_table(args):
             path,
             [
                 {
-                    "r": row.r,
-                    "nu_before_mean": row.nu_before_mean,
-                    "nu_after_mean": row.nu_after_mean,
-                    "improvement_pct": row.improvement_pct,
-                    "nu_bound": row.nu_bound,
+                    **{col: getattr(row, col) for col in columns},
                     "runs": [list(run) for run in row.runs],
                 }
                 for row in rows
@@ -412,7 +390,7 @@ def cmd_flip_table(args):
         )
     else:
         path = os.path.join(out, "flip_table.csv")
-        write_flip_table_csv(path, rows)
+        write_csv(path, columns, rows)
     manifest.add_output(path)
     manifest.write(os.path.join(out, "flip-table-manifest.json"))
     for row in rows:
@@ -475,7 +453,9 @@ def cmd_cs(args):
     )
     out = _out_dir(args)
     path = os.path.join(out, "ndp.csv")
-    write_ndp_csv(path, results)
+    write_csv(
+        path, ("label", "k", "dynamic_range", "mean_ndp", "stderr", "trials"), results
+    )
     manifest.add_output(path)
     manifest.write(os.path.join(out, "cs-manifest.json"))
     for res in results:
@@ -486,15 +466,16 @@ def cmd_cs(args):
     return 0
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--trials", type=int, default=100, help="trial count")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="csv", help="table file format"
-    )
+# options several commands share; --seed goes to every command, since every
+# manifest records it, and each command lists the others it reads
+_SHARED = {
+    "--trials": dict(type=int, default=100, help="trial count"),
+    "--threads": dict(type=int, default=None, help="worker threads"),
+    "--format": dict(choices=("json", "csv"), default="csv", help="table file format"),
+}
 
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="blockframe",
         description="Build, measure, and improve block frames with low block coherence.",
@@ -502,7 +483,15 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common], help="build a frame from a recipe")
+    def command(name, func, help, *shared):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        for opt in shared:
+            p.add_argument(opt, **_SHARED[opt])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("construct", cmd_construct, "build a frame from a recipe")
     p.add_argument(
         "--family",
         required=True,
@@ -515,46 +504,42 @@ def build_parser():
     p.add_argument("--kerdock-set-file", help="binary symmetric matrix set file")
     p.add_argument("--kron", default="none", help="none | hadamard:K | dft:P | file:PATH")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("analyze", parents=[common], help="report on a frame file")
+    p = command("analyze", cmd_analyze, "report on a frame file")
     p.add_argument("frame", help=".bfm frame file")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound table for (n, r, m)")
+    p = command("bounds", cmd_bounds, "bound table for (n, r, m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--field", choices=("real", "complex"), default="complex")
     p.add_argument("--out-dir", default=None, help="also write bounds.json here")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser(
-        "threshold", parents=[common], help="sparsity threshold multiplier"
-    )
+    p = command("threshold", cmd_threshold, "sparsity threshold multiplier", "--format")
     p.add_argument("--beta", type=float, help="single aspect ratio in (0, 1/2)")
     p.add_argument("--grid", help="LO:HI:COUNT inclusive grid")
     p.add_argument("--out-dir", default=None, help="also write threshold table here")
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser(
-        "random-mu", parents=[common], help="random-frame coherence curve"
+    p = command(
+        "random-mu", cmd_random_mu, "random-frame coherence curve", "--trials", "--threads"
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r-grid", required=True, help="comma-separated block widths")
     p.add_argument("--m-cap", type=int, default=400, help="cap on block count")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_random_mu)
 
-    p = sub.add_parser("flip", parents=[common], help="greedy sign flip of a frame")
+    p = command("flip", cmd_flip, "greedy sign flip of a frame")
     p.add_argument("frame", help=".bfm frame file")
     p.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_flip)
 
-    p = sub.add_parser(
-        "flip-table", parents=[common], help="flip improvement over random frames"
+    p = command(
+        "flip-table",
+        cmd_flip_table,
+        "flip improvement over random frames",
+        "--threads",
+        "--format",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -562,9 +547,10 @@ def build_parser():
     p.add_argument("--realizations", type=int, default=10)
     p.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_flip_table)
 
-    p = sub.add_parser("cs", parents=[common], help="block-sparse recovery experiment")
+    p = command(
+        "cs", cmd_cs, "block-sparse recovery experiment", "--trials", "--threads"
+    )
     p.add_argument("--frame", action="append", help="LABEL=PATH (repeatable)")
     p.add_argument(
         "--random", action="append", help="LABEL=N,R,M random frame, redrawn per trial"
@@ -576,7 +562,6 @@ def build_parser():
         "--signal-field", choices=("real", "complex"), default="real"
     )
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.set_defaults(func=cmd_cs)
 
     return parser
 

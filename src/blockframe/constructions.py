@@ -221,7 +221,7 @@ def id_hadamard_union(k):
         raise FrameError(f"need k >= 1, got {k}")
     n = 1 << k
     h = hadamard_sylvester(k) / np.sqrt(n)
-    p = np.concatenate([np.eye(n, dtype=np.complex128), h], axis=1)
+    p = np.concatenate([np.eye(n), h], axis=1)
     rep = verify_flat_union(p)
     if not rep.is_flat_union:
         raise FrameError(f"id_hadamard_union({k}) failed verification: {rep}")
@@ -370,14 +370,14 @@ def kerdock_real(k, mats=None):
     n = 1 << k
     x = np.arange(n)
     bits = ((x[:, None] >> np.arange(k)[None, :]) & 1).astype(np.int64)
-    hu = hadamard_sylvester(k).real / np.sqrt(n)
+    hu = hadamard_sylvester(k) / np.sqrt(n)
     blocks = []
     for idx, p in enumerate(mats):
         q = (np.einsum("xi,ij,xj->x", bits, p.astype(np.int64), bits) // 2) % 2
         d = 1.0 - 2.0 * q  # (-1)^Q per row x
         sign = 1.0 if idx % 2 == 0 else -1.0
         blocks.append(sign * d[:, None] * hu)
-    p_out = np.concatenate(blocks, axis=1).astype(np.complex128)
+    p_out = np.concatenate(blocks, axis=1)
     rep = verify_flat_union(p_out)
     if not rep.is_flat_union:
         raise FrameError(f"kerdock_real({k}) failed verification: {rep}")
@@ -422,7 +422,7 @@ def _check_unitary(q):
     return q
 
 
-def kron_from_etf(p, q, field_tag="complex"):
+def kron_from_etf(p, q):
     """Blocks p_i (x) q from an ETF p and unitary q.
 
     Cross-Grams collapse to <p_i, p_j> * I, so the worst-case block
@@ -436,11 +436,10 @@ def kron_from_etf(p, q, field_tag="complex"):
         raise FrameError("kron_from_etf needs a verified ETF")
     n1, m = p.shape
     r = q.shape[0]
-    data = kronecker(p, q)
-    return BlockFrame(n=n1 * r, r=r, m=m, data=data, field_tag=field_tag)
+    return BlockFrame(n=n1 * r, r=r, m=m, data=kronecker(p, q))
 
 
-def kron_from_flat_union(p, q, field_tag="complex"):
+def kron_from_flat_union(p, q):
     """Blocks p_i (x) q from a flat union of orthobases and unitary q.
 
     The result is a union of orthobases whose worst-case block coherence
@@ -453,8 +452,7 @@ def kron_from_flat_union(p, q, field_tag="complex"):
         raise FrameError("kron_from_flat_union needs a verified flat union")
     n1, m = p.shape
     r = q.shape[0]
-    data = kronecker(p, q)
-    return BlockFrame(n=n1 * r, r=r, m=m, data=data, field_tag=field_tag)
+    return BlockFrame(n=n1 * r, r=r, m=m, data=kronecker(p, q))
 
 
 def default_kron_factor(r):
@@ -489,56 +487,54 @@ def build_column_matrix(recipe):
     """The P factor of a recipe, before any Kronecker lift."""
     fam, par = recipe.family, recipe.params
     if fam == "steiner":
-        return steiner_pairs_etf(int(par["v"])), "complex"
+        return steiner_pairs_etf(int(par["v"]))
     if fam == "harmonic":
-        return harmonic_qr_etf(int(par["p"])), "complex"
+        return harmonic_qr_etf(int(par["p"]))
     if fam == "alltop":
-        return alltop_gabor(int(par["p"])), "complex"
+        return alltop_gabor(int(par["p"]))
     if fam == "chirp":
-        return discrete_chirp(int(par["p"])), "complex"
+        return discrete_chirp(int(par["p"]))
     if fam == "id-hadamard":
-        return id_hadamard_union(int(par["k"])), "real"
+        return id_hadamard_union(int(par["k"]))
     if fam == "kerdock":
         mats = None
         if par.get("set_file"):
             mats = read_kerdock_set_file(par["set_file"], int(par["k"]))
-        return kerdock_real(int(par["k"]), mats=mats), "real"
+        return kerdock_real(int(par["k"]), mats=mats)
     if fam == "external":
         from .io import read_bfm
 
-        frame = read_bfm(par["path"])
-        return frame.data, frame.field_tag
+        return read_bfm(par["path"]).data
     raise FrameError(f"unknown family {fam!r}")
 
 
 def build_frame(recipe):
-    """Assemble the full block frame a recipe describes."""
-    p, ftag = build_column_matrix(recipe)
+    """Assemble the full block frame a recipe describes.
+
+    The frame is real exactly when both factors are.
+    """
+    p = build_column_matrix(recipe)
     kind = recipe.kron[0]
     if kind == "none":
         n = p.shape[0]
         if p.shape[1] <= n:
             raise FrameError("r=1 frame needs more columns than rows")
-        return BlockFrame(n=n, r=1, m=p.shape[1], data=p, field_tag=ftag)
+        return BlockFrame(n=n, r=1, m=p.shape[1], data=p)
     if kind == "hadamard":
         q = hadamard_sylvester(int(recipe.kron[1])) / np.sqrt(1 << int(recipe.kron[1]))
     elif kind == "dft":
         q = dft_matrix(int(recipe.kron[1]))
-        if int(recipe.kron[1]) <= 2:
-            q = q.real.astype(np.complex128)  # dft(2) carries exp(i*pi) roundoff
     elif kind == "file":
         from .io import read_bfm
 
         q = read_bfm(recipe.kron[1]).data
     else:
         raise FrameError(f"unknown kron factor kind {kind!r}")
-    q_real = bool(np.all(q.imag == 0.0))
-    out_tag = "real" if (ftag == "real" and q_real) else "complex"
     if recipe.family in _ETF_FAMILIES:
-        return kron_from_etf(p, q, field_tag=out_tag)
+        return kron_from_etf(p, q)
     if recipe.family == "external":
         try:
-            return kron_from_etf(p, q, field_tag=out_tag)
+            return kron_from_etf(p, q)
         except FrameError:
-            return kron_from_flat_union(p, q, field_tag=out_tag)
-    return kron_from_flat_union(p, q, field_tag=out_tag)
+            return kron_from_flat_union(p, q)
+    return kron_from_flat_union(p, q)

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import FrameError
 from .frame import BlockFrame, average_coherence, worst_case_coherence
-from .matrixcore import frobenius_norm, spectral_norm
 from .sampling import substream_rng
 
 _TIE_TOL = 1e-12
@@ -47,13 +46,7 @@ def apply_block_signs(frame, signs):
     if signs.shape != (frame.m,) or not np.all(np.abs(signs) == 1):
         raise FrameError("signs must be a vector of +-1, one per block")
     scale = np.repeat(signs.astype(np.float64), frame.r)
-    return BlockFrame(
-        n=frame.n,
-        r=frame.r,
-        m=frame.m,
-        data=frame.data * scale[None, :],
-        field_tag=frame.field_tag,
-    )
+    return BlockFrame(n=frame.n, r=frame.r, m=frame.m, data=frame.data * scale[None, :])
 
 
 def flipped_nu_bound(m):
@@ -80,8 +73,17 @@ def flip_guarantee_min_c(m, n, r):
 
 
 def flip(frame, config=FlipConfig(), with_coherence=True):
-    """Algorithm: greedy sign choice per block against the running sum."""
-    norm = spectral_norm if config.norm_variant == "spectral" else frobenius_norm
+    """Algorithm: greedy sign choice per block against the running sum.
+
+    The running sums are built from validated blocks, so their norms go to
+    numpy directly, without as_matrix; the values equal spectral_norm and
+    frobenius_norm bit for bit.
+    """
+    order = 2 if config.norm_variant == "spectral" else None
+
+    def norm(x):
+        return float(np.linalg.norm(x, order))
+
     m, r = frame.m, frame.r
     signs = np.ones(m, dtype=np.int8)
     f_sum = frame.block(0).copy()

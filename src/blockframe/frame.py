@@ -32,25 +32,33 @@ _CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
 _PRUNE_SLACK = 1e-10  # covers rounding in the certificate and in eigvalsh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockFrame:
     """m blocks of r orthonormal columns each, stacked side by side.
 
-    data is always complex128; field_tag records whether the frame is to be
-    read as real (imaginary parts exactly zero) or genuinely complex.
+    The dtype of data is the field: float64 for a real frame, complex128 for
+    a complex one, and field_tag is read off it.  The optional field_tag
+    argument asks for a cast: "real" accepts complex input only when every
+    imaginary part is zero, and "complex" widens real input.
     """
 
     n: int
     r: int
     m: int
     data: np.ndarray
-    field_tag: str = "complex"
 
-    def __post_init__(self):
-        data = as_matrix(self.data)
-        object.__setattr__(self, "data", data)
-        if self.field_tag not in ("real", "complex"):
-            raise FrameError(f"field_tag must be real or complex, got {self.field_tag!r}")
+    def __init__(self, n, r, m, data, field_tag=None):
+        data = as_matrix(data)
+        if field_tag == "real" and np.iscomplexobj(data):
+            if np.any(data.imag != 0.0):
+                raise FrameError("field_tag is real but imaginary parts are nonzero")
+            data = np.ascontiguousarray(data.real)
+        elif field_tag == "complex":
+            data = data.astype(np.complex128, copy=False)
+        elif field_tag not in (None, "real"):
+            raise FrameError(f"field_tag must be real or complex, got {field_tag!r}")
+        for name, value in (("n", n), ("r", r), ("m", m), ("data", data)):
+            object.__setattr__(self, name, value)
         if self.n <= 0 or self.r <= 0 or self.m <= 0:
             raise FrameError("n, r, m must all be positive")
         if data.shape != (self.n, self.m * self.r):
@@ -61,8 +69,10 @@ class BlockFrame:
             raise FrameError(f"need r < n, got r={self.r}, n={self.n}")
         if not self.n <= self.m * self.r:
             raise FrameError(f"need n <= m*r, got n={self.n}, m*r={self.m * self.r}")
-        if self.field_tag == "real" and np.any(data.imag != 0.0):
-            raise FrameError("field_tag is real but imaginary parts are nonzero")
+
+    @property
+    def field_tag(self):
+        return "complex" if np.iscomplexobj(self.data) else "real"
 
     def block(self, i):
         """The i-th n x r block (a view, not a copy)."""
@@ -75,7 +85,7 @@ class BlockFrame:
         return self.data.reshape(self.n, self.m, self.r).transpose(1, 0, 2)
 
     @classmethod
-    def from_blocks(cls, blocks, field_tag="complex"):
+    def from_blocks(cls, blocks, field_tag=None):
         blocks = [as_matrix(b) for b in blocks]
         n, r = blocks[0].shape
         for b in blocks:
@@ -91,8 +101,7 @@ def _pair_chunks(frame):
     One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with
     j > i are gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.
     Yields (i, j, C, H) with the pairs' index vectors and H = C*C (None at
-    r = 1).  Real frames run in float64 on data.real, which BlockFrame
-    guarantees holds the whole frame.
+    r = 1), in the frame's own dtype.
 
     Everything computed from C or H is sign-invariant bit for bit.  Chunk
     shapes depend on (m, r) alone, and a gemm of fixed shapes does the same
@@ -100,7 +109,7 @@ def _pair_chunks(frame):
     involves it exactly and leaves H unchanged.
     """
     r, m = frame.r, frame.m
-    x = np.ascontiguousarray(frame.data.real) if frame.field_tag == "real" else frame.data
+    x = frame.data
     i0 = 0
     while i0 < m - 1:
         i1 = min(m - 1, i0 + max(1, _CHUNK_ENTRIES // (r * r * (m - i0))))

@@ -8,7 +8,8 @@ diffs, and version control:
     <n lines of m*r comma-separated entries, each "re:im">
 
 Entries use repr() floats, which round-trip exactly, so write/read/write is
-byte-identical.
+byte-identical.  Real frames are float64, so every imaginary part of a
+field=real file is written as 0.0.
 """
 
 import csv
@@ -95,58 +96,18 @@ def write_gram_csv(path, gram):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def write_curve_csv(path, points):
-    """Random-frame coherence curve rows (see sampling.CurvePoint)."""
+def write_csv(path, columns, rows):
+    """A header of column names, then one line per row of its attributes.
+
+    Floats are written with repr, which round-trips exactly; other values
+    with str.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["beta", "mean_mu", "max_mu", "theory_mu"])
-        for pt in points:
-            writer.writerow(
-                [repr(pt.beta), repr(pt.mean_mu), repr(pt.max_mu), repr(pt.theory_mu)]
-            )
-
-
-def write_ndp_csv(path, results):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "k", "dynamic_range", "mean_ndp", "stderr", "trials"])
-        for res in results:
-            writer.writerow(
-                [
-                    res.label,
-                    res.k,
-                    repr(res.dynamic_range),
-                    repr(res.mean_ndp),
-                    repr(res.stderr),
-                    res.trials,
-                ]
-            )
-
-
-def write_flip_table_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["r", "nu_before_mean", "nu_after_mean", "improvement_pct", "nu_bound"]
-        )
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [
-                    row.r,
-                    repr(row.nu_before_mean),
-                    repr(row.nu_after_mean),
-                    repr(row.improvement_pct),
-                    repr(row.nu_bound),
-                ]
-            )
-
-
-def write_threshold_csv(path, solutions):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "multiplier", "residual"])
-        for sol in solutions:
-            writer.writerow([repr(sol.beta), repr(sol.multiplier), repr(sol.residual)])
+            values = (getattr(row, col) for col in columns)
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in values])
 
 
 def sha256_file(path):

@@ -1,15 +1,15 @@
-"""Dense complex matrix kernels used by every other module.
+"""Dense matrix kernels used by every other module.
 
-All matrices are stored as complex128 regardless of the underlying field; a
-real frame simply carries exactly-zero imaginary parts.  One dtype means one
-code path through the coherence, flipping and recovery machinery.
+The dtype is the field: real matrices are float64 and complex ones
+complex128.  The kernels are written once for both; conj() is the identity
+on real input, so real data never pays for complex arithmetic.
 """
 
 import numpy as np
 
 from .errors import FrameError
 
-# refuse kronecker products beyond ~2^27 entries (2 GiB of complex128)
+# refuse dense results beyond 2^27 entries: 1 GiB as float64, 2 GiB as complex128
 _MAX_ENTRIES = 1 << 27
 
 # pivot threshold below which a column set is treated as rank deficient
@@ -17,13 +17,23 @@ _RANK_TOL = 1e-12
 
 
 def as_matrix(a):
-    """Coerce to a finite 2-d complex128 array, copying only if needed."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce to a finite 2-d float64 or complex128 array, copying only if needed.
+
+    Complex input stays complex and anything else becomes float64.
+    """
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim != 2:
         raise FrameError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if m.size and not np.isfinite(m).all():
         raise FrameError("matrix contains non-finite entries")
     return m
+
+
+def check_entries(count, what):
+    """The one memory guard: refuse a dense result of more than 2^27 entries."""
+    if count > _MAX_ENTRIES:
+        raise FrameError(f"{what} is above the 2^27-entry size guard")
 
 
 def spectral_norm(m):
@@ -63,10 +73,7 @@ def kronecker(p, q):
     """Kronecker product with a size guard."""
     p = as_matrix(p)
     q = as_matrix(q)
-    if p.size * q.size > _MAX_ENTRIES:
-        raise FrameError(
-            f"kronecker product of {p.shape} and {q.shape} exceeds the size guard"
-        )
+    check_entries(p.size * q.size, f"kronecker product of {p.shape} and {q.shape}")
     return np.kron(p, q)
 
 
@@ -96,24 +103,32 @@ def orthonormalize(m):
 
 
 def dft_matrix(p):
-    """Unitary discrete Fourier matrix of size p."""
+    """Unitary discrete Fourier matrix of size p.
+
+    Sizes 1 and 2 are real and come back as float64, without the
+    exp(i*pi) roundoff in the imaginary part.
+    """
     if p < 1:
         raise FrameError(f"dft size must be >= 1, got {p}")
     j = np.arange(p)
     w = np.exp(2j * np.pi * np.outer(j, j) / p)
+    if p <= 2:
+        w = w.real
     return w / np.sqrt(p)
 
 
 def hadamard_sylvester(k):
     """Sylvester-Hadamard matrix of size 2^k with +-1 entries (not scaled).
 
-    Row x, column a holds (-1)^<bits(x), bits(a)>.  Capped at k = 16: past
-    that the dense array stops being a sensible object to build.
+    Row x, column a holds (-1)^<bits(x), bits(a)>.  The size guard caps k
+    at 13 (4^k entries), and it is checked before anything is allocated.
     """
-    if not 0 <= k <= 16:
-        raise FrameError(f"hadamard order must satisfy 0 <= k <= 16, got {k}")
+    if k < 0:
+        raise FrameError(f"hadamard order must be >= 0, got {k}")
+    # 4^k entries; the min spares a huge k a huge integer, 4^14 already fails
+    check_entries(4 ** min(k, 14), f"hadamard matrix of order 2^{k}")
     h = np.array([[1.0]])
     base = np.array([[1.0, 1.0], [1.0, -1.0]])
     for _ in range(k):
         h = np.kron(h, base)
-    return h.astype(np.complex128)
+    return h

@@ -88,7 +88,7 @@ def sample_block_frame(spec, *path, trial=None):
         sample_subspace(spec.n, spec.r, substream_rng(spec.seed, *path, i), spec.field_tag)
         for i in range(spec.m)
     ]
-    return BlockFrame.from_blocks(blocks, field_tag=spec.field_tag)
+    return BlockFrame.from_blocks(blocks)
 
 
 @dataclass(frozen=True)

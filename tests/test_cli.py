@@ -291,6 +291,28 @@ def test_analyze_rejects_non_orthonormal_blocks(tmp_path, capsys):
     assert not (tmp_path / "a" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("analyze", ["--trials", "5"]),
+        ("analyze", ["--format", "json"]),
+        ("flip", ["--threads", "2"]),
+        ("construct", ["--trials", "5"]),
+    ],
+)
+def test_commands_refuse_options_they_ignore(tmp_path, command, option):
+    cdir = tmp_path / "c"
+    assert main(["construct", "--family", "id-hadamard", "--k", "2", "--out-dir", str(cdir)]) == 0
+    argv = {
+        "analyze": ["analyze", str(cdir / "frame.bfm")],
+        "flip": ["flip", str(cdir / "frame.bfm")],
+        "construct": ["construct", "--family", "id-hadamard", "--k", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as ex:
+        main(argv + option + ["--out-dir", str(tmp_path / "o")])
+    assert ex.value.code == 2
+
+
 def test_cs_zero_trials(tmp_path):
     cdir = tmp_path / "c"
     assert main(["construct", "--family", "id-hadamard", "--k", "2", "--out-dir", str(cdir)]) == 0

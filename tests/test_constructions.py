@@ -367,6 +367,7 @@ def test_build_frame_steiner_recipe():
     frame = build_frame(FrameRecipe("steiner", {"v": 4}, ("hadamard", 1)))
     assert (frame.n, frame.r, frame.m) == (12, 2, 16)
     assert frame.field_tag == "complex"
+    assert frame.data.dtype == np.complex128
     assert worst_case_coherence(frame) == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert validate(frame).equi_isoclinic
 
@@ -374,7 +375,23 @@ def test_build_frame_steiner_recipe():
 def test_build_frame_dft2_keeps_real_tag():
     frame = build_frame(FrameRecipe("id-hadamard", {"k": 2}, ("dft", 2)))
     assert frame.field_tag == "real"
-    assert np.all(frame.data.imag == 0.0)
+    assert frame.data.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "recipe, dtype",
+    [
+        (FrameRecipe("kerdock", {"k": 4}, ("hadamard", 1)), np.float64),
+        (FrameRecipe("id-hadamard", {"k": 3}, ("none",)), np.float64),
+        (FrameRecipe("id-hadamard", {"k": 3}, ("hadamard", 1)), np.float64),
+        (FrameRecipe("alltop", {"p": 5}, ("dft", 3)), np.complex128),
+        (FrameRecipe("id-hadamard", {"k": 2}, ("dft", 3)), np.complex128),
+    ],
+)
+def test_build_frame_dtype_is_the_field(recipe, dtype):
+    frame = build_frame(recipe)
+    assert frame.data.dtype == dtype
+    assert frame.field_tag == ("real" if dtype == np.float64 else "complex")
 
 
 def test_build_frame_no_lift():

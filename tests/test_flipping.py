@@ -14,6 +14,7 @@ from blockframe import (
     flip,
     flip_guarantee_min_c,
     flipped_nu_bound,
+    frobenius_norm,
     gram_map,
     random_flip_search,
     sample_block_frame,
@@ -76,9 +77,13 @@ def test_flip_frobenius_partial_sum_bound():
 
 def test_flip_partial_sum_recompute():
     frame = sample_block_frame(RandomFrameSpec(n=16, r=2, m=12, seed=6))
-    res = flip(frame)
-    total = (frame.blocks3d() * res.signs[:, None, None]).sum(axis=0)
-    assert res.partial_sum_norm == pytest.approx(spectral_norm(total), abs=1e-10)
+    for variant, norm in (("spectral", spectral_norm), ("frobenius", frobenius_norm)):
+        res = flip(frame, FlipConfig(norm_variant=variant))
+        total = frame.block(0).copy()
+        for k in range(1, frame.m):
+            total += res.signs[k] * frame.block(k)
+        # the greedy loop's norms agree with matrixcore's bit for bit
+        assert res.partial_sum_norm == norm(total)
 
 
 def test_flip_result_metadata():

@@ -255,13 +255,27 @@ def test_block_views_and_from_blocks():
         BlockFrame.from_blocks([np.zeros((3, 2)), np.zeros((4, 2))])
 
 
+def test_dtype_is_the_field():
+    real = random_frame(5, 1, 6, 12)
+    assert real.data.dtype == np.float64 and real.field_tag == "real"
+    cplx = random_frame(5, 2, 4, 3, complex_blocks=True)
+    assert cplx.data.dtype == np.complex128 and cplx.field_tag == "complex"
+    widened = BlockFrame(n=5, r=1, m=6, data=real.data, field_tag="complex")
+    assert widened.data.dtype == np.complex128 and widened.field_tag == "complex"
+
+
 def test_negative_zero_counts_as_real():
-    # sign-flipped real frames carry -0.0 imaginary parts; still real
-    frame = random_frame(5, 1, 6, 12)
-    flipped = BlockFrame(
-        n=5, r=1, m=6, data=frame.data * -1.0, field_tag="real"
-    )
-    assert flipped.field_tag == "real"
+    # complex storage whose imaginary parts are all zero, -0.0 among them,
+    # casts to a real frame on request and stays complex otherwise
+    real = random_frame(5, 1, 6, 12)
+    data = np.empty(real.data.shape, dtype=np.complex128)
+    data.real = real.data
+    data.imag = -0.0
+    cast = BlockFrame(n=5, r=1, m=6, data=data, field_tag="real")
+    assert cast.data.dtype == np.float64 and cast.field_tag == "real"
+    assert np.array_equal(cast.data, real.data)
+    assert cast.block(2).base is cast.data
+    assert BlockFrame(n=5, r=1, m=6, data=data).field_tag == "complex"
 
 
 # --- validation and report --------------------------------------------------

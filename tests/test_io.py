@@ -1,5 +1,6 @@
 """Frame file format, report writers, and run manifests."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -16,7 +17,7 @@ from blockframe import (
     sha256_file,
     write_bfm,
 )
-from blockframe.io import write_gram_csv, write_json
+from blockframe.io import write_csv, write_gram_csv, write_json
 
 
 def test_bfm_round_trip_exact(tmp_path):
@@ -26,6 +27,7 @@ def test_bfm_round_trip_exact(tmp_path):
     write_bfm(p1, frame)
     back = read_bfm(p1)
     assert (back.n, back.r, back.m, back.field_tag) == (7, 2, 5, "complex")
+    assert back.data.dtype == np.complex128
     assert np.array_equal(back.data, frame.data)
     write_bfm(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
@@ -33,9 +35,17 @@ def test_bfm_round_trip_exact(tmp_path):
 
 def test_bfm_real_tag_preserved(tmp_path):
     frame = sample_block_frame(RandomFrameSpec(n=6, r=2, m=4, seed=1))
-    path = tmp_path / "r.bfm"
+    path, again = tmp_path / "r.bfm", tmp_path / "r2.bfm"
     write_bfm(path, frame)
-    assert read_bfm(path).field_tag == "real"
+    back = read_bfm(path)
+    assert back.field_tag == "real"
+    assert back.data.dtype == np.float64
+    assert np.array_equal(back.data, frame.data)
+    # real files carry a 0.0 imaginary part on every entry, never -0.0
+    body = path.read_text().splitlines()[2:]
+    assert all(tok.endswith(":0.0") for row in body for tok in row.split(","))
+    write_bfm(again, back)
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_bfm_read_errors(tmp_path):
@@ -87,6 +97,20 @@ def test_write_gram_csv_round_trip(tmp_path):
         for line in path.read_text().strip().splitlines()
     ]
     assert np.array_equal(np.asarray(rows), g)  # repr floats round-trip
+
+
+def test_write_csv_repr_floats_and_str_rest(tmp_path):
+    @dataclasses.dataclass
+    class Row:
+        label: str
+        k: int
+        value: float
+
+    path = tmp_path / "t.csv"
+    write_csv(path, ("label", "k", "value"), [Row("a,b", 3, 0.1), Row("c", 4, 1 / 3)])
+    assert path.read_bytes() == (
+        b'label,k,value\r\n"a,b",3,0.1\r\nc,4,0.3333333333333333\r\n'
+    )
 
 
 def test_sha256_file(tmp_path):

@@ -96,6 +96,14 @@ def test_bad_inputs_raise():
         as_matrix(np.array([[0.0, np.nan * 1j]]))
 
 
+def test_as_matrix_keeps_the_field():
+    assert as_matrix([[1, 2]]).dtype == np.float64
+    assert as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+    assert as_matrix([[1.0, 2.0j]]).dtype == np.complex128
+    real = np.eye(3)
+    assert as_matrix(real) is real
+
+
 def test_frobenius_norm():
     m = np.array([[3.0, 0.0], [0.0, 4.0 * 1j]])
     assert frobenius_norm(m) == pytest.approx(5.0, abs=1e-14)
@@ -190,7 +198,21 @@ def test_hadamard_sylvester():
     h3 = hadamard_sylvester(3)
     x, a = 5, 3  # <bits(5), bits(3)> = 1*1 + 0*1 + 1*0 = 1
     assert h3[x, a].real == -1.0
+    assert h3.dtype == np.float64
     with pytest.raises(FrameError):
         hadamard_sylvester(17)
     with pytest.raises(FrameError):
         hadamard_sylvester(-1)
+
+
+def test_hadamard_guard_refuses_before_allocating(monkeypatch):
+    def no_kron(*args):
+        raise AssertionError("np.kron reached")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(FrameError, match="size guard"):
+        hadamard_sylvester(14)  # 2^28 entries
+    with pytest.raises(FrameError, match="size guard"):
+        hadamard_sylvester(10**9)
+    with pytest.raises(AssertionError, match="np.kron reached"):
+        hadamard_sylvester(13)  # 2^26 entries: within the guard

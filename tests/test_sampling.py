@@ -94,7 +94,14 @@ def test_sample_block_frame_complex_tag():
     spec = RandomFrameSpec(n=8, r=2, m=5, seed=1, field_tag="complex")
     f = sample_block_frame(spec)
     assert f.field_tag == "complex"
+    assert f.data.dtype == np.complex128
     assert np.abs(f.data.imag).max() > 0.0
+
+
+def test_sample_block_frame_real_is_float64():
+    f = sample_block_frame(RandomFrameSpec(n=8, r=2, m=5, seed=1, field_tag="real"))
+    assert f.field_tag == "real"
+    assert f.data.dtype == np.float64
 
 
 def test_random_frame_spec_validation():
