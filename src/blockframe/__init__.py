@@ -16,6 +16,7 @@ from .matrixcore import (
     batch_spectral_norms,
     dft_matrix,
     frobenius_norm,
+    gram_deviation,
     hadamard_sylvester,
     kronecker,
     orthonormalize,
@@ -80,7 +81,6 @@ from .sampling import (
     parallel_map,
     sample_block_frame,
     sample_subspace,
-    sample_unitary,
     substream_rng,
 )
 from .flipping import (

@@ -17,20 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, FrameError
-
-
-def _check_nrm(n, r, m):
-    if n <= 0 or r <= 0 or m <= 0:
-        raise FrameError("n, r, m must be positive")
-    if not r < n:
-        raise FrameError(f"need r < n, got r={r}, n={n}")
-    if not n <= m * r:
-        raise FrameError(f"need n <= m*r, got n={n}, m*r={m * r}")
+from .frame import check_nrm
 
 
 def welch_coherence_lower(n, r, m):
     """Lower bound sqrt((m*r - n) / (n*(m-1))) on worst-case coherence."""
-    _check_nrm(n, r, m)
+    check_nrm(n, r, m)
     if m < 2:
         raise FrameError("bound needs m >= 2")
     return math.sqrt((m * r - n) / (n * (m - 1)))
@@ -47,7 +39,7 @@ def orthobases_coherence_lower(n, r):
 
 def rankin_chordal_upper(n, r, m):
     """Rankin bound on the minimum chordal distance between m subspaces."""
-    _check_nrm(n, r, m)
+    check_nrm(n, r, m)
     if m < 2:
         raise FrameError("bound needs m >= 2")
     return math.sqrt(r * (n - r) / n * m / (m - 1))
@@ -62,7 +54,7 @@ def rankin_chordal_upper_tight(n, r):
 
 def spectral_distance_upper(n, r, m):
     """Bound on the minimum spectral distance; clamps at 1 for small m."""
-    _check_nrm(n, r, m)
+    check_nrm(n, r, m)
     if m < 2:
         raise FrameError("bound needs m >= 2")
     return math.sqrt(min(1.0, (n - r) / n * m / (m - 1)))

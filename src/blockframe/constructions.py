@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FrameError
 from .frame import BlockFrame
-from .matrixcore import as_matrix, dft_matrix, hadamard_sylvester, kronecker
+from .matrixcore import as_matrix, dft_matrix, gram_deviation, hadamard_sylvester, kronecker
 
 _VERIFY_TOL = 1e-10
 
@@ -87,10 +87,7 @@ def verify_flat_union(p, tol=_VERIFY_TOL):
     if m % n != 0 or m // n < 2:
         raise FrameError(f"need a multiple of at least two bases, got {n}x{m}")
     nb = m // n
-    udev = 0.0
-    for b in range(nb):
-        u = p[:, b * n : (b + 1) * n]
-        udev = max(udev, float(np.abs(u.conj().T @ u - np.eye(n)).max()))
+    udev = gram_deviation(p.reshape(n, nb, n).transpose(1, 0, 2))
     target = 1.0 / np.sqrt(n)
     cdev = 0.0
     for a in range(nb):
@@ -417,7 +414,7 @@ def _check_unitary(q):
     r1, r2 = q.shape
     if r1 != r2:
         raise FrameError(f"kron factor must be square, got {q.shape}")
-    if np.abs(q.conj().T @ q - np.eye(r1)).max() > _VERIFY_TOL:
+    if gram_deviation(q) > _VERIFY_TOL:
         raise FrameError("kron factor is not unitary within 1e-10")
     return q
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, average_coherence, worst_case_coherence
+from .frame import BlockFrame, average_coherence, check_nrm, worst_case_coherence
 from .sampling import substream_rng
 
 _TIE_TOL = 1e-12
@@ -63,8 +63,7 @@ def flip_guarantee_min_c(m, n, r):
     """
     if m < 3:
         raise FrameError("need m >= 3 so ln(m) > 1 region is meaningful")
-    if not r < n <= m * r:
-        raise FrameError(f"need r < n <= m*r, got n={n}, r={r}, m={m}")
+    check_nrm(n, r, m)
     nr = n / r
     if m <= nr:
         raise FrameError("need m > n/r")
@@ -72,7 +71,7 @@ def flip_guarantee_min_c(m, n, r):
     return float(nr * np.sqrt(val))
 
 
-def flip(frame, config=FlipConfig(), with_coherence=True):
+def flip(frame, config=FlipConfig()):
     """Algorithm: greedy sign choice per block against the running sum.
 
     The running sums are built from validated blocks, so their norms go to
@@ -97,19 +96,13 @@ def flip(frame, config=FlipConfig(), with_coherence=True):
             signs[k] = -1
             f_sum -= b
     flipped = apply_block_signs(frame, signs)
-    mu_b = mu_a = nu_b = nu_a = float("nan")
-    if with_coherence:
-        mu_b = worst_case_coherence(frame)
-        mu_a = worst_case_coherence(flipped)
-        nu_b = average_coherence(frame)
-        nu_a = average_coherence(flipped)
     return FlipResult(
         signs=signs,
         frame=flipped,
-        mu_before=mu_b,
-        mu_after=mu_a,
-        nu_before=nu_b,
-        nu_after=nu_a,
+        mu_before=worst_case_coherence(frame),
+        mu_after=worst_case_coherence(flipped),
+        nu_before=average_coherence(frame),
+        nu_after=average_coherence(flipped),
         nu_bound=flipped_nu_bound(m),
         partial_sum_norm=norm(f_sum),
         norm_variant=config.norm_variant,

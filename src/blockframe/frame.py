@@ -22,6 +22,7 @@ from .matrixcore import (
     as_matrix,
     batch_spectral_norms,
     frobenius_norm,
+    gram_deviation,
 )
 
 _UNIT_TOL = 1e-8
@@ -32,14 +33,26 @@ _CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
 _PRUNE_SLACK = 1e-10  # covers rounding in the certificate and in eigvalsh
 
 
+def check_nrm(n, r, m):
+    """The one shape rule of a block frame: positive n, r, m with r < n <= m*r."""
+    if n <= 0 or r <= 0 or m <= 0:
+        raise FrameError("n, r, m must be positive")
+    if not r < n:
+        raise FrameError(f"need r < n, got r={r}, n={n}")
+    if not n <= m * r:
+        raise FrameError(f"need n <= m*r, got n={n}, m*r={m * r}")
+
+
 @dataclass(frozen=True, init=False)
 class BlockFrame:
     """m blocks of r orthonormal columns each, stacked side by side.
 
-    The dtype of data is the field: float64 for a real frame, complex128 for
-    a complex one, and field_tag is read off it.  The optional field_tag
-    argument asks for a cast: "real" accepts complex input only when every
-    imaginary part is zero, and "complex" widens real input.
+    Blocks not orthonormal to 1e-8 (entrywise in A_i* A_i - I) are refused,
+    so no frame can report a coherence above 1.  The dtype of data is the
+    field: float64 for a real frame, complex128 for a complex one, and
+    field_tag is read off it.  The optional field_tag argument asks for a
+    cast: "real" accepts complex input only when every imaginary part is
+    zero, and "complex" widens real input.
     """
 
     n: int
@@ -57,18 +70,14 @@ class BlockFrame:
             data = data.astype(np.complex128, copy=False)
         elif field_tag not in (None, "real"):
             raise FrameError(f"field_tag must be real or complex, got {field_tag!r}")
+        check_nrm(n, r, m)
+        if data.shape != (n, m * r):
+            raise FrameError(f"data shape {data.shape} does not match n={n}, m={m}, r={r}")
         for name, value in (("n", n), ("r", r), ("m", m), ("data", data)):
             object.__setattr__(self, name, value)
-        if self.n <= 0 or self.r <= 0 or self.m <= 0:
-            raise FrameError("n, r, m must all be positive")
-        if data.shape != (self.n, self.m * self.r):
-            raise FrameError(
-                f"data shape {data.shape} does not match n={self.n}, m={self.m}, r={self.r}"
-            )
-        if not self.r < self.n:
-            raise FrameError(f"need r < n, got r={self.r}, n={self.n}")
-        if not self.n <= self.m * self.r:
-            raise FrameError(f"need n <= m*r, got n={self.n}, m*r={self.m * self.r}")
+        dev = gram_deviation(self.blocks3d())
+        if not dev <= _ORTHO_TOL:
+            raise FrameError(f"blocks are not orthonormal (max |A_i* A_i - I| = {dev:.3g})")
 
     @property
     def field_tag(self):
@@ -220,13 +229,6 @@ def spectral_distance(frame, i, j):
     return float(np.sqrt(max(0.0, 1.0 - s**2)))
 
 
-def block_gram_deviation(frame):
-    """max over blocks of |A_i* A_i - I|, entrywise."""
-    blocks = frame.blocks3d()
-    gram_self = np.einsum("ink,inl->ikl", blocks.conj(), blocks)
-    return float(np.abs(gram_self - np.eye(frame.r)).max())
-
-
 @dataclass(frozen=True)
 class ValidationRecord:
     """Structural facts about a frame, with the deviations behind them.
@@ -254,25 +256,22 @@ def validate(frame):
     col_norms = np.linalg.norm(data, axis=0)
     col_dev = float(np.abs(col_norms - 1.0).max())
 
-    block_dev = block_gram_deviation(frame)
+    block_dev = gram_deviation(frame.blocks3d())
 
     tight_ratio = m * r / n
     residual = frobenius_norm(data @ data.conj().T - tight_ratio * np.eye(n))
 
     union = n % r == 0 and (m * r) % n == 0 and m % (n // r) == 0
     if union:
-        for b in range(m * r // n):
-            u = data[:, b * n : (b + 1) * n]
-            if np.abs(u.conj().T @ u - np.eye(n)).max() > _ORTHO_TOL:
-                union = False
-                break
+        bases = data.reshape(n, m * r // n, n).transpose(1, 0, 2)
+        union = gram_deviation(bases) <= _ORTHO_TOL
 
     g, smin, smax = _exhaustive_sweep(frame)
     spread = smax - smin if m > 1 else 0.0
 
     return ValidationRecord(
         unit_columns=col_dev < _UNIT_TOL,
-        block_orthonormal=block_dev < _ORTHO_TOL,
+        block_orthonormal=block_dev <= _ORTHO_TOL,
         tight=residual < _TIGHT_TOL * max(1.0, tight_ratio),
         union_of_orthobases=union,
         equi_isoclinic=spread < _ISOCLINIC_TOL,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameError
-from .frame import _ORTHO_TOL, BlockFrame, block_gram_deviation
+from .frame import BlockFrame
 
 _MAGIC = "BFM 1"
 
@@ -39,7 +39,7 @@ def write_bfm(path, frame):
 
 
 def read_bfm(path):
-    """Read a .bfm file; its blocks must be orthonormal to within 1e-8."""
+    """Read a .bfm file; BlockFrame refuses blocks not orthonormal to 1e-8."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -73,13 +73,10 @@ def read_bfm(path):
     if len(rows) != n or any(len(row) != m * r for row in rows):
         raise FrameError(f"{path}: data shape does not match header")
     data = np.asarray(rows, dtype=np.complex128)
-    frame = BlockFrame(n=n, r=r, m=m, data=data, field_tag=field_tag)
-    dev = block_gram_deviation(frame)
-    if not dev <= _ORTHO_TOL:
-        raise FrameError(
-            f"{path}: blocks are not orthonormal (max |A_i* A_i - I| = {dev:.3g})"
-        )
-    return frame
+    try:
+        return BlockFrame(n=n, r=r, m=m, data=data, field_tag=field_tag)
+    except FrameError as exc:
+        raise FrameError(f"{path}: {exc}") from exc
 
 
 def write_json(path, payload):

@@ -16,14 +16,15 @@ _MAX_ENTRIES = 1 << 27
 _RANK_TOL = 1e-12
 
 
-def as_matrix(a):
+def as_matrix(a, stack=False):
     """Coerce to a finite 2-d float64 or complex128 array, copying only if needed.
 
-    Complex input stays complex and anything else becomes float64.
+    Complex input stays complex and anything else becomes float64.  With
+    stack=True a (..., p, q) stack of matrices is accepted as well.
     """
     m = np.asarray(a)
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
-    if m.ndim != 2:
+    if m.ndim < 2 or (m.ndim > 2 and not stack):
         raise FrameError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
         raise FrameError("matrix contains non-finite entries")
@@ -80,26 +81,29 @@ def kronecker(p, q):
 def orthonormalize(m):
     """Orthonormal basis for the column span of m, with a fixed phase.
 
-    Thin QR followed by a deterministic phase convention: the first entry of
-    each column with modulus above 1e-12 is made real and positive.  The
-    convention makes subspace representatives reproducible across runs and
+    m is one n x r matrix or an (..., n, r) stack, each matrix treated on its
+    own.  Thin QR followed by a deterministic phase convention: the first
+    entry of each column with modulus above 1e-12 is made real and positive.
+    The convention makes subspace representatives reproducible across runs and
     platforms, which the seeded experiments rely on.
     """
-    m = as_matrix(m)
-    n, r = m.shape
+    m = as_matrix(m, stack=True)
+    n, r = m.shape[-2:]
     if r > n:
         raise FrameError(f"cannot orthonormalize {r} columns in dimension {n}")
     q, rr = np.linalg.qr(m)
-    piv = np.abs(np.diagonal(rr))
-    if np.any(piv < _RANK_TOL):
+    if np.any(np.abs(np.diagonal(rr, axis1=-2, axis2=-1)) < _RANK_TOL):
         raise FrameError("rank-deficient input: pivot below 1e-12")
-    q = np.ascontiguousarray(q)
-    for j in range(r):
-        col = q[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = col[nz[0]]
-        q[:, j] = col * (np.conj(lead) / np.abs(lead))
-    return q
+    lead_row = np.argmax(np.abs(q) > 1e-12, axis=-2, keepdims=True)
+    lead = np.take_along_axis(q, lead_row, axis=-2)
+    return q * (np.conj(lead) / np.abs(lead))
+
+
+def gram_deviation(stack):
+    """max |X* X - I| over every X in an (..., n, r) stack: the one orthonormality test."""
+    x = np.asarray(stack)
+    g = np.matmul(x.conj().swapaxes(-1, -2), x)
+    return float(np.abs(g - np.eye(x.shape[-1])).max())
 
 
 def dft_matrix(p):

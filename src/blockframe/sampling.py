@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frame as frame_module
 from .bounds import solve_threshold
 from .errors import FrameError
-from .frame import BlockFrame, worst_case_coherence
-from .matrixcore import orthonormalize
+from .frame import BlockFrame, check_nrm, worst_case_coherence
+from .matrixcore import check_entries, orthonormalize
 
 
 def substream_rng(seed, *path):
@@ -46,12 +47,17 @@ class RandomFrameSpec:
     field_tag: str = "real"
 
     def __post_init__(self):
-        if not self.r < self.n:
-            raise FrameError(f"need r < n, got r={self.r}, n={self.n}")
-        if not self.n <= self.m * self.r:
-            raise FrameError(f"need n <= m*r, got n={self.n}, m*r={self.m * self.r}")
+        check_nrm(self.n, self.r, self.m)
         if self.field_tag not in ("real", "complex"):
             raise FrameError(f"bad field_tag {self.field_tag!r}")
+
+
+def _gaussian(n, r, rng, field_tag):
+    """An n x r Gaussian draw, with an imaginary part for a complex field."""
+    g = rng.standard_normal((n, r))
+    if field_tag == "complex":
+        g = g + 1j * rng.standard_normal((n, r))
+    return g
 
 
 def sample_subspace(n, r, rng, field_tag="real"):
@@ -59,19 +65,9 @@ def sample_subspace(n, r, rng, field_tag="real"):
 
     Gaussian matrix, thin QR, fixed phase convention; invariance of the
     Gaussian ensemble under rotation makes the span uniform on the
-    Grassmannian.
+    Grassmannian.  r = n gives a random orthogonal or unitary matrix.
     """
-    g = rng.standard_normal((n, r))
-    if field_tag == "complex":
-        g = g + 1j * rng.standard_normal((n, r))
-    return orthonormalize(g)
-
-
-def sample_unitary(r, rng, field_tag="complex"):
-    g = rng.standard_normal((r, r))
-    if field_tag == "complex":
-        g = g + 1j * rng.standard_normal((r, r))
-    return orthonormalize(g)
+    return orthonormalize(_gaussian(n, r, rng, field_tag))
 
 
 def sample_block_frame(spec, *path, trial=None):
@@ -79,16 +75,25 @@ def sample_block_frame(spec, *path, trial=None):
     (seed, *path, i).
 
     The path defaults to (0,); trial=t appends t, so sample_block_frame(spec,
-    trial=t) draws from (seed, t, i).
+    trial=t) draws from (seed, t, i).  Chunks of at most _CHUNK_ENTRIES entries
+    are orthonormalized as stacks, bit for bit as sample_subspace does one block.
     """
     if trial is not None:
         path += (trial,)
     path = path or (0,)
-    blocks = [
-        sample_subspace(spec.n, spec.r, substream_rng(spec.seed, *path, i), spec.field_tag)
-        for i in range(spec.m)
-    ]
-    return BlockFrame.from_blocks(blocks)
+    n, r, m = spec.n, spec.r, spec.m
+    check_entries(n * m * r, f"random frame of shape {n} x {m * r}")
+    data = np.empty((n, m * r), np.complex128 if spec.field_tag == "complex" else np.float64)
+    blocks = data.reshape(n, m, r).transpose(1, 0, 2)
+    per_chunk = max(1, frame_module._CHUNK_ENTRIES // (n * r))
+    for i0 in range(0, m, per_chunk):
+        i1 = min(m, i0 + per_chunk)
+        draws = [
+            _gaussian(n, r, substream_rng(spec.seed, *path, i), spec.field_tag)
+            for i in range(i0, i1)
+        ]
+        blocks[i0:i1] = orthonormalize(np.stack(draws))
+    return BlockFrame(n=n, r=r, m=m, data=data)
 
 
 @dataclass(frozen=True)
@@ -104,22 +109,20 @@ def default_block_count(n, r, cap=400):
     return min(int((n / r) ** 2), cap)
 
 
-def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, m_rule=None, threads=1):
+def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, threads=1):
     """Worst-case coherence of random frames against the asymptotic threshold.
 
-    For each r in the grid: m blocks (default min((n/r)^2, m_cap)) are drawn
+    For each r in the grid: m = min((n/r)^2, m_cap) blocks are drawn
     per trial and the frame's worst-case coherence computed; the row records
     the mean and max over trials next to sqrt(a_hat(beta) * beta).
     """
     if trials < 1:
         raise FrameError(f"need at least one trial, got {trials}")
-    if m_rule is None:
-        m_rule = lambda nn, rr: default_block_count(nn, rr, cap=m_cap)
     points = []
     for ri, r in enumerate(r_grid):
         if not 2 * r < n:
             raise FrameError(f"grid point r={r} violates 2r < n")
-        m = m_rule(n, r)
+        m = default_block_count(n, r, cap=m_cap)
         beta = r / n
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=seed, field_tag="real")
 

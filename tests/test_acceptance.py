@@ -40,7 +40,7 @@ from blockframe import (
     reg_inc_beta,
     run_ndp_experiment,
     sample_block_frame,
-    sample_unitary,
+    sample_subspace,
     solve_threshold,
     spectral_distance,
     spectral_norm,
@@ -115,7 +115,7 @@ def test_03_kronecker_coherence_identities():
         rng = substream_rng(777, s)
         p = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
         p /= np.linalg.norm(p, axis=0)
-        q = sample_unitary(2, rng)
+        q = sample_subspace(2, 2, rng, "complex")
         frame = BlockFrame(n=10, r=2, m=8, data=kronecker(p, q), field_tag="complex")
         col_gram = np.abs(p.conj().T @ p)
         np.fill_diagonal(col_gram, 0.0)

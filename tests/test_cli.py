@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,18 @@ def test_version_flag():
     with pytest.raises(SystemExit) as ex:
         main(["--version"])
     assert ex.value.code == 0
+
+
+def test_python_dash_m_blockframe_runs_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockframe", "--version"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == __version__
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------- construct / analyze
@@ -318,6 +334,12 @@ def test_cs_zero_trials(tmp_path):
     assert main(["construct", "--family", "id-hadamard", "--k", "2", "--out-dir", str(cdir)]) == 0
     argv = ["cs", "--frame", f"det={cdir / 'frame.bfm'}", "--k-grid", "1", "--trials", "0"]
     assert main(argv + ["--out-dir", str(tmp_path / "cs")]) == 2
+
+
+def test_cs_random_non_positive_shape(tmp_path, capsys):
+    argv = ["cs", "--random", "rnd=3,-2,-2", "--k-grid", "1", "--trials", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "positive" in capsys.readouterr().err
 
 
 def test_random_mu_zero_trials(tmp_path):

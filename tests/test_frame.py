@@ -291,6 +291,16 @@ def test_validate_union_of_orthobases():
     assert not rec.equi_isoclinic  # same-basis cross norms are 0, others 1/2
 
 
+def test_non_orthonormal_blocks_are_refused():
+    # all-ones columns would report mu = nu = 2.0 if the frame existed
+    with pytest.raises(FrameError, match="not orthonormal"):
+        BlockFrame(n=2, r=1, m=3, data=np.ones((2, 3)))
+    frame = random_frame(6, 2, 5, 13)
+    nearly = frame.data.copy()
+    nearly[0, 0] += 1e-9
+    assert BlockFrame(n=6, r=2, m=5, data=nearly).m == 5
+
+
 def test_validate_random_frame():
     frame = random_frame(6, 2, 5, 13)
     rec = validate(frame)
@@ -299,10 +309,8 @@ def test_validate_random_frame():
     assert not rec.tight
     assert not rec.union_of_orthobases
     assert not rec.equi_isoclinic
-    scaled = BlockFrame(n=6, r=2, m=5, data=2.0 * frame.data, field_tag="real")
-    rec2 = validate(scaled)
-    assert not rec2.unit_columns
-    assert not rec2.block_orthonormal
+    with pytest.raises(FrameError, match="not orthonormal"):
+        BlockFrame(n=6, r=2, m=5, data=2.0 * frame.data, field_tag="real")
 
 
 def test_coherence_report_fields():

@@ -8,6 +8,8 @@ implementation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockframe import FrameError
 from blockframe.matrixcore import (
@@ -16,6 +18,7 @@ from blockframe.matrixcore import (
     batch_spectral_norms,
     dft_matrix,
     frobenius_norm,
+    gram_deviation,
     hadamard_sylvester,
     kronecker,
     orthonormalize,
@@ -175,6 +178,58 @@ def test_orthonormalize_rejects_rank_deficiency():
         orthonormalize(m)
     with pytest.raises(FrameError):
         orthonormalize(np.ones((2, 3)))  # more columns than rows
+
+
+@st.composite
+def stacks(draw):
+    """A (c, n, r) Gaussian stack; member k has its first z[k] rows zero."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(1, n))
+    c = draw(st.integers(1, 5))
+    z = draw(st.lists(st.integers(0, n - r), min_size=c, max_size=c))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((c, n, r))
+    if draw(st.booleans()):
+        g = g + 1j * rng.standard_normal((c, n, r))
+    for k, zk in enumerate(z):
+        g[k, :zk] = 0.0
+    return g, z
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+def test_orthonormalize_stack_equals_one_by_one(case):
+    g, z = case
+    q = orthonormalize(g)
+    one_by_one = np.stack([orthonormalize(x) for x in g])
+    assert q.dtype == one_by_one.dtype == g.dtype
+    assert q.tobytes() == one_by_one.tobytes()
+    assert gram_deviation(q) < 1e-12
+    # each member's phase lead sits below its zero rows, real and positive
+    for x, zk in zip(q, z):
+        for col in x.T:
+            lead = np.flatnonzero(np.abs(col) > 1e-12)[0]
+            assert lead >= zk
+            assert abs(col[lead].imag) < 1e-12 and col[lead].real > 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(stacks(), st.integers(0, 4))
+def test_orthonormalize_stack_rejects_one_rank_deficient_member(case, k):
+    g, _ = case
+    g = g.copy()
+    g[k % len(g), :, -1] = 0.0
+    with pytest.raises(FrameError, match="rank-deficient"):
+        orthonormalize(g)
+
+
+def test_gram_deviation():
+    q = orthonormalize(np.random.default_rng(3).standard_normal((4, 6, 2)))
+    assert gram_deviation(q) < 1e-15
+    assert gram_deviation(q[0]) == gram_deviation(q[:1])
+    q[2] *= 2.0
+    assert gram_deviation(q) == pytest.approx(3.0, abs=1e-12)
+    assert gram_deviation(np.eye(3)[:, :2] * 1j) == 0.0
 
 
 def test_dft_matrix():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import blockframe.frame as frame_module
+import blockframe.sampling as sampling_module
 from blockframe import (
     CurvePoint,
     FrameError,
@@ -14,7 +16,6 @@ from blockframe import (
     parallel_map,
     sample_block_frame,
     sample_subspace,
-    sample_unitary,
     solve_threshold,
     substream_rng,
     validate,
@@ -64,7 +65,7 @@ def test_sample_subspace_orthonormal_complex():
 
 
 def test_sample_unitary():
-    u = sample_unitary(5, substream_rng(2, 0))
+    u = sample_subspace(5, 5, substream_rng(2, 0), field_tag="complex")
     assert u.shape == (5, 5)
     assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-10
 
@@ -88,6 +89,35 @@ def test_sample_block_frame_path_keys():
     assert np.array_equal(sample_block_frame(spec, 2, trial=5).data, sample_block_frame(spec, 2, 5).data)
     assert np.array_equal(sample_block_frame(spec, 0).data, sample_block_frame(spec).data)
     assert np.array_equal(sample_block_frame(spec, trial=4).data, sample_block_frame(spec, 4).data)
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+@pytest.mark.parametrize("blocks_per_chunk", [1, 3, 7, 100])
+def test_sample_block_frame_chunks_match_per_block_draws(monkeypatch, field_tag, blocks_per_chunk):
+    # m = 7: one block per chunk, chunks of 3, 3 and 1, the whole frame at once
+    spec = RandomFrameSpec(n=9, r=2, m=7, seed=21, field_tag=field_tag)
+    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", blocks_per_chunk * 9 * 2)
+    blocks = [
+        sample_subspace(9, 2, substream_rng(21, 4, i), field_tag) for i in range(7)
+    ]
+    got = sample_block_frame(spec, 4).data
+    want = np.concatenate(blocks, axis=1)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sample_block_frame_size_guard(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before the size guard")
+
+    monkeypatch.setattr(sampling_module, "substream_rng", no_draws)
+    with pytest.raises(FrameError, match="size guard"):
+        sample_block_frame(RandomFrameSpec(n=1 << 14, r=1 << 7, m=1 << 7, seed=0))
+
+
+def test_random_frame_spec_rejects_non_positive_shapes():
+    with pytest.raises(FrameError, match="positive"):
+        RandomFrameSpec(n=3, r=-2, m=-2, seed=0)
 
 
 def test_sample_block_frame_complex_tag():
@@ -178,10 +208,10 @@ def test_empirical_mu_curve_thread_invariance():
     assert a == b  # exact float equality, point by point
 
 
-def test_empirical_mu_curve_m_rule():
-    pts = empirical_mu_curve(16, [2], trials=2, seed=4, m_rule=lambda n, r: 10)
+def test_empirical_mu_curve_m_cap():
+    pts = empirical_mu_curve(16, [2], trials=2, seed=4, m_cap=10)
     dflt = empirical_mu_curve(16, [2], trials=2, seed=4)
-    # fewer blocks cannot raise the max coherence of the same substream draws
+    # the cap cuts (16/2)^2 = 64 blocks to 10 of the same substream draws
     assert pts[0].beta == dflt[0].beta
     assert pts[0].mean_mu != dflt[0].mean_mu
 
