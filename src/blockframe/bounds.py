@@ -104,13 +104,6 @@ def log_beta(p, q):
     return log_gamma(p) + log_gamma(q) - log_gamma(p + q)
 
 
-def shannon_entropy(rho):
-    """Binary entropy -rho*ln(rho) - (1-rho)*ln(1-rho) in nats."""
-    if not 0.0 < rho < 1.0:
-        raise FrameError(f"entropy needs rho in (0, 1), got {rho}")
-    return -rho * math.log(rho) - (1.0 - rho) * math.log1p(-rho)
-
-
 def _beta_cf(a, b, x):
     """Continued fraction for the incomplete beta, modified Lentz scheme."""
     ITMAX = 500
@@ -219,19 +212,6 @@ def overlap_tail_bound(lam, n, r):
 # --- threshold curve --------------------------------------------------------
 
 
-def tail_exponent(a, beta):
-    """The exponent psi(a, beta) controlling the overlap tail decay."""
-    if not 0.0 < beta < 0.5:
-        raise FrameError(f"need beta in (0, 1/2), got {beta}")
-    if not 2.0 <= a < 1.0 / beta:
-        raise FrameError(f"need 2 <= a < 1/beta, got a={a}, beta={beta}")
-    return (
-        beta * math.log(a)
-        + 0.5 * (1.0 - 2.0 * beta) * math.log1p(-a * beta)
-        - (1.0 - beta) * math.log1p(-beta)
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdSolution:
     """Root of the tail exponent at a given subspace fraction beta.
@@ -250,7 +230,11 @@ class ThresholdSolution:
 
 
 def _exponent_of_log_gap(v, beta):
-    """psi rewritten in v = ln(1 - a*beta); no cancellation for v << 0."""
+    """psi(a, beta) in the variable v = ln(1 - a*beta).
+
+    psi(a, beta) = beta*ln(a) + (1-2*beta)/2 * ln(1-a*beta) - (1-beta)*ln(1-beta)
+    with ln(a) = ln(1 - e^v) - ln(beta), which has no cancellation for v << 0.
+    """
     u = math.exp(v)
     return (
         beta * (math.log1p(-u) - math.log(beta))

@@ -452,15 +452,6 @@ def kron_from_flat_union(p, q):
     return BlockFrame(n=n1 * r, r=r, m=m, data=kronecker(p, q))
 
 
-def default_kron_factor(r):
-    """Hadamard when r is a power of two, otherwise the unitary DFT."""
-    if r < 1:
-        raise FrameError(f"need r >= 1, got {r}")
-    if r & (r - 1) == 0:
-        return hadamard_sylvester(r.bit_length() - 1) / np.sqrt(r)
-    return dft_matrix(r)
-
-
 # --- recipes ----------------------------------------------------------------
 
 _FAMILIES = ("steiner", "harmonic", "alltop", "chirp", "id-hadamard", "kerdock", "external")

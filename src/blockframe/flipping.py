@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import FrameError
 from .frame import BlockFrame, average_coherence, check_nrm, worst_case_coherence
-from .sampling import substream_rng
 
 _TIE_TOL = 1e-12
 
@@ -107,29 +106,3 @@ def flip(frame, config=FlipConfig()):
         partial_sum_norm=norm(f_sum),
         norm_variant=config.norm_variant,
     )
-
-
-@dataclass(frozen=True)
-class RandomFlipResult:
-    signs: np.ndarray
-    nu: float
-    best_trial: int
-
-
-def random_flip_search(frame, trials, seed):
-    """Best of `trials` random sign vectors (first block pinned to +1).
-
-    Ties in the achieved average coherence keep the earliest trial, so the
-    result is deterministic in (seed, trials).
-    """
-    if trials < 1:
-        raise FrameError("need at least one trial")
-    best = None
-    for t in range(trials):
-        rng = substream_rng(seed, t)
-        signs = rng.integers(0, 2, size=frame.m).astype(np.int8) * 2 - 1
-        signs[0] = 1
-        nu = average_coherence(apply_block_signs(frame, signs))
-        if best is None or nu < best.nu:
-            best = RandomFlipResult(signs=signs, nu=nu, best_trial=t)
-    return best

@@ -21,8 +21,10 @@ from .errors import FrameError
 from .matrixcore import (
     as_matrix,
     batch_spectral_norms,
+    check_entries,
     frobenius_norm,
     gram_deviation,
+    gram_singular_values,
 )
 
 _UNIT_TOL = 1e-8
@@ -130,17 +132,13 @@ def _pair_chunks(frame):
         i0 = i1
 
 
-def _singular_values(h):
-    """All singular values (ascending) of each C, from eigvalsh of H = C*C."""
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0))
-
-
 def _exhaustive_sweep(frame):
     """The Gram map and the extreme cross singular values, in one pass."""
+    check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
     g = np.eye(frame.m)
     smin, smax = np.inf, 0.0
     for i, j, c, h in _pair_chunks(frame):
-        sv = np.abs(c[:, :, 0]) if h is None else _singular_values(h)
+        sv = np.abs(c[:, :, 0]) if h is None else gram_singular_values(h)
         g[i, j] = g[j, i] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
@@ -175,9 +173,9 @@ def worst_case_coherence(frame):
             continue
         u = np.sqrt(np.sqrt(np.einsum("pij,pij->p", h.conj(), h).real))
         top = int(u.argmax())
-        best = max(best, float(_singular_values(h[top : top + 1])[0, -1]))
+        best = max(best, float(gram_singular_values(h[top : top + 1])[0, -1]))
         keep = u >= best * (1.0 - _PRUNE_SLACK)
-        best = float(_singular_values(h[keep])[:, -1].max(initial=best))
+        best = float(gram_singular_values(h[keep])[:, -1].max(initial=best))
     return best
 
 

@@ -51,23 +51,20 @@ def frobenius_norm(m):
     return float(np.linalg.norm(m))
 
 
-def batch_spectral_norms(stack):
-    """Largest singular value of each matrix in a (..., p, q) stack.
+def gram_singular_values(h):
+    """All singular values (ascending) of each C, given the stack of H = C*C.
 
-    Goes through the Hermitian eigenproblem of B*B rather than an SVD so that
-    flipping the sign of a whole matrix cannot move the result by even one
-    ulp: the Gram products (-x)(-y) are bitwise identical to xy.
+    Goes through the Hermitian eigenproblem of H rather than an SVD of C so
+    that flipping the sign of a whole matrix cannot move the result by even
+    one ulp: the Gram products (-x)(-y) are bitwise identical to xy.
     """
-    g = np.einsum("...ki,...kj->...ij", stack.conj(), stack)
-    w = np.linalg.eigvalsh(g)
-    return np.sqrt(np.maximum(w[..., -1], 0.0))
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0))
 
 
-def batch_singular_values(stack):
-    """All singular values (ascending) of each matrix in a stack."""
+def batch_spectral_norms(stack):
+    """Largest singular value of each matrix in a (..., p, q) stack."""
     g = np.einsum("...ki,...kj->...ij", stack.conj(), stack)
-    w = np.linalg.eigvalsh(g)
-    return np.sqrt(np.maximum(w, 0.0))
+    return gram_singular_values(g)[..., -1]
 
 
 def kronecker(p, q):

@@ -6,16 +6,12 @@ import pytest
 from blockframe import (
     FrameError,
     RandomFrameSpec,
-    SignalSpec,
     flipped_nu_bound,
-    gen_signal,
-    ndp,
-    one_step_group_threshold,
-    run_flipping_table,
     run_ndp_experiment,
     sample_block_frame,
     substream_rng,
 )
+from blockframe.blockcs import SignalSpec, gen_signal, ndp, one_step_group_threshold, run_flipping_table
 from blockframe.constructions import id_hadamard_union
 from blockframe.frame import BlockFrame
 

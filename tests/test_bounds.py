@@ -9,23 +9,23 @@ import scipy.special as sps
 from blockframe import (
     ConvergenceError,
     FrameError,
+    log_beta,
+    overlap_tail_bound,
+    reg_inc_beta,
+    solve_threshold,
+    welch_coherence_lower,
+)
+from blockframe.bounds import (
     ThresholdSolution,
     etf_max_blocks,
-    log_beta,
     log_gamma,
     log_reg_inc_beta,
     max_equi_isoclinic,
     max_orthobases_blocks,
     orthobases_coherence_lower,
-    overlap_tail_bound,
     rankin_chordal_upper,
     rankin_chordal_upper_tight,
-    reg_inc_beta,
-    shannon_entropy,
-    solve_threshold,
     spectral_distance_upper,
-    tail_exponent,
-    welch_coherence_lower,
 )
 
 
@@ -226,21 +226,14 @@ def test_log_reg_inc_beta_deep_tail():
         )
 
 
-def test_shannon_entropy():
-    assert shannon_entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert shannon_entropy(0.3) == pytest.approx(shannon_entropy(0.7), abs=1e-15)
-    with pytest.raises(FrameError):
-        shannon_entropy(0.0)
-    with pytest.raises(FrameError):
-        shannon_entropy(1.0)
-
-
 def test_log_beta_entropy_limit():
-    # (1/(p+q)) log B(p,q) approaches -H(rho) as both arguments scale up
+    # (1/(p+q)) log B(p,q) approaches -H(rho) as both arguments scale up,
+    # H the binary entropy in nats
     rho = 0.3
     total = 4000.0
     p, q = rho * total, (1.0 - rho) * total
-    assert (1.0 / total) * log_beta(p, q) == pytest.approx(-shannon_entropy(rho), abs=5e-3)
+    entropy = -rho * math.log(rho) - (1.0 - rho) * math.log(1.0 - rho)
+    assert (1.0 / total) * log_beta(p, q) == pytest.approx(-entropy, abs=5e-3)
 
 
 # ---------------------------------------------------------------- overlap tail bound
@@ -294,34 +287,6 @@ def test_overlap_tail_bound_domain():
         overlap_tail_bound(0.0, 40, 4)
     with pytest.raises(FrameError):
         overlap_tail_bound(1.0, 40, 4)
-
-
-# ---------------------------------------------------------------- threshold exponent
-
-
-def test_tail_exponent_hand_value():
-    # 0.25 ln 2 + 0.25 ln(1/2) - 0.75 ln(3/4) = -0.75 ln(3/4) > 0
-    val = tail_exponent(2.0, 0.25)
-    assert val == pytest.approx(-0.75 * math.log(0.75), abs=1e-14)
-    assert val > 0.0
-
-
-def test_tail_exponent_decreasing_in_a():
-    beta = 0.2
-    grid = np.linspace(2.0, 1.0 / beta - 1e-6, 200)
-    vals = [tail_exponent(float(a), beta) for a in grid]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
-
-
-def test_tail_exponent_domain():
-    with pytest.raises(FrameError):
-        tail_exponent(1.9, 0.25)
-    with pytest.raises(FrameError):
-        tail_exponent(4.0, 0.25)  # a must stay below 1/beta
-    with pytest.raises(FrameError):
-        tail_exponent(2.5, 0.5)
-    with pytest.raises(FrameError):
-        tail_exponent(2.5, 0.0)
 
 
 # ---------------------------------------------------------------- threshold solver

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockframe import ConvergenceError, __version__, read_bfm, sha256_file, solve_threshold, write_bfm
+from blockframe import BlockFrame, ConvergenceError, __version__, solve_threshold
 from blockframe.cli import main
+from blockframe.io import read_bfm, sha256_file, write_bfm
 
 
 def test_version_flag():
@@ -297,6 +298,16 @@ def test_cs_bad_frame_argument(tmp_path):
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.bfm"), "--out-dir", str(tmp_path)]) == 2
     assert "missing.bfm" in capsys.readouterr().err
+
+
+def test_analyze_refuses_gram_map_above_size_guard(tmp_path, capsys):
+    # a valid n=2, r=1 frame of 12,000 blocks: its 12,000 x 12,000 Gram map needs 1.15 GB
+    theta = np.pi * np.arange(12_000) / 12_000
+    path = tmp_path / "wide.bfm"
+    write_bfm(path, BlockFrame(n=2, r=1, m=12_000, data=np.stack([np.cos(theta), np.sin(theta)])))
+    assert main(["analyze", str(path), "--out-dir", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "size guard" in err
 
 
 def test_analyze_rejects_non_orthonormal_blocks(tmp_path, capsys):

@@ -7,33 +7,33 @@ import pytest
 
 from blockframe import (
     FrameError,
-    FrameRecipe,
     alltop_gabor,
     average_coherence,
     average_column_coherence,
-    build_frame,
-    default_kron_factor,
-    dft_matrix,
     discrete_chirp,
-    etf_max_blocks,
-    gf2_rank,
     hadamard_sylvester,
     harmonic_qr_etf,
     id_hadamard_union,
-    is_prime,
     kerdock_real,
-    kerdock_set,
     kron_from_etf,
     kron_from_flat_union,
-    orthonormalize,
-    read_kerdock_set_file,
     steiner_pairs_etf,
+    welch_coherence_lower,
+)
+from blockframe.bounds import etf_max_blocks
+from blockframe.constructions import (
+    FrameRecipe,
+    build_frame,
+    gf2_rank,
+    is_prime,
+    kerdock_set,
+    read_kerdock_set_file,
     validate_kerdock_set,
     verify_etf,
     verify_flat_union,
-    welch_coherence_lower,
-    write_bfm,
 )
+from blockframe.io import write_bfm
+from blockframe.matrixcore import dft_matrix, orthonormalize
 from blockframe.frame import BlockFrame
 
 H1 = hadamard_sylvester(1) / math.sqrt(2.0)
@@ -435,13 +435,3 @@ def test_build_frame_errors(tmp_path):
     with pytest.raises(FrameError):
         build_frame(FrameRecipe("external", {"path": qpath}, ("none",)))
 
-
-def test_default_kron_factor():
-    q4 = default_kron_factor(4)
-    assert np.all(q4.imag == 0.0)
-    assert np.abs(np.abs(q4) - 0.5).max() < 1e-15
-    assert np.abs(q4.conj().T @ q4 - np.eye(4)).max() < 1e-12
-    assert np.array_equal(default_kron_factor(3), dft_matrix(3))
-    assert np.array_equal(default_kron_factor(1), np.eye(1, dtype=np.complex128))
-    with pytest.raises(FrameError):
-        default_kron_factor(0)

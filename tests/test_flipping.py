@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 
 from blockframe import (
-    FlipConfig,
     FrameError,
     RandomFrameSpec,
-    apply_block_signs,
     average_coherence,
     flip,
-    flip_guarantee_min_c,
     flipped_nu_bound,
     frobenius_norm,
     gram_map,
-    random_flip_search,
     sample_block_frame,
     spectral_norm,
 )
+from blockframe.flipping import FlipConfig, apply_block_signs, flip_guarantee_min_c
 from blockframe.frame import BlockFrame
 
 
@@ -132,17 +129,3 @@ def test_flip_config_validation():
     with pytest.raises(FrameError):
         FlipConfig(norm_variant="nuclear")
 
-
-def test_random_flip_search():
-    frame = sample_block_frame(RandomFrameSpec(n=12, r=2, m=8, seed=2))
-    res1 = random_flip_search(frame, trials=16, seed=5)
-    res2 = random_flip_search(frame, trials=16, seed=5)
-    assert np.array_equal(res1.signs, res2.signs)
-    assert res1.nu == res2.nu
-    assert res1.best_trial == res2.best_trial
-    assert res1.signs[0] == 1
-    assert np.all(np.abs(res1.signs) == 1)
-    assert 0 <= res1.best_trial < 16
-    assert res1.nu == average_coherence(apply_block_signs(frame, res1.signs))
-    with pytest.raises(FrameError):
-        random_flip_search(frame, trials=0, seed=5)

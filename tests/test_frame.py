@@ -14,18 +14,18 @@ import blockframe.frame as frame_module
 from blockframe import (
     BlockFrame,
     FrameError,
-    apply_block_signs,
     average_coherence,
     average_column_coherence,
     chordal_distance,
-    coherence_report,
     gram_map,
     spectral_distance,
     validate,
     welch_coherence_lower,
     worst_case_coherence,
 )
+from blockframe.cli import coherence_report
 from blockframe.constructions import FrameRecipe, build_frame
+from blockframe.flipping import apply_block_signs
 from blockframe.matrixcore import orthonormalize
 
 
@@ -97,21 +97,50 @@ def test_average_column_coherence_matches_loop_oracle():
     assert average_column_coherence(p) == pytest.approx(nu1_oracle(p), abs=1e-12)
 
 
-def test_coherence_unitary_invariance():
-    frame = random_frame(6, 2, 5, 5)
-    rng = np.random.default_rng(6)
-    u = orthonormalize(
-        rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    )
-    rotated = BlockFrame(
-        n=6, r=2, m=5, data=u @ frame.data, field_tag="complex"
-    )
-    assert worst_case_coherence(rotated) == pytest.approx(
-        worst_case_coherence(frame), abs=1e-10
-    )
-    assert average_coherence(rotated) == pytest.approx(
-        average_coherence(frame), abs=1e-10
-    )
+def random_unitary(k, rng, cplx):
+    """Haar-random k x k orthogonal (real) or unitary (complex) matrix."""
+    g = rng.standard_normal((k, k))
+    if cplx:
+        g = g + 1j * rng.standard_normal((k, k))
+    q, rr = np.linalg.qr(g)
+    d = np.diagonal(rr)
+    return q * (d / np.abs(d))
+
+
+@st.composite
+def rotation_cases(draw):
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 10))
+    n = draw(st.integers(r + 1, min(m * r, r + 6)))
+    return n, r, m, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rotation_cases())
+def test_coherence_unitary_invariance(case):
+    """mu sees only the subspaces, nu also the bases within them.
+
+    mu is invariant under a per-block A_i -> A_i U_i and a global W A.  nu is
+    invariant under a global W and a common right A_i -> A_i U only: a
+    per-block rotation changes the sum of cross-Grams it is the norm of.
+    """
+    n, r, m, cplx, seed = case
+    frame = random_frame(n, r, m, seed, cplx)
+    rng = np.random.default_rng(seed)
+    blocks = frame.blocks3d()
+    w = random_unitary(n, rng, cplx)
+    u = random_unitary(r, rng, cplx)
+    per_block = np.stack([random_unitary(r, rng, cplx) for _ in range(m)])
+    mu, nu = worst_case_coherence(frame), average_coherence(frame)
+
+    rotated = BlockFrame(n=n, r=r, m=m, data=w @ frame.data)
+    assert worst_case_coherence(rotated) == pytest.approx(mu, abs=1e-12)
+    assert average_coherence(rotated) == pytest.approx(nu, abs=1e-12)
+    common = BlockFrame.from_blocks(list(blocks @ u))
+    assert worst_case_coherence(common) == pytest.approx(mu, abs=1e-12)
+    assert average_coherence(common) == pytest.approx(nu, abs=1e-12)
+    separate = BlockFrame.from_blocks(list(blocks @ per_block))
+    assert worst_case_coherence(separate) == pytest.approx(mu, abs=1e-12)
 
 
 def test_average_column_coherence_needs_two_columns():
@@ -120,6 +149,16 @@ def test_average_column_coherence_needs_two_columns():
 
 
 # --- gram map ---------------------------------------------------------------
+
+
+def test_gram_map_size_guard():
+    # a valid n=2, r=1 frame: 24,000 entries, but 144M in its Gram map, above the 2^27 guard
+    theta = np.pi * np.arange(12_000) / 12_000
+    frame = BlockFrame(n=2, r=1, m=12_000, data=np.stack([np.cos(theta), np.sin(theta)]))
+    with pytest.raises(FrameError, match="size guard"):
+        gram_map(frame)
+    with pytest.raises(FrameError, match="size guard"):
+        validate(frame)
 
 
 def test_gram_map_symmetric_unit_diagonal():

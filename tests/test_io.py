@@ -6,29 +6,43 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockframe import (
-    FrameError,
-    RandomFrameSpec,
+from blockframe import FrameError, RandomFrameSpec, gram_map, sample_block_frame
+from blockframe.io import (
     RunManifest,
-    gram_map,
     read_bfm,
-    sample_block_frame,
     sha256_file,
     write_bfm,
+    write_csv,
+    write_gram_csv,
+    write_json,
 )
-from blockframe.io import write_csv, write_gram_csv, write_json
 
 
-def test_bfm_round_trip_exact(tmp_path):
-    frame = sample_block_frame(RandomFrameSpec(n=7, r=2, m=5, seed=8, field_tag="complex"))
-    p1 = tmp_path / "a.bfm"
-    p2 = tmp_path / "b.bfm"
+@st.composite
+def frame_specs(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r + 1, r + 8))
+    m_min = -(-n // r)  # the fewest blocks with n <= m*r
+    m = draw(st.integers(m_min, m_min + 8))
+    field_tag = draw(st.sampled_from(["real", "complex"]))
+    return RandomFrameSpec(n=n, r=r, m=m, seed=draw(st.integers(0, 2**32 - 1)), field_tag=field_tag)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_specs())
+def test_bfm_round_trip_exact(tmp_path_factory, spec):
+    frame = sample_block_frame(spec)
+    tmp = tmp_path_factory.mktemp("bfm")
+    p1 = tmp / "a.bfm"
+    p2 = tmp / "b.bfm"
     write_bfm(p1, frame)
     back = read_bfm(p1)
-    assert (back.n, back.r, back.m, back.field_tag) == (7, 2, 5, "complex")
-    assert back.data.dtype == np.complex128
-    assert np.array_equal(back.data, frame.data)
+    assert (back.n, back.r, back.m, back.field_tag) == (spec.n, spec.r, spec.m, spec.field_tag)
+    assert back.data.dtype == frame.data.dtype
+    assert back.data.tobytes() == frame.data.tobytes()
     write_bfm(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
 

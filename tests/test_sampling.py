@@ -6,10 +6,8 @@ import pytest
 import blockframe.frame as frame_module
 import blockframe.sampling as sampling_module
 from blockframe import (
-    CurvePoint,
     FrameError,
     RandomFrameSpec,
-    batch_singular_values,
     default_block_count,
     empirical_mu_curve,
     overlap_tail_bound,
@@ -20,6 +18,8 @@ from blockframe import (
     substream_rng,
     validate,
 )
+from blockframe.matrixcore import batch_spectral_norms
+from blockframe.sampling import CurvePoint
 
 
 # ---------------------------------------------------------------- substreams
@@ -174,7 +174,7 @@ def test_largest_overlap_tail_below_bound():
         while done < total:
             g = rng.standard_normal((batch, n, r))
             q, _ = np.linalg.qr(g)
-            lam = batch_singular_values(q[:, :r, :])[:, -1] ** 2
+            lam = batch_spectral_norms(q[:, :r, :]) ** 2
             for x in counts:
                 counts[x] += int(np.sum(lam >= x))
             done += batch
