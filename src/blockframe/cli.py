@@ -58,7 +58,12 @@ def _threads(args):
 
 
 def _out_dir(args):
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise FrameError(
+            f"--out-dir {args.out_dir}: cannot create directory ({exc.strerror})"
+        ) from exc
     return args.out_dir
 
 

@@ -7,9 +7,19 @@ diffs, and version control:
     n=<int> r=<int> m=<int> field=<real|complex>
     <n lines of m*r comma-separated entries, each "re:im">
 
-Entries use repr() floats, which round-trip exactly, so write/read/write is
-byte-identical.  Real frames are float64, so every imaginary part of a
-field=real file is written as 0.0.
+Every float the package writes as text (.bfm entries, gram.csv, the float
+cells of write_csv) follows one rule, _float_text: the repr of the float64,
+which round-trips exactly, so write/read/write is byte-identical.  It
+formats each distinct bit pattern once, so -0.0 and 0.0 keep their own text
+and a structured frame with few distinct values costs few repr calls.
+Writers look the texts up a chunk of rows at a time and build one line at a
+time.  Real frames are float64, so every imaginary part of a field=real
+file is written as 0.0.
+
+read_bfm checks the header (field, shape rule, size guard) before it reads
+a row, checks each row's separators (exactly one ":" per comma-separated
+entry, m*r entries) in one C-speed comparison, and parses the row's tokens
+with float().
 """
 
 import csv
@@ -22,59 +32,146 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame
+from .frame import BlockFrame, check_nrm
+from .matrixcore import check_entries
 
 _MAGIC = "BFM 1"
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b":,")))
+_TEXT_CHUNK = 1 << 16  # entries whose texts are looked up at once
+
+
+def _float_text(a):
+    """The package's one float-to-text rule: repr of each float64 of a.
+
+    Returns the uint64 bit view of a and a function from any part of that
+    view to the texts of its entries.  repr runs once per distinct bit
+    pattern, so -0.0 and 0.0 keep their own text.  The only copy of a made
+    here is one sorted one; callers pass the function parts of a bounded
+    size, so no text array of a's size exists.
+    """
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+    srt = np.sort(bits, axis=None)
+    first = np.ones(srt.size, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    keys = srt[first]
+    tokens = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+
+    def text(part):
+        # searchsorted is fast on the part's distinct patterns, which come sorted
+        distinct, inverse = np.unique(part, return_inverse=True)
+        return tokens[np.searchsorted(keys, distinct)[inverse].reshape(part.shape)]
+
+    return bits, text
+
+
+def _write_rows(fh, a, seps, end):
+    """Write each row of the 2-d float array a as one line of text.
+
+    Entry j of a row is followed by seps[j % len(seps)], its last entry by
+    end.  Texts are looked up _TEXT_CHUNK entries at a time.
+    """
+    bits, text = _float_text(a)
+    k = bits.shape[1]
+    line = [None] * (2 * k)
+    line[1::2] = (seps * k)[:k]
+    line[-1] = end
+    step = max(1, _TEXT_CHUNK // k)
+    for i0 in range(0, len(bits), step):
+        for row in text(bits[i0 : i0 + step]):
+            line[0::2] = row.tolist()
+            fh.write("".join(line))
 
 
 def write_bfm(path, frame):
     with open(path, "w") as fh:
         fh.write(_MAGIC + "\n")
         fh.write(f"n={frame.n} r={frame.r} m={frame.m} field={frame.field_tag}\n")
-        for row in frame.data:
-            fh.write(
-                ",".join(f"{repr(float(z.real))}:{repr(float(z.imag))}" for z in row)
-                + "\n"
+        if frame.field_tag == "real":
+            _write_rows(fh, frame.data, (":0.0,",), ":0.0\n")
+        else:
+            _write_rows(fh, np.ascontiguousarray(frame.data).view(np.float64), (":", ","), "\n")
+
+
+def _read_header(path, fh):
+    """n, r, m and field from the two header lines, checked before any row."""
+    header = fh.readline().rstrip("\n")
+    if header != _MAGIC:
+        raise FrameError(f"{path}: not a frame file (bad magic {header!r})")
+    meta = {}
+    for tok in fh.readline().split():
+        key, _, val = tok.partition("=")
+        meta[key] = val
+    try:
+        n, r, m = int(meta["n"]), int(meta["r"]), int(meta["m"])
+        field_tag = meta["field"]
+    except (KeyError, ValueError) as exc:
+        raise FrameError(f"{path}: bad header line") from exc
+    try:
+        if field_tag not in ("real", "complex"):
+            raise FrameError(f"field must be real or complex, got {field_tag!r}")
+        check_nrm(n, r, m)
+        check_entries(n * m * r, "the frame's data")
+    except FrameError as exc:
+        raise FrameError(f"{path}: bad header line: {exc}") from exc
+    return n, r, m, field_tag
+
+
+def _row_floats(path, line, separators):
+    """The floats re, im, re, im, ... of one body line.
+
+    With everything else deleted, the row's separators must equal
+    separators, ":,:,...,:" with one ":" per entry: one C-speed comparison
+    checks the structure and the width together.  Then the tokens go
+    through float() with no per-token Python loop.
+    """
+    if line.encode().translate(None, _NOT_SEPARATOR) == separators:
+        try:
+            return np.fromiter(
+                map(float, line.replace(":", ",").split(",")), np.float64, len(separators) + 1
             )
+        except ValueError:
+            pass
+    # name the first token that is not "re:im"; a token with no ":" or two
+    # leaves nothing or a ":" in im_s, which float() refuses
+    for tok in line.split(","):
+        re_s, _, im_s = tok.partition(":")
+        try:
+            float(re_s), float(im_s)
+        except ValueError:
+            raise FrameError(f"{path}: bad entry {tok!r}") from None
+    raise FrameError(f"{path}: data shape does not match header")
 
 
 def read_bfm(path):
-    """Read a .bfm file; BlockFrame refuses blocks not orthonormal to 1e-8."""
+    """Read a .bfm file; BlockFrame refuses blocks not orthonormal to 1e-8.
+
+    The rows are parsed into one (n, 2*m*r) float64 array that is viewed as
+    complex128, so every bit of every part, -0.0 included, is kept.
+    """
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise FrameError(f"{path}: cannot open frame file ({exc.strerror})") from exc
-    with fh:
-        header = fh.readline().rstrip("\n")
-        if header != _MAGIC:
-            raise FrameError(f"{path}: not a frame file (bad magic {header!r})")
-        meta = {}
-        for tok in fh.readline().split():
-            key, _, val = tok.partition("=")
-            meta[key] = val
-        try:
-            n, r, m = int(meta["n"]), int(meta["r"]), int(meta["m"])
-            field_tag = meta["field"]
-        except (KeyError, ValueError) as exc:
-            raise FrameError(f"{path}: bad header line") from exc
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entries = []
-            for tok in line.split(","):
-                re_s, _, im_s = tok.partition(":")
-                try:
-                    entries.append(complex(float(re_s), float(im_s)))
-                except ValueError as exc:
-                    raise FrameError(f"{path}: bad entry {tok!r}") from exc
-            rows.append(entries)
-    if len(rows) != n or any(len(row) != m * r for row in rows):
-        raise FrameError(f"{path}: data shape does not match header")
-    data = np.asarray(rows, dtype=np.complex128)
     try:
-        return BlockFrame(n=n, r=r, m=m, data=data, field_tag=field_tag)
+        with fh:
+            n, r, m, field_tag = _read_header(path, fh)
+            data = np.empty((n, 2 * m * r))
+            separators = b":," * (m * r - 1) + b":"
+            rows = 0
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if rows == n:
+                    raise FrameError(f"{path}: data shape does not match header")
+                data[rows] = _row_floats(path, line, separators)
+                rows += 1
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if rows != n:
+        raise FrameError(f"{path}: data shape does not match header")
+    try:
+        return BlockFrame(n=n, r=r, m=m, data=data.view(np.complex128), field_tag=field_tag)
     except FrameError as exc:
         raise FrameError(f"{path}: {exc}") from exc
 
@@ -86,25 +183,24 @@ def write_json(path, payload):
 
 
 def write_gram_csv(path, gram):
-    gram = np.asarray(gram)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in gram:
-            writer.writerow([repr(float(v)) for v in row])
+        _write_rows(fh, np.asarray(gram), (",",), "\r\n")
 
 
 def write_csv(path, columns, rows):
     """A header of column names, then one line per row of its attributes.
 
-    Floats are written with repr, which round-trips exactly; other values
-    with str.
+    Float cells follow _float_text; other values are written with str.
     """
+    table = [[getattr(row, col) for col in columns] for row in rows]
+    spots = [(vals, j) for vals in table for j, v in enumerate(vals) if isinstance(v, float)]
+    bits, text = _float_text([vals[j] for vals, j in spots])
+    for (vals, j), cell in zip(spots, text(bits)):
+        vals[j] = cell
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            values = (getattr(row, col) for col in columns)
-            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in values])
+        writer.writerows([[str(v) for v in vals] for vals in table])
 
 
 def sha256_file(path):

@@ -295,6 +295,22 @@ def test_cs_bad_frame_argument(tmp_path):
 # ---------------------------------------------------------------- bad input exits 2
 
 
+def test_analyze_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bytes.bfm"
+    bad.write_bytes(b"BFM 1\nn=2 r=1 m=2 field=real\n1.0:0.0,\xff\xfe:0.0\n0.0:0.0,1.0:0.0\n")
+    assert main(["analyze", str(bad), "--out-dir", str(tmp_path / "a")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_out_dir_naming_a_file(tmp_path, capsys):
+    frame = tmp_path / "f.bfm"
+    write_bfm(frame, BlockFrame(n=2, r=1, m=2, data=np.eye(2)))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["analyze", str(frame), "--out-dir", str(taken)]) == 2
+    assert "--out-dir" in capsys.readouterr().err
+
+
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.bfm"), "--out-dir", str(tmp_path)]) == 2
     assert "missing.bfm" in capsys.readouterr().err

@@ -1,15 +1,18 @@
 """Frame file format, report writers, and run manifests."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from blockframe import FrameError, RandomFrameSpec, gram_map, sample_block_frame
+from blockframe import BlockFrame, FrameError, RandomFrameSpec, gram_map, sample_block_frame
 from blockframe.io import (
     RunManifest,
     read_bfm,
@@ -47,6 +50,103 @@ def test_bfm_round_trip_exact(tmp_path_factory, spec):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# The per-entry writers the package used before formatting each distinct
+# value once, kept as an independent oracle for the bytes it writes.
+def oracle_bfm(frame):
+    head = f"BFM 1\nn={frame.n} r={frame.r} m={frame.m} field={frame.field_tag}\n"
+    rows = (",".join(f"{float(z.real)!r}:{float(z.imag)!r}" for z in row) for row in frame.data)
+    return (head + "".join(row + "\n" for row in rows)).encode()
+
+
+def oracle_csv(rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue().encode()
+
+
+@st.composite
+def structured_frames(draw):
+    """Random blocks mixed with repeats, sign-flipped copies and signed
+    standard-basis blocks, whose negated zeros are -0.0 (and -0.0j)."""
+    spec = draw(frame_specs())
+    base = sample_block_frame(spec)
+    n, r = base.n, base.r
+    eye = np.eye(n, dtype=base.data.dtype)
+    blocks = []
+    for _ in range(spec.m):
+        kind = draw(st.sampled_from(["block", "basis"]))
+        if kind == "block":
+            b = base.block(draw(st.integers(0, spec.m - 1)))
+        else:
+            b = eye[:, draw(st.permutations(range(n)))[:r]]
+        blocks.append(b if draw(st.booleans()) else -b)
+    return BlockFrame.from_blocks(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_frames())
+def test_bfm_bytes_and_bits_match_per_entry_oracle(tmp_path_factory, frame):
+    tmp = tmp_path_factory.mktemp("oracle")
+    path = tmp / "f.bfm"
+    write_bfm(path, frame)
+    assert path.read_bytes() == oracle_bfm(frame)
+    back = read_bfm(path)
+    assert back.data.dtype == frame.data.dtype
+    assert back.data.tobytes() == frame.data.tobytes()  # sign bits of zero included
+    gram_path = tmp / "g.csv"
+    g = gram_map(frame)
+    write_gram_csv(gram_path, g)
+    assert gram_path.read_bytes() == oracle_csv(g)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1]), finite),
+    )
+)
+def test_write_gram_csv_matches_per_entry_oracle(tmp_path_factory, g):
+    path = tmp_path_factory.mktemp("gram") / "g.csv"
+    write_gram_csv(path, g)
+    assert path.read_bytes() == oracle_csv(g)
+
+
+@dataclasses.dataclass
+class Cells:
+    label: str
+    k: int
+    x: float
+    y: float
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Cells,
+            st.text(max_size=4),
+            st.integers(),
+            st.one_of(st.sampled_from([0.0, -0.0, 0.5]), finite, finite.map(np.float64)),
+            st.one_of(st.sampled_from([0.0, -0.0, 0.5]), finite, st.integers()),
+        ),
+        max_size=6,
+    )
+)
+def test_write_csv_matches_per_entry_oracle(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    columns = ("label", "k", "x", "y")
+    write_csv(path, columns, rows)
+    expected = oracle_csv([columns] + [[getattr(row, c) for c in columns] for row in rows])
+    assert path.read_bytes() == expected
+
+
 def test_bfm_real_tag_preserved(tmp_path):
     frame = sample_block_frame(RandomFrameSpec(n=6, r=2, m=4, seed=1))
     path, again = tmp_path / "r.bfm", tmp_path / "r2.bfm"
@@ -73,9 +173,14 @@ def test_bfm_read_errors(tmp_path):
     with pytest.raises(FrameError, match="header"):
         read_bfm(path)
 
-    path.write_text("BFM 1\nn=2 r=1 m=2 field=real\n1.0:0.0,0.0:0.0\n")
-    with pytest.raises(FrameError, match="shape"):
-        read_bfm(path)
+    for body in (
+        "1.0:0.0,0.0:0.0\n",  # a row short
+        "1.0:0.0,0.0:0.0,0.0:0.0\n0.0:0.0,1.0:0.0\n",  # an entry too many
+        "1.0:0.0,0.0:0.0\n0.0:0.0,1.0:0.0\n0.0:0.0,1.0:0.0\n",  # a row too many
+    ):
+        path.write_text("BFM 1\nn=2 r=1 m=2 field=real\n" + body)
+        with pytest.raises(FrameError, match="shape"):
+            read_bfm(path)
 
     path.write_text(
         "BFM 1\nn=2 r=1 m=2 field=real\n1.0:0.0,oops:0.0\n0.0:0.0,1.0:0.0\n"
@@ -83,12 +188,35 @@ def test_bfm_read_errors(tmp_path):
     with pytest.raises(FrameError, match="entry"):
         read_bfm(path)
 
+    for row in (
+        "1.0:0.0,1.0:2.0:3.0",
+        "1.0:0.0:0.0:0.0",  # two entries' worth of colons and no comma
+        "1.0:0.0,1.0",
+        "1.0:0.0,,0.0:0.0",
+        "1.0:0.0,0.0:0.0,",
+    ):
+        path.write_text(f"BFM 1\nn=2 r=1 m=2 field=real\n{row}\n0.0:0.0,1.0:0.0\n")
+        with pytest.raises(FrameError, match="entry"):
+            read_bfm(path)
+
     # header says real but a row carries an imaginary part
     path.write_text(
         "BFM 1\nn=2 r=1 m=2 field=real\n1.0:0.5,0.0:0.0\n0.0:0.0,1.0:0.0\n"
     )
     with pytest.raises(FrameError):
         read_bfm(path)
+
+
+def test_bfm_header_checked_before_rows(tmp_path):
+    path = tmp_path / "h.bfm"
+    for header, reason in [
+        ("n=0 r=1 m=2 field=real", "positive"),
+        ("n=2 r=1 m=2 field=quaternion", "real or complex"),
+        ("n=4096 r=2 m=20000 field=complex", "size guard"),  # 2^27+ entries, no body
+    ]:
+        path.write_text(f"BFM 1\n{header}\n")
+        with pytest.raises(FrameError, match=f"header.*{reason}"):
+            read_bfm(path)
 
 
 def test_write_json_deterministic(tmp_path):
