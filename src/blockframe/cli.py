@@ -2,17 +2,18 @@
 
 Subcommands cover construction, analysis, bound tables, the sparsity
 threshold solver, random-frame coherence curves, sign flipping, and the
-block-sparse recovery experiment.  Every command that writes files also
-writes a `<command>-manifest.json` recording arguments, seed, version, and
-output hashes, so a run can be replayed and checked byte for byte.
+block-sparse recovery experiment.  Each command computes everything, then
+hands its files to _write_outputs, which adds a `<command>-manifest.json`
+(argv, parameters, seed, version, output hashes) for byte-for-byte replay.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 """
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import dataclass, field
+import time
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .bounds import (
 )
 from .constructions import FrameRecipe, build_frame
 from .flipping import FlipConfig, flip
-from .frame import ValidationRecord, average_coherence, validate
-from .io import RunManifest, read_bfm, write_bfm, write_csv, write_gram_csv, write_json
+from .frame import average_coherence, validate
+from .io import read_bfm, sha256_file, write_bfm, write_csv, write_gram_csv, write_json
 
 _FAMILY_PARAM = {
     "steiner": ("v", "--v"),
@@ -47,24 +48,54 @@ _FAMILY_PARAM = {
 
 def _threads(args):
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BLOCKFRAME_THREADS")
-    if env:
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("BLOCKFRAME_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), "BLOCKFRAME_THREADS"
         except ValueError:
             raise FrameError(f"BLOCKFRAME_THREADS={env!r} is not an integer")
-    return 1
+    if threads < 1:
+        raise FrameError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
-def _out_dir(args):
+def _write_outputs(args, params, files):
+    """Write each file into --out-dir, then <command>-manifest.json.
+
+    files maps a name to a function writing the path it is given; an output
+    that cannot be written is a FrameError naming its path.
+    """
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise FrameError(
             f"--out-dir {args.out_dir}: cannot create directory ({exc.strerror})"
         ) from exc
-    return args.out_dir
+    outputs = {}
+    try:
+        for name, write in files.items():
+            path = os.path.join(args.out_dir, name)
+            write(path)
+            outputs[path] = sha256_file(path)
+        path = os.path.join(args.out_dir, f"{args.command}-manifest.json")
+        write_json(
+            path,
+            {
+                "command": args.command,
+                "argv": args.argv,
+                "params": params,
+                "seed": args.seed,
+                "version": __version__,
+                "outputs": outputs,
+                "duration_s": round(time.time() - args.started, 3),
+                "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z",
+            },
+        )
+    except OSError as exc:
+        raise FrameError(f"{path}: cannot write output ({exc.strerror})") from exc
 
 
 def _parse_kron(text):
@@ -97,65 +128,33 @@ def _parse_float_list(text, flag):
         raise FrameError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Everything the analyze command reports about one frame."""
-
-    n: int
-    r: int
-    m: int
-    field_tag: str
-    worst_case: float
-    average: float
-    welch_lower: float
-    orthobases_lower: float | None
-    validation: ValidationRecord = field(repr=False)
-
-    @property
-    def gram(self):
-        return self.validation.gram
-
-    def to_jsonable(self):
-        """The report.json payload; the gram map travels separately as CSV."""
-        val = self.validation
-        return {
-            "n": self.n,
-            "r": self.r,
-            "m": self.m,
-            "field": self.field_tag,
-            "worst_case_coherence": self.worst_case,
-            "average_coherence": self.average,
-            "welch_lower_bound": self.welch_lower,
-            "orthobases_lower_bound": self.orthobases_lower,
-            "union_of_orthobases": val.union_of_orthobases,
-            "equi_isoclinic": val.equi_isoclinic,
-            "validation": {
-                "unit_columns": val.unit_columns,
-                "block_orthonormal": val.block_orthonormal,
-                "tight": val.tight,
-                "union_of_orthobases": val.union_of_orthobases,
-                "equi_isoclinic": val.equi_isoclinic,
-            },
-        }
-
-
 def coherence_report(frame):
-    """One validation pass over the block pairs yields the report and gram map."""
+    """The report.json payload and the Gram map, from one validation pass."""
     rec = validate(frame)
-    ortho_lower = None
-    if rec.union_of_orthobases:
-        ortho_lower = orthobases_coherence_lower(frame.n, frame.r)
-    return CoherenceReport(
-        n=frame.n,
-        r=frame.r,
-        m=frame.m,
-        field_tag=frame.field_tag,
-        worst_case=float(rec.gram.max(initial=0.0, where=~np.eye(frame.m, dtype=bool))),
-        average=average_coherence(frame),
-        welch_lower=welch_coherence_lower(frame.n, frame.r, frame.m),
-        orthobases_lower=ortho_lower,
-        validation=rec,
-    )
+    payload = {
+        "n": frame.n,
+        "r": frame.r,
+        "m": frame.m,
+        "field": frame.field_tag,
+        "worst_case_coherence": float(
+            rec.gram.max(initial=0.0, where=~np.eye(frame.m, dtype=bool))
+        ),
+        "average_coherence": average_coherence(frame),
+        "welch_lower_bound": welch_coherence_lower(frame.n, frame.r, frame.m),
+        "orthobases_lower_bound": (
+            orthobases_coherence_lower(frame.n, frame.r) if rec.union_of_orthobases else None
+        ),
+        "union_of_orthobases": rec.union_of_orthobases,
+        "equi_isoclinic": rec.equi_isoclinic,
+        "validation": {
+            "unit_columns": rec.unit_columns,
+            "block_orthonormal": rec.block_orthonormal,
+            "tight": rec.tight,
+            "union_of_orthobases": rec.union_of_orthobases,
+            "equi_isoclinic": rec.equi_isoclinic,
+        },
+    }
+    return payload, rec.gram
 
 
 def _print_summary(payload):
@@ -178,40 +177,31 @@ def cmd_construct(args):
     recipe = FrameRecipe(
         family=args.family, params=params, kron=_parse_kron(args.kron)
     )
-    manifest = RunManifest(
-        command="construct",
-        params={"family": args.family, **params, "kron": args.kron},
-        seed=args.seed,
-    )
     frame = build_frame(recipe)
-    out = _out_dir(args)
-    frame_path = os.path.join(out, "frame.bfm")
-    report_path = os.path.join(out, "report.json")
-    write_bfm(frame_path, frame)
-    payload = coherence_report(frame).to_jsonable()
-    write_json(report_path, payload)
-    manifest.add_output(frame_path)
-    manifest.add_output(report_path)
-    manifest.write(os.path.join(out, "construct-manifest.json"))
+    payload, _ = coherence_report(frame)
+    _write_outputs(
+        args,
+        {"family": args.family, **params, "kron": args.kron},
+        {
+            "frame.bfm": lambda path: write_bfm(path, frame),
+            "report.json": lambda path: write_json(path, payload),
+        },
+    )
     _print_summary(payload)
     return 0
 
 
 def cmd_analyze(args):
     frame = read_bfm(args.frame)
-    manifest = RunManifest(
-        command="analyze", params={"frame": args.frame}, seed=args.seed
+    payload, gram = coherence_report(frame)
+    _write_outputs(
+        args,
+        {"frame": args.frame},
+        {
+            "report.json": lambda path: write_json(path, payload),
+            "gram.csv": lambda path: write_gram_csv(path, gram),
+        },
     )
-    out = _out_dir(args)
-    report_path = os.path.join(out, "report.json")
-    gram_path = os.path.join(out, "gram.csv")
-    rep = coherence_report(frame)
-    payload = rep.to_jsonable()
-    write_json(report_path, payload)
-    write_gram_csv(gram_path, rep.gram)
-    manifest.add_output(report_path)
-    manifest.add_output(gram_path)
-    manifest.write(os.path.join(out, "analyze-manifest.json"))
     _print_summary(payload)
     return 0
 
@@ -234,18 +224,11 @@ def cmd_bounds(args):
         payload["etf_max_blocks"] = etf_max_blocks(n, r)
         payload["orthobases_lower"] = orthobases_coherence_lower(n, r)
     if args.out_dir is not None:
-        manifest = RunManifest(
-            command="bounds",
-            params={"n": n, "r": r, "m": m, "field": field},
-            seed=args.seed,
+        _write_outputs(
+            args,
+            {"n": n, "r": r, "m": m, "field": field},
+            {"bounds.json": lambda path: write_json(path, payload)},
         )
-        out = _out_dir(args)
-        path = os.path.join(out, "bounds.json")
-        write_json(path, payload)
-        manifest.add_output(path)
-        manifest.write(os.path.join(out, "bounds-manifest.json"))
-    import json
-
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -267,20 +250,12 @@ def cmd_threshold(args):
     sols = [solve_threshold(float(b)) for b in betas]
     columns = ("beta", "multiplier", "residual")
     if args.out_dir is not None:
-        manifest = RunManifest(
-            command="threshold",
-            params={"betas": [float(b) for b in betas]},
-            seed=args.seed,
-        )
-        out = _out_dir(args)
         if args.format == "json":
-            path = os.path.join(out, "threshold.json")
-            write_json(path, [{col: getattr(s, col) for col in columns} for s in sols])
+            table = [{col: getattr(s, col) for col in columns} for s in sols]
+            files = {"threshold.json": lambda path: write_json(path, table)}
         else:
-            path = os.path.join(out, "threshold.csv")
-            write_csv(path, columns, sols)
-        manifest.add_output(path)
-        manifest.write(os.path.join(out, "threshold-manifest.json"))
+            files = {"threshold.csv": lambda path: write_csv(path, columns, sols)}
+        _write_outputs(args, {"betas": [float(b) for b in betas]}, files)
     print("beta,multiplier,residual")
     for s in sols:
         print(f"{s.beta!r},{s.multiplier!r},{s.residual!r}")
@@ -291,16 +266,6 @@ def cmd_random_mu(args):
     from .sampling import empirical_mu_curve
 
     r_grid = _parse_int_list(args.r_grid, "--r-grid")
-    manifest = RunManifest(
-        command="random-mu",
-        params={
-            "n": args.n,
-            "r_grid": r_grid,
-            "trials": args.trials,
-            "m_cap": args.m_cap,
-        },
-        seed=args.seed,
-    )
     points = empirical_mu_curve(
         args.n,
         r_grid,
@@ -309,11 +274,17 @@ def cmd_random_mu(args):
         m_cap=args.m_cap,
         threads=_threads(args),
     )
-    out = _out_dir(args)
-    path = os.path.join(out, "curve.csv")
-    write_csv(path, ("beta", "mean_mu", "max_mu", "theory_mu"), points)
-    manifest.add_output(path)
-    manifest.write(os.path.join(out, "random-mu-manifest.json"))
+    columns = ("beta", "mean_mu", "max_mu", "theory_mu")
+    _write_outputs(
+        args,
+        {
+            "n": args.n,
+            "r_grid": r_grid,
+            "trials": args.trials,
+            "m_cap": args.m_cap,
+        },
+        {"curve.csv": lambda path: write_csv(path, columns, points)},
+    )
     for pt in points:
         print(
             f"beta={pt.beta:.6f} mean_mu={pt.mean_mu:.6f} "
@@ -324,32 +295,25 @@ def cmd_random_mu(args):
 
 def cmd_flip(args):
     frame = read_bfm(args.frame)
-    manifest = RunManifest(
-        command="flip",
-        params={"frame": args.frame, "norm": args.norm},
-        seed=args.seed,
-    )
     result = flip(frame, FlipConfig(norm_variant=args.norm))
-    out = _out_dir(args)
-    frame_path = os.path.join(out, "flipped.bfm")
-    json_path = os.path.join(out, "flip.json")
-    write_bfm(frame_path, result.frame)
-    write_json(
-        json_path,
+    summary = {
+        "signs": [int(s) for s in result.signs],
+        "mu_before": result.mu_before,
+        "mu_after": result.mu_after,
+        "nu_before": result.nu_before,
+        "nu_after": result.nu_after,
+        "nu_bound": result.nu_bound,
+        "partial_sum_norm": result.partial_sum_norm,
+        "norm_variant": result.norm_variant,
+    }
+    _write_outputs(
+        args,
+        {"frame": args.frame, "norm": args.norm},
         {
-            "signs": [int(s) for s in result.signs],
-            "mu_before": result.mu_before,
-            "mu_after": result.mu_after,
-            "nu_before": result.nu_before,
-            "nu_after": result.nu_after,
-            "nu_bound": result.nu_bound,
-            "partial_sum_norm": result.partial_sum_norm,
-            "norm_variant": result.norm_variant,
+            "flipped.bfm": lambda path: write_bfm(path, result.frame),
+            "flip.json": lambda path: write_json(path, summary),
         },
     )
-    manifest.add_output(frame_path)
-    manifest.add_output(json_path)
-    manifest.write(os.path.join(out, "flip-manifest.json"))
     print(f"nu {result.nu_before!r} -> {result.nu_after!r} (bound {result.nu_bound!r})")
     print(f"mu {result.mu_before!r} -> {result.mu_after!r}")
     return 0
@@ -359,17 +323,6 @@ def cmd_flip_table(args):
     from .blockcs import run_flipping_table
 
     r_list = _parse_int_list(args.r_list, "--r-list")
-    manifest = RunManifest(
-        command="flip-table",
-        params={
-            "n": args.n,
-            "m": args.m,
-            "r_list": r_list,
-            "realizations": args.realizations,
-            "norm": args.norm,
-        },
-        seed=args.seed,
-    )
     columns = ("r", "nu_before_mean", "nu_after_mean", "improvement_pct", "nu_bound")
     rows = run_flipping_table(
         args.n,
@@ -380,24 +333,28 @@ def cmd_flip_table(args):
         norm_variant=args.norm,
         threads=_threads(args),
     )
-    out = _out_dir(args)
     if args.format == "json":
-        path = os.path.join(out, "flip_table.json")
-        write_json(
-            path,
-            [
-                {
-                    **{col: getattr(row, col) for col in columns},
-                    "runs": [list(run) for run in row.runs],
-                }
-                for row in rows
-            ],
-        )
+        table = [
+            {
+                **{col: getattr(row, col) for col in columns},
+                "runs": [list(run) for run in row.runs],
+            }
+            for row in rows
+        ]
+        files = {"flip_table.json": lambda path: write_json(path, table)}
     else:
-        path = os.path.join(out, "flip_table.csv")
-        write_csv(path, columns, rows)
-    manifest.add_output(path)
-    manifest.write(os.path.join(out, "flip-table-manifest.json"))
+        files = {"flip_table.csv": lambda path: write_csv(path, columns, rows)}
+    _write_outputs(
+        args,
+        {
+            "n": args.n,
+            "m": args.m,
+            "r_list": r_list,
+            "realizations": args.realizations,
+            "norm": args.norm,
+        },
+        files,
+    )
     for row in rows:
         print(
             f"r={row.r} nu {row.nu_before_mean:.6f} -> {row.nu_after_mean:.6f} "
@@ -434,18 +391,6 @@ def cmd_cs(args):
         raise FrameError("give at least one --frame LABEL=PATH or --random LABEL=N,R,M")
     k_grid = _parse_int_list(args.k_grid, "--k-grid")
     dr_grid = _parse_float_list(args.dr_grid, "--dr-grid")
-    manifest = RunManifest(
-        command="cs",
-        params={
-            "frames": [label for label, _ in frames],
-            "k_grid": k_grid,
-            "dr_grid": dr_grid,
-            "trials": args.trials,
-            "snr_db": args.snr_db,
-            "signal_field": args.signal_field,
-        },
-        seed=args.seed,
-    )
     results = run_ndp_experiment(
         frames,
         k_grid,
@@ -456,13 +401,19 @@ def cmd_cs(args):
         snr_db=args.snr_db,
         threads=_threads(args),
     )
-    out = _out_dir(args)
-    path = os.path.join(out, "ndp.csv")
-    write_csv(
-        path, ("label", "k", "dynamic_range", "mean_ndp", "stderr", "trials"), results
+    columns = ("label", "k", "dynamic_range", "mean_ndp", "stderr", "trials")
+    _write_outputs(
+        args,
+        {
+            "frames": [label for label, _ in frames],
+            "k_grid": k_grid,
+            "dr_grid": dr_grid,
+            "trials": args.trials,
+            "snr_db": args.snr_db,
+            "signal_field": args.signal_field,
+        },
+        {"ndp.csv": lambda path: write_csv(path, columns, results)},
     )
-    manifest.add_output(path)
-    manifest.write(os.path.join(out, "cs-manifest.json"))
     for res in results:
         print(
             f"{res.label} k={res.k} dr={res.dynamic_range:g} "
@@ -574,6 +525,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
+    args.started = time.time()
     try:
         return args.func(args)
     except FrameError as exc:

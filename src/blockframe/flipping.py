@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, average_coherence, check_nrm, worst_case_coherence
+from .frame import BlockFrame, average_coherence, worst_case_coherence
 
 _TIE_TOL = 1e-12
 
@@ -53,21 +53,6 @@ def flipped_nu_bound(m):
     if m < 2:
         raise FrameError("bound needs m >= 2")
     return float(np.sqrt(m) + 1.0) / (m - 1.0)
-
-
-def flip_guarantee_min_c(m, n, r):
-    """Smallest constant c for which the flipping guarantee's premise holds.
-
-    c = (n/r) * sqrt( (m-1)/(m - n/r) * 1/ln(m) * (sqrt(m)+1)/(m-1) ).
-    """
-    if m < 3:
-        raise FrameError("need m >= 3 so ln(m) > 1 region is meaningful")
-    check_nrm(n, r, m)
-    nr = n / r
-    if m <= nr:
-        raise FrameError("need m > n/r")
-    val = (m - 1.0) / (m - nr) / np.log(m) * (np.sqrt(m) + 1.0) / (m - 1.0)
-    return float(nr * np.sqrt(val))
 
 
 def flip(frame, config=FlipConfig()):

@@ -1,4 +1,4 @@
-"""File formats: frame text files, JSON/CSV reports, run manifests.
+"""File formats: frame text files and JSON/CSV reports.
 
 The frame format (.bfm) is line-oriented text so frames survive editors,
 diffs, and version control:
@@ -25,9 +25,6 @@ with float().
 import csv
 import hashlib
 import json
-import sys
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,33 +207,3 @@ def sha256_file(path):
             h.update(chunk)
     return h.hexdigest()
 
-
-@dataclass
-class RunManifest:
-    """Provenance record written next to every CLI output set."""
-
-    command: str
-    params: dict
-    seed: int | None = None
-    argv: list = field(default_factory=lambda: list(sys.argv))
-    outputs: dict = field(default_factory=dict)
-    started: float = field(default_factory=time.time)
-
-    def add_output(self, path):
-        self.outputs[str(path)] = sha256_file(path)
-
-    def write(self, path):
-        from . import __version__
-
-        payload = {
-            "command": self.command,
-            "argv": self.argv,
-            "params": self.params,
-            "seed": self.seed,
-            "version": __version__,
-            "outputs": self.outputs,
-            "duration_s": round(time.time() - self.started, 3),
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-            + "Z",
-        }
-        write_json(path, payload)

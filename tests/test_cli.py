@@ -222,6 +222,18 @@ def test_random_mu_env_threads(tmp_path, monkeypatch):
     assert main(args) == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_thread_count_below_one_exits_2(tmp_path, monkeypatch, capsys, value):
+    out = tmp_path / "o"
+    args = ["random-mu", "--n", "16", "--r-grid", "2", "--trials", "2", "--out-dir", str(out)]
+    assert main(args + ["--threads", value]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    monkeypatch.setenv("BLOCKFRAME_THREADS", value)
+    assert main(args) == 2
+    assert "BLOCKFRAME_THREADS must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- flip
 
 
@@ -324,6 +336,7 @@ def test_analyze_refuses_gram_map_above_size_guard(tmp_path, capsys):
     assert main(["analyze", str(path), "--out-dir", str(tmp_path / "a")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "size guard" in err
+    assert not (tmp_path / "a").exists()  # nothing is written before the report is computed
 
 
 def test_analyze_rejects_non_orthonormal_blocks(tmp_path, capsys):
@@ -378,3 +391,72 @@ def test_flip_table_zero_realizations(tmp_path, capsys):
     argv = ["flip-table", "--n", "16", "--m", "24", "--r-list", "1", "--realizations", "0"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     assert "nan" not in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- one output path
+
+# each command run with --out-dir, and the files it writes besides its manifest
+_RUNS = {
+    "construct": (["construct", "--family", "id-hadamard", "--k", "2"], ["frame.bfm", "report.json"]),
+    "analyze": (["analyze", "{frame}"], ["report.json", "gram.csv"]),
+    "bounds": (["bounds", "--n", "12", "--r", "2", "--m", "16"], ["bounds.json"]),
+    "threshold": (["threshold", "--grid", "0.1:0.3:3"], ["threshold.csv"]),
+    "random-mu": (["random-mu", "--n", "16", "--r-grid", "2", "--trials", "2"], ["curve.csv"]),
+    "flip": (["flip", "{frame}"], ["flipped.bfm", "flip.json"]),
+    "flip-table": (
+        ["flip-table", "--n", "16", "--m", "24", "--r-list", "1", "--realizations", "1"],
+        ["flip_table.csv"],
+    ),
+    "cs": (["cs", "--frame", "det={frame}", "--k-grid", "1", "--trials", "2"], ["ndp.csv"]),
+}
+
+
+@pytest.fixture(scope="module")
+def frame_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("frame")
+    assert main(["construct", "--family", "id-hadamard", "--k", "2", "--out-dir", str(out)]) == 0
+    return str(out / "frame.bfm")
+
+
+def _argv(command, frame_file, out):
+    return [tok.format(frame=frame_file) for tok in _RUNS[command][0]] + ["--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("command", list(_RUNS))
+def test_out_dir_holds_exactly_the_manifest_outputs(tmp_path, frame_file, command):
+    out = tmp_path / "out"
+    argv = _argv(command, frame_file, out)
+    assert main(argv) == 0
+    names = _RUNS[command][1]
+    manifest = f"{command}-manifest.json"
+    assert sorted(os.listdir(out)) == sorted(names + [manifest])
+    man = json.loads((out / manifest).read_text())
+    assert sorted(man["outputs"]) == sorted(os.path.join(str(out), name) for name in names)
+    for path, digest in man["outputs"].items():
+        assert sha256_file(path) == digest
+    assert man["command"] == command
+    assert man["argv"] == argv  # the argv main parsed, not the host process's
+    assert man["seed"] == 0
+    assert man["version"] == __version__
+    assert man["duration_s"] >= 0.0
+    assert man["written_at"].endswith("Z")
+
+
+def test_manifest_argv_defaults_to_sys_argv(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["bounds", "--n", "12", "--r", "2", "--m", "16", "--out-dir", str(out)]
+    monkeypatch.setattr(sys, "argv", ["blockframe"] + argv)
+    assert main() == 0
+    assert json.loads((out / "bounds-manifest.json").read_text())["argv"] == argv
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(cmd, name) for cmd, (_, names) in _RUNS.items() for name in names + [f"{cmd}-manifest.json"]],
+)
+def test_output_path_that_is_a_directory_exits_2(tmp_path, frame_file, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(_argv(command, frame_file, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and os.path.join(str(out), name) in err

@@ -16,7 +16,7 @@ from blockframe import (
     sample_block_frame,
     spectral_norm,
 )
-from blockframe.flipping import FlipConfig, apply_block_signs, flip_guarantee_min_c
+from blockframe.flipping import FlipConfig, apply_block_signs
 from blockframe.frame import BlockFrame
 
 
@@ -108,21 +108,6 @@ def test_flipped_nu_bound_values():
     assert flipped_nu_bound(2048) == pytest.approx((math.sqrt(2048.0) + 1.0) / 2047.0, abs=1e-15)
     with pytest.raises(FrameError):
         flipped_nu_bound(1)
-
-
-def test_flip_guarantee_min_c():
-    m, n, r = 64, 8, 2
-    nr = n / r
-    want = nr * math.sqrt(
-        (m - 1.0) / (m - nr) / math.log(m) * (math.sqrt(m) + 1.0) / (m - 1.0)
-    )
-    assert flip_guarantee_min_c(m, n, r) == pytest.approx(want, abs=1e-14)
-    with pytest.raises(FrameError):
-        flip_guarantee_min_c(2, 8, 2)
-    with pytest.raises(FrameError):
-        flip_guarantee_min_c(3, 8, 2)  # blocks cannot span
-    with pytest.raises(FrameError):
-        flip_guarantee_min_c(4, 8, 2)  # needs m > n/r
 
 
 def test_flip_config_validation():

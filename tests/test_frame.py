@@ -354,16 +354,15 @@ def test_validate_random_frame():
 
 def test_coherence_report_fields():
     frame = build_frame(FrameRecipe(family="id-hadamard", params={"k": 2}))
-    rep = coherence_report(frame)
-    payload = rep.to_jsonable()
+    payload, gram = coherence_report(frame)
     assert payload["n"] == 4 and payload["r"] == 1 and payload["m"] == 8
     assert payload["worst_case_coherence"] == pytest.approx(0.5, abs=1e-12)
     assert payload["union_of_orthobases"] is True
     assert payload["orthobases_lower_bound"] == pytest.approx(0.5, abs=1e-15)
     assert "gram" not in payload
-    assert rep.gram.shape == (8, 8)
+    assert gram.shape == (8, 8)
 
     rand = random_frame(6, 2, 5, 14)
-    rep2 = coherence_report(rand)
-    assert rep2.orthobases_lower is None
-    assert rep2.worst_case == pytest.approx(mu_oracle(rand), abs=1e-10)
+    payload2, _ = coherence_report(rand)
+    assert payload2["orthobases_lower_bound"] is None
+    assert payload2["worst_case_coherence"] == pytest.approx(mu_oracle(rand), abs=1e-10)

@@ -1,4 +1,4 @@
-"""Frame file format, report writers, and run manifests."""
+"""Frame file format and report writers."""
 
 import csv
 import dataclasses
@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 
 from blockframe import BlockFrame, FrameError, RandomFrameSpec, gram_map, sample_block_frame
 from blockframe.io import (
-    RunManifest,
     read_bfm,
     sha256_file,
     write_bfm,
@@ -259,20 +258,3 @@ def test_sha256_file(tmp_path):
     path = tmp_path / "blob"
     path.write_bytes(b"abc")
     assert sha256_file(path) == hashlib.sha256(b"abc").hexdigest()
-
-
-def test_run_manifest(tmp_path):
-    out = tmp_path / "thing.txt"
-    out.write_text("payload\n")
-    man = RunManifest(command="demo", params={"x": 3}, seed=5)
-    man.add_output(out)
-    mpath = tmp_path / "manifest.json"
-    man.write(mpath)
-    data = json.loads(mpath.read_text())
-    assert data["command"] == "demo"
-    assert data["params"] == {"x": 3}
-    assert data["seed"] == 5
-    assert data["outputs"][str(out)] == sha256_file(out)
-    assert data["duration_s"] >= 0.0
-    assert data["written_at"].endswith("Z")
-    assert isinstance(data["version"], str)
