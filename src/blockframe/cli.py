@@ -65,8 +65,9 @@ def _threads(args):
 def _write_outputs(args, params, files):
     """Write each file into --out-dir, then <command>-manifest.json.
 
-    files maps a name to a function writing the path it is given; an output
-    that cannot be written is a FrameError naming its path.
+    files maps a name to a function writing the path it is given.  An output
+    that cannot be written is a FrameError naming its path; before it is
+    raised, every file this call wrote is removed, a partly written one too.
     """
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -78,9 +79,11 @@ def _write_outputs(args, params, files):
     try:
         for name, write in files.items():
             path = os.path.join(args.out_dir, name)
+            created = not os.path.lexists(path)
             write(path)
             outputs[path] = sha256_file(path)
         path = os.path.join(args.out_dir, f"{args.command}-manifest.json")
+        created = not os.path.lexists(path)
         write_json(
             path,
             {
@@ -95,6 +98,9 @@ def _write_outputs(args, params, files):
             },
         )
     except OSError as exc:
+        for done in [*outputs, path] if created else outputs:
+            if os.path.isfile(done):
+                os.remove(done)
         raise FrameError(f"{path}: cannot write output ({exc.strerror})") from exc
 
 

@@ -25,6 +25,7 @@ from .matrixcore import (
     frobenius_norm,
     gram_deviation,
     gram_singular_values,
+    singular_values_2x2,
 )
 
 _UNIT_TOL = 1e-8
@@ -111,8 +112,9 @@ def _pair_chunks(frame):
 
     One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with
     j > i are gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.
-    Yields (i, j, C, H) with the pairs' index vectors and H = C*C (None at
-    r = 1), in the frame's own dtype.
+    Yields (i, j, C, H) with the pairs' index vectors and H = C*C, in the
+    frame's own dtype.  H is formed only at r >= 3; r = 1 and r = 2 take
+    their singular values from C itself (see _cross_singular_values).
 
     Everything computed from C or H is sign-invariant bit for bit.  Chunk
     shapes depend on (m, r) alone, and a gemm of fixed shapes does the same
@@ -128,8 +130,18 @@ def _pair_chunks(frame):
         g = g.reshape(i1 - i0, r, m - i0, r).swapaxes(1, 2)
         a, b = np.triu_indices(i1 - i0, 1, m - i0)
         c = g[a, b]
-        yield a + i0, b + i0, c, None if r == 1 else np.matmul(c.conj().swapaxes(1, 2), c)
+        yield a + i0, b + i0, c, np.matmul(c.conj().swapaxes(1, 2), c) if r >= 3 else None
         i0 = i1
+
+
+def _cross_singular_values(c, h):
+    """Ascending singular values of each cross-Gram in a chunk.
+
+    |c| at r = 1, the closed form at r = 2, eigvalsh(H) at r >= 3.
+    """
+    if h is not None:
+        return gram_singular_values(h)
+    return np.abs(c[:, :, 0]) if c.shape[-1] == 1 else singular_values_2x2(c)
 
 
 def _exhaustive_sweep(frame):
@@ -138,7 +150,7 @@ def _exhaustive_sweep(frame):
     g = np.eye(frame.m)
     smin, smax = np.inf, 0.0
     for i, j, c, h in _pair_chunks(frame):
-        sv = np.abs(c[:, :, 0]) if h is None else gram_singular_values(h)
+        sv = _cross_singular_values(c, h)
         g[i, j] = g[j, i] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
@@ -158,9 +170,10 @@ def gram_map(frame):
 def worst_case_coherence(frame):
     """Largest cross-block spectral norm over all unordered block pairs.
 
-    Only pairs that can hold the maximum are eigen-solved.  The certificate
-    u = ||C*C||_F^(1/2) = (sum of sigma^4)^(1/4) bounds sigma_max from above;
-    each chunk solves its pair of largest u, then the pairs with
+    At r = 1 and r = 2 every pair's sigma_max is taken in closed form.  At
+    r >= 3 only pairs that can hold the maximum are eigen-solved.  The
+    certificate u = ||C*C||_F^(1/2) = (sum of sigma^4)^(1/4) bounds sigma_max
+    from above; each chunk solves its pair of largest u, then the pairs with
     u >= best * (1 - 1e-10).  eigvalsh treats each matrix on its own, so the
     result equals the exhaustive maximum bit for bit.
     """
@@ -169,7 +182,7 @@ def worst_case_coherence(frame):
     best = 0.0
     for _, _, c, h in _pair_chunks(frame):
         if h is None:
-            best = max(best, float(np.abs(c).max()))
+            best = max(best, float(_cross_singular_values(c, h)[:, -1].max()))
             continue
         u = np.sqrt(np.sqrt(np.einsum("pij,pij->p", h.conj(), h).real))
         top = int(u.argmax())

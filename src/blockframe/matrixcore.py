@@ -61,6 +61,27 @@ def gram_singular_values(h):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(h), 0.0))
 
 
+def singular_values_2x2(c):
+    """Both singular values (ascending) of each C = [[a, b], [c, d]] in a (p, 2, 2) stack.
+
+    Closed form from C's entries, without forming H = C*C or solving it:
+    sigma_max^2 = (h11 + h22)/2 + hypot((h11 - h22)/2, |h12|) with
+    h11 = |a|^2 + |c|^2, h22 = |b|^2 + |d|^2, h12 = conj(a) b + conj(c) d,
+    and sigma_min = |ad - bc| / sigma_max (0 when sigma_max = 0), which
+    avoids the cancellation in the smaller root of H.  Every product pairs
+    two entries of C, so negating C leaves the result unchanged bit for bit,
+    as with gram_singular_values.
+    """
+    a, b, c, d = c[:, 0, 0], c[:, 0, 1], c[:, 1, 0], c[:, 1, 1]
+    h11 = (a.conj() * a).real + (c.conj() * c).real
+    h22 = (b.conj() * b).real + (d.conj() * d).real
+    h12 = np.abs(a.conj() * b + c.conj() * d)
+    smax = np.sqrt((h11 + h22) / 2 + np.hypot((h11 - h22) / 2, h12))
+    det = np.abs(a * d - b * c)
+    smin = np.divide(det, smax, out=np.zeros_like(smax), where=smax > 0)
+    return np.stack((np.minimum(smin, smax), smax), axis=-1)
+
+
 def batch_spectral_norms(stack):
     """Largest singular value of each matrix in a (..., p, q) stack."""
     g = np.einsum("...ki,...kj->...ij", stack.conj(), stack)

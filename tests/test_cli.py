@@ -460,3 +460,18 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, frame_file, capsys, c
     assert main(_argv(command, frame_file, out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and os.path.join(str(out), name) in err
+    # the outputs written before the failing one are removed again
+    assert os.listdir(out) == [name]
+
+
+def test_partly_written_output_is_removed(tmp_path, frame_file, capsys, monkeypatch):
+    def disk_full(path, gram):
+        with open(path, "w") as fh:
+            fh.write("1.0,")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("blockframe.cli.write_gram_csv", disk_full)
+    out = tmp_path / "out"
+    assert main(_argv("analyze", frame_file, out)) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert os.listdir(out) == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import blockframe.flipping as flipping
 from blockframe import (
     FrameError,
     RandomFrameSpec,
@@ -15,6 +16,7 @@ from blockframe import (
     gram_map,
     sample_block_frame,
     spectral_norm,
+    worst_case_coherence,
 )
 from blockframe.flipping import FlipConfig, apply_block_signs
 from blockframe.frame import BlockFrame
@@ -48,6 +50,58 @@ def test_flip_preserves_mu_and_gram_bitwise(spec, variant):
     # sign flips cancel exactly inside every cross-Gram product
     assert res.mu_after == res.mu_before
     assert np.array_equal(gram_map(res.frame), gram_map(frame))
+
+
+def test_flip_sweeps_mu_once(monkeypatch):
+    calls = []
+
+    def counting(frame):
+        calls.append(frame)
+        return worst_case_coherence(frame)
+
+    monkeypatch.setattr(flipping, "worst_case_coherence", counting)
+    frame = sample_block_frame(RandomFrameSpec(n=16, r=2, m=10, seed=3))
+    res = flip(frame)
+    assert len(calls) == 1
+    assert res.mu_after == res.mu_before == worst_case_coherence(frame)
+
+
+def test_flip_raises_when_a_flipped_block_is_not_plus_minus_its_original(monkeypatch):
+    def perturbed(frame, signs):
+        out = apply_block_signs(frame, signs)
+        data = out.data.copy()
+        data[0, frame.r] = np.nextafter(data[0, frame.r], np.inf)
+        return BlockFrame(n=frame.n, r=frame.r, m=frame.m, data=data)
+
+    monkeypatch.setattr(flipping, "apply_block_signs", perturbed)
+    frame = sample_block_frame(RandomFrameSpec(n=16, r=2, m=10, seed=3))
+    with pytest.raises(RuntimeError, match="not bitwise"):
+        flip(frame)
+
+
+def _greedy_signs_oracle(frame, variant):
+    """The greedy rule with one np.linalg.norm call per candidate sum."""
+    order = 2 if variant == "spectral" else None
+    signs = [1]
+    f_sum = frame.block(0).copy()
+    for k in range(1, frame.m):
+        b = frame.block(k)
+        if np.linalg.norm(f_sum + b, order) - np.linalg.norm(f_sum - b, order) <= 1e-12:
+            signs.append(1)
+            f_sum += b
+        else:
+            signs.append(-1)
+            f_sum -= b
+    return signs
+
+
+@pytest.mark.parametrize("variant", ["spectral", "frobenius"])
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_flip_signs_match_the_two_norm_greedy_rule(r, field_tag, variant):
+    frame = sample_block_frame(RandomFrameSpec(n=24, r=r, m=60, seed=r, field_tag=field_tag))
+    res = flip(frame, FlipConfig(norm_variant=variant))
+    assert res.signs.tolist() == _greedy_signs_oracle(frame, variant)
 
 
 def test_flip_nu_matches_recomputation():

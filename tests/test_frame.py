@@ -352,6 +352,27 @@ def test_validate_random_frame():
         BlockFrame(n=6, r=2, m=5, data=2.0 * frame.data, field_tag="real")
 
 
+@pytest.mark.parametrize("seed, cplx", [(20, False), (21, True), (22, False), (23, True)])
+def test_validate_spread_at_r2_matches_svd(seed, cplx):
+    # r = 2 takes sigma_min as |det C| / sigma_max; the oracle is a plain SVD
+    frame = random_frame(7, 2, 9, seed, complex_blocks=cplx)
+    blocks = frame.blocks3d()
+    cross = np.einsum("ink,jnl->ijkl", blocks.conj(), blocks)
+    sv = np.linalg.svd(cross, compute_uv=False)[~np.eye(frame.m, dtype=bool)]
+    rec = validate(frame)
+    assert abs(rec.cross_singular_spread - (sv[:, 0].max() - sv[:, 1].min())) <= 1e-12
+    assert not rec.equi_isoclinic
+
+
+def test_validate_kerdock_r2_is_not_equi_isoclinic():
+    # pairs within one orthobasis have C = 0 up to rounding, the others C = +-I/4
+    frame = build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
+    assert (frame.n, frame.r, frame.m) == (32, 2, 128)
+    rec = validate(frame)
+    assert rec.cross_singular_spread == pytest.approx(0.25, abs=1e-15)
+    assert not rec.equi_isoclinic
+
+
 def test_coherence_report_fields():
     frame = build_frame(FrameRecipe(family="id-hadamard", params={"k": 2}))
     payload, gram = coherence_report(frame)
