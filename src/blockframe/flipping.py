@@ -61,11 +61,12 @@ def flipped_nu_bound(m):
 def flip(frame, config=FlipConfig()):
     """Algorithm: greedy sign choice per block against the running sum.
 
-    A spectral step takes the norms of F + A_k and F - A_k in one eigen call
-    on their stack; a Frobenius step takes two plain norms.  The running
-    sums are built from validated blocks, so the final norm goes to numpy
-    directly, without as_matrix; partial_sum_norm equals spectral_norm or
-    frobenius_norm bit for bit.
+    Each step writes F + A_k and F - A_k into one preallocated (2, n, r)
+    buffer and copies the chosen one into F.  A spectral step takes both
+    norms in one eigen call on the buffer; a Frobenius step takes two plain
+    norms.  The running sums are built from validated blocks, so the final
+    norm goes to numpy directly, without as_matrix; partial_sum_norm equals
+    spectral_norm or frobenius_norm bit for bit.
 
     mu_after is mu_before: it is not swept again, because the flipped frame
     is checked to be the original with each block bitwise times its sign,
@@ -73,30 +74,29 @@ def flip(frame, config=FlipConfig()):
     """
     if config.norm_variant == "spectral":
         order = 2
-
-        def step_norms(plus, minus):
-            return batch_spectral_norms(np.stack((plus, minus)))
-
+        step_norms = batch_spectral_norms
     else:
         order = None
 
-        def step_norms(plus, minus):
-            return np.linalg.norm(plus), np.linalg.norm(minus)
+        def step_norms(pair):
+            return np.linalg.norm(pair[0]), np.linalg.norm(pair[1])
 
     m = frame.m
+    blocks = frame.blocks3d()
     signs = np.ones(m, dtype=np.int8)
-    f_sum = frame.block(0)
+    f_sum = blocks[0].copy()
+    pair = np.empty((2,) + f_sum.shape, dtype=f_sum.dtype)
     for k in range(1, m):
-        b = frame.block(k)
-        plus, minus = f_sum + b, f_sum - b
-        n_plus, n_minus = step_norms(plus, minus)
+        np.add(f_sum, blocks[k], out=pair[0])
+        np.subtract(f_sum, blocks[k], out=pair[1])
+        n_plus, n_minus = step_norms(pair)
         if n_plus - n_minus <= _TIE_TOL:
-            f_sum = plus
+            f_sum[...] = pair[0]
         else:
             signs[k] = -1
-            f_sum = minus
+            f_sum[...] = pair[1]
     flipped = apply_block_signs(frame, signs)
-    if not np.array_equal(flipped.blocks3d(), frame.blocks3d() * signs[:, None, None]):
+    if not np.array_equal(flipped.blocks3d(), blocks * signs[:, None, None]):
         raise RuntimeError("a flipped block is not bitwise +- its original")
     mu = worst_case_coherence(frame)
     return FlipResult(

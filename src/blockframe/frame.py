@@ -26,6 +26,7 @@ from .matrixcore import (
     gram_deviation,
     gram_singular_values,
     singular_values_2x2,
+    singular_values_3x3,
 )
 
 _UNIT_TOL = 1e-8
@@ -113,7 +114,7 @@ def _pair_chunks(frame):
     One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with
     j > i are gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.
     Yields (i, j, C, H) with the pairs' index vectors and H = C*C, in the
-    frame's own dtype.  H is formed only at r >= 3; r = 1 and r = 2 take
+    frame's own dtype.  H is formed only at r >= 4; r = 1, 2 and 3 take
     their singular values from C itself (see _cross_singular_values).
 
     Everything computed from C or H is sign-invariant bit for bit.  Chunk
@@ -130,18 +131,20 @@ def _pair_chunks(frame):
         g = g.reshape(i1 - i0, r, m - i0, r).swapaxes(1, 2)
         a, b = np.triu_indices(i1 - i0, 1, m - i0)
         c = g[a, b]
-        yield a + i0, b + i0, c, np.matmul(c.conj().swapaxes(1, 2), c) if r >= 3 else None
+        yield a + i0, b + i0, c, np.matmul(c.conj().swapaxes(1, 2), c) if r >= 4 else None
         i0 = i1
 
 
 def _cross_singular_values(c, h):
-    """Ascending singular values of each cross-Gram in a chunk.
+    """Singular values of each cross-Gram in a chunk, smallest first, largest last.
 
-    |c| at r = 1, the closed form at r = 2, eigvalsh(H) at r >= 3.
+    |c| at r = 1, the closed forms at r = 2 and r = 3, eigvalsh(H) at r >= 4.
     """
     if h is not None:
         return gram_singular_values(h)
-    return np.abs(c[:, :, 0]) if c.shape[-1] == 1 else singular_values_2x2(c)
+    if c.shape[-1] == 1:
+        return np.abs(c[:, :, 0])
+    return singular_values_2x2(c) if c.shape[-1] == 2 else singular_values_3x3(c)
 
 
 def _exhaustive_sweep(frame):
@@ -170,12 +173,16 @@ def gram_map(frame):
 def worst_case_coherence(frame):
     """Largest cross-block spectral norm over all unordered block pairs.
 
-    At r = 1 and r = 2 every pair's sigma_max is taken in closed form.  At
-    r >= 3 only pairs that can hold the maximum are eigen-solved.  The
-    certificate u = ||C*C||_F^(1/2) = (sum of sigma^4)^(1/4) bounds sigma_max
-    from above; each chunk solves its pair of largest u, then the pairs with
-    u >= best * (1 - 1e-10).  eigvalsh treats each matrix on its own, so the
-    result equals the exhaustive maximum bit for bit.
+    At r <= 3 every pair's sigma_max is taken in closed form.  At r >= 4
+    only pairs that can hold the maximum are eigen-solved, behind two
+    certificates that bound sigma_max from above: u = ||H||_F^(1/2) =
+    (sum of sigma^4)^(1/4) for every pair, with H = C*C, then the tighter
+    u2 = ||H^2||_F^(1/4) = (sum of sigma^8)^(1/8) for the pairs u keeps.
+    A chunk drops the pairs with u or u2 below best * (1 - 1e-10), best
+    being the largest sigma_max solved so far.  If any are left, it solves
+    its pair of largest u2, then the pairs with u2 >= best * (1 - 1e-10).
+    eigvalsh treats each matrix on its own, so the result equals the
+    exhaustive maximum bit for bit.
     """
     if frame.m < 2:
         raise FrameError("worst-case coherence needs at least two blocks")
@@ -184,30 +191,45 @@ def worst_case_coherence(frame):
         if h is None:
             best = max(best, float(_cross_singular_values(c, h)[:, -1].max()))
             continue
-        u = np.sqrt(np.sqrt(np.einsum("pij,pij->p", h.conj(), h).real))
-        top = int(u.argmax())
+        floor = best * (1.0 - _PRUNE_SLACK)
+        h = h[_sigma_max_bound(h, 1) >= floor]
+        u2 = _sigma_max_bound(np.matmul(h, h), 2)
+        if not np.any(u2 >= floor):
+            continue
+        top = int(u2.argmax())
         best = max(best, float(gram_singular_values(h[top : top + 1])[0, -1]))
-        keep = u >= best * (1.0 - _PRUNE_SLACK)
-        best = float(gram_singular_values(h[keep])[:, -1].max(initial=best))
+        h = h[u2 >= best * (1.0 - _PRUNE_SLACK)]
+        best = float(gram_singular_values(h)[:, -1].max(initial=best))
     return best
+
+
+def _sigma_max_bound(g, power):
+    """||G||_F^(1/(2 power)) for each G = H^power in a (p, r, r) stack, H = C*C.
+
+    That is (sum of sigma^(4 power))^(1/(4 power)) over the singular values
+    sigma of C, so it is at least sigma_max, and tighter for a larger power.
+    """
+    return np.einsum("pij,pij->p", g.conj(), g).real ** (1 / (4 * power))
 
 
 def average_coherence(frame):
     """Largest per-block norm of the summed cross-Grams, over m - 1.
 
     The inner sum over j != i is computed as A_i* T - A_i* A_i with
-    T = sum of all blocks, which numpy evaluates in a fixed deterministic
-    order; the flipping module recomputes through this same path so that
-    before/after comparisons are bit-stable.
+    T = sum of all blocks: one gemm A* T gives every A_i* T, and one batched
+    matmul every A_i* A_i.  Both run in a fixed deterministic order, and the
+    flipping module recomputes through this same path so that before/after
+    comparisons are bit-stable.
     """
     if frame.m < 2:
         raise FrameError("average coherence needs at least two blocks")
+    m, r = frame.m, frame.r
     blocks = frame.blocks3d()
     total = blocks.sum(axis=0)
-    bh_t = np.einsum("ink,nl->ikl", blocks.conj(), total)
-    bh_b = np.einsum("ink,inl->ikl", blocks.conj(), blocks)
+    bh_t = (frame.data.conj().T @ total).reshape(m, r, r)
+    bh_b = np.matmul(blocks.conj().swapaxes(1, 2), blocks)
     s = batch_spectral_norms(bh_t - bh_b)
-    return float(s.max()) / (frame.m - 1)
+    return float(s.max()) / (m - 1)
 
 
 def average_column_coherence(p):

@@ -82,9 +82,65 @@ def singular_values_2x2(c):
     return np.stack((np.minimum(smin, smax), smax), axis=-1)
 
 
+def singular_values_3x3(c):
+    """Smallest and largest singular value of each C in a (p, 3, 3) stack.
+
+    The six distinct entries of H = C*C are formed from C's columns
+    elementwise over the stack, as in singular_values_2x2, and the roots of
+    H follow from the trigonometric form for a 3x3 Hermitian matrix: with
+    q = tr(H)/3, p = ||H - qI||_F / sqrt(6), r = det(H - qI) / (2p^3) and
+    phi = acos(r)/3, the roots are q + 2p cos(phi + 2 pi k/3), k = 0, 1, 2.
+
+    Rounding leaves the entries of H - qI uncertain by about eps q, so r is
+    uncertain by about e = eps (q + p) / p, and an error e in r moves a root
+    lambda by 2p^3 e / |chi'(lambda)|, chi the characteristic polynomial of
+    H.  For the largest root that is
+    eps (q + p) / (6 sin(pi/3 - phi) sin(pi/3 + phi)), which has no bound as
+    r nears -1 and the top two roots meet: where it exceeds 4 eps lambda_max,
+    sigma_max comes from eigvalsh of H instead.  For the smallest root it is
+    eps (q + p) / (6 sin(phi) sin(pi/3 + phi)), unbounded as r nears +1:
+    where that exceeds 4 eps lambda_max, sigma_min does.  sigma_max then
+    stays within a few ulp of the exact value and sigma_min within a few
+    eps lambda_max of it, as eigvalsh's do.
+    Every product pairs two entries of C, so negating C leaves the result
+    unchanged bit for bit, the fallback choice included.
+    """
+    col = [c[:, :, k] for k in range(3)]
+
+    def h(i, j):
+        e = col[i].conj() * col[j]
+        return e[:, 0] + e[:, 1] + e[:, 2]
+
+    h00, h11, h22 = h(0, 0).real, h(1, 1).real, h(2, 2).real
+    h01, h02, h12 = h(0, 1), h(0, 2), h(1, 2)
+    q = (h00 + h11 + h22) / 3
+    d0, d1, d2 = h00 - q, h11 - q, h22 - q
+    a01, a02, a12 = ((x.conj() * x).real for x in (h01, h02, h12))
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2 * (a01 + a02 + a12)) / 6)
+    det = d0 * d1 * d2 - d0 * a12 - d1 * a02 - d2 * a01 + 2 * (h01 * h12 * h02.conj()).real
+    p3 = 2 * p**3
+    r = np.divide(det, p3, out=np.zeros_like(p), where=p3 > 0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3
+    lam_max = q + 2 * p * np.cos(phi)
+    lam_min = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    span = 24 * lam_max * np.sin(phi + np.pi / 3)
+    top = q + p > span * np.sin(np.pi / 3 - phi)
+    bottom = q + p > span * np.sin(phi)
+    sv = np.sqrt(np.maximum(np.stack((lam_min, lam_max), axis=-1), 0.0))
+    fall = np.flatnonzero(top | bottom)
+    if fall.size:
+        rows = ((h00, h01, h02), (h01.conj(), h11, h12), (h02.conj(), h12.conj(), h22))
+        hf = np.stack([np.stack([x[fall] for x in row], axis=-1) for row in rows], axis=-2)
+        ev = gram_singular_values(hf)
+        sv[fall, 0] = np.where(bottom[fall], ev[:, 0], sv[fall, 0])
+        sv[fall, 1] = np.where(top[fall], ev[:, -1], sv[fall, 1])
+    sv[:, 0] = np.minimum(sv[:, 0], sv[:, 1])
+    return sv
+
+
 def batch_spectral_norms(stack):
     """Largest singular value of each matrix in a (..., p, q) stack."""
-    g = np.einsum("...ki,...kj->...ij", stack.conj(), stack)
+    g = np.matmul(stack.conj().swapaxes(-1, -2), stack)
     return gram_singular_values(g)[..., -1]
 
 

@@ -24,7 +24,7 @@ from blockframe import (
     worst_case_coherence,
 )
 from blockframe.cli import coherence_report
-from blockframe.constructions import FrameRecipe, build_frame
+from blockframe.constructions import FrameRecipe, build_frame, harmonic_qr_etf, kron_from_etf
 from blockframe.flipping import apply_block_signs
 from blockframe.matrixcore import orthonormalize
 
@@ -181,7 +181,7 @@ def test_gram_map_symmetric_unit_diagonal():
 @st.composite
 def sweep_cases(draw):
     """A random frame and a chunk size; small chunks force many partial chunks."""
-    r = draw(st.sampled_from([1, 2, 3, 5, 10]))
+    r = draw(st.sampled_from([1, 2, 3, 4, 5, 10]))
     m = draw(st.integers(2, 24))
     n = draw(st.integers(r + 1, min(m * r, r + 12)))
     cplx = draw(st.booleans())
@@ -225,6 +225,40 @@ def test_pair_sweep_properties(case, sign_seed):
     off = ~np.eye(frame.m, dtype=bool)
     assert np.abs(g[off] - oracle[off]).max() <= 1e-12
     assert mu >= welch_coherence_lower(frame.n, frame.r, frame.m) - 1e-12
+
+
+def _certificate_stacks(r):
+    """(p, r, r) stacks of equi-isoclinic, rank-1 and Gaussian cross-Gram-like matrices."""
+    rng = np.random.default_rng(1000 + r)
+    q = np.linalg.qr(rng.standard_normal((8, r, r)))[0]
+    isoclinic = rng.uniform(0.1, 1.0, size=(8, 1, 1)) * q
+    rank1 = rng.standard_normal((8, r, 1)) * rng.standard_normal((8, 1, r)) / r
+    gauss = rng.standard_normal((8, r, r)) / np.sqrt(r)
+    return {"isoclinic": isoclinic, "rank-1": rank1, "gaussian": gauss}
+
+
+@pytest.mark.parametrize("r", [4, 10, 90])
+def test_second_certificate_bounds_sigma_max(r):
+    for kind, c in _certificate_stacks(r).items():
+        h = np.matmul(c.conj().swapaxes(1, 2), c)
+        u = frame_module._sigma_max_bound(h, 1)
+        u2 = frame_module._sigma_max_bound(np.matmul(h, h), 2)
+        smax = np.linalg.svd(c, compute_uv=False)[:, 0]
+        # what the pruning rule relies on, with the slack it allows
+        assert np.all(u2 >= smax * (1.0 - frame_module._PRUNE_SLACK)), kind
+        assert np.all(u2 <= u * (1.0 + frame_module._PRUNE_SLACK)), kind
+
+
+@pytest.mark.parametrize("r", [4, 10, 90])
+def test_twice_pruned_mu_equals_the_exhaustive_maximum(r):
+    etf = harmonic_qr_etf(7)  # 3 x 7: cross-Grams of its Kronecker blocks are c I_r
+    frames = [
+        kron_from_etf(etf, np.eye(r)),
+        random_frame(r + 6, r, 12, r),
+        random_frame(r + 6, r, 12, r + 1, complex_blocks=True),
+    ]
+    for frame in frames:
+        assert worst_case_coherence(frame) == _off_diagonal_max(gram_map(frame))
 
 
 # --- distances --------------------------------------------------------------
