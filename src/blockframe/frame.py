@@ -180,7 +180,8 @@ def worst_case_coherence(frame):
     u2 = ||H^2||_F^(1/4) = (sum of sigma^8)^(1/8) for the pairs u keeps.
     A chunk drops the pairs with u or u2 below best * (1 - 1e-10), best
     being the largest sigma_max solved so far.  If any are left, it solves
-    its pair of largest u2, then the pairs with u2 >= best * (1 - 1e-10).
+    its pair of largest u2, then the other pairs with u2 >= best * (1 - 1e-10),
+    so no pair is solved twice.
     eigvalsh treats each matrix on its own, so the result equals the
     exhaustive maximum bit for bit.
     """
@@ -198,8 +199,9 @@ def worst_case_coherence(frame):
             continue
         top = int(u2.argmax())
         best = max(best, float(gram_singular_values(h[top : top + 1])[0, -1]))
-        h = h[u2 >= best * (1.0 - _PRUNE_SLACK)]
-        best = float(gram_singular_values(h)[:, -1].max(initial=best))
+        keep = u2 >= best * (1.0 - _PRUNE_SLACK)
+        keep[top] = False
+        best = float(gram_singular_values(h[keep])[:, -1].max(initial=best))
     return best
 
 

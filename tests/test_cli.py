@@ -382,6 +382,30 @@ def test_cs_random_non_positive_shape(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cs", "--random", "rnd=8,2,8", "--k-grid", "1", "--dr-grid", "10", "--trials", "1"],
+        ["random-mu", "--n", "16", "--r-grid", "2", "--trials", "1"],
+        ["flip-table", "--n", "16", "--m", "24", "--r-list", "1", "--realizations", "1"],
+    ],
+    ids=["cs", "random-mu", "flip-table"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--seed", "-1", "--out-dir", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cs_signal_substreams_reject_a_negative_seed(tmp_path, capsys):
+    cdir = tmp_path / "c"
+    assert main(["construct", "--family", "id-hadamard", "--k", "2", "--out-dir", str(cdir)]) == 0
+    argv = ["cs", "--frame", f"det={cdir / 'frame.bfm'}", "--k-grid", "1", "--trials", "1"]
+    assert main(argv + ["--seed", "-2", "--out-dir", str(tmp_path / "cs")]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_random_mu_zero_trials(tmp_path):
     argv = ["random-mu", "--n", "16", "--r-grid", "2", "--trials", "0"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2

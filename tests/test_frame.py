@@ -26,7 +26,7 @@ from blockframe import (
 from blockframe.cli import coherence_report
 from blockframe.constructions import FrameRecipe, build_frame, harmonic_qr_etf, kron_from_etf
 from blockframe.flipping import apply_block_signs
-from blockframe.matrixcore import orthonormalize
+from blockframe.matrixcore import gram_singular_values, orthonormalize
 
 
 def random_frame(n, r, m, seed, complex_blocks=False):
@@ -259,6 +259,26 @@ def test_twice_pruned_mu_equals_the_exhaustive_maximum(r):
     ]
     for frame in frames:
         assert worst_case_coherence(frame) == _off_diagonal_max(gram_map(frame))
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 1 << 16])
+def test_no_pair_is_eigen_solved_twice(monkeypatch, chunk):
+    # every cross-Gram of this Kronecker frame is c I_4 with one c, so the
+    # certificates prune no pair and each chunk solves all of its pairs
+    frame = kron_from_etf(harmonic_qr_etf(7), np.eye(4))
+    rows = []
+
+    def counting(h):
+        rows.append(len(h))
+        return gram_singular_values(h)
+
+    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(frame_module, "gram_singular_values", counting)
+    mu = worst_case_coherence(frame)
+    monkeypatch.undo()
+    pairs = frame.m * (frame.m - 1) // 2
+    assert sum(rows) <= pairs
+    assert mu == _off_diagonal_max(gram_map(frame))
 
 
 # --- distances --------------------------------------------------------------

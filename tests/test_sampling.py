@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockframe.frame as frame_module
 import blockframe.sampling as sampling_module
@@ -19,7 +21,7 @@ from blockframe import (
     validate,
 )
 from blockframe.matrixcore import batch_spectral_norms
-from blockframe.sampling import CurvePoint
+from blockframe.sampling import CurvePoint, substream_keys
 
 
 # ---------------------------------------------------------------- substreams
@@ -41,6 +43,40 @@ def test_substream_rng_path_sensitivity():
 def test_substream_rng_rejects_negative_path():
     with pytest.raises(FrameError):
         substream_rng(7, -1)
+    with pytest.raises(FrameError, match="non-negative"):
+        substream_keys(7, (1, -1), 4)
+
+
+# seeds of one word, including 0, of two and more words, and path components
+# of one or two words, such as the IEEE-754 bit pattern of a dynamic range
+_SEEDS = st.one_of(
+    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64), st.integers(2**64, 2**160)
+)
+_PATH_PARTS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.floats(0.5, 1e6).map(lambda dr: int(np.float64(dr).view(np.uint64))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SEEDS, st.lists(_PATH_PARTS, max_size=4), st.integers(1, 40))
+def test_substream_keys_match_seed_sequence(seed, prefix, count):
+    keys = substream_keys(seed, prefix, count)
+    assert keys.shape == (count, 2) and keys.dtype == np.uint64
+    for i in {0, count // 2, count - 1}:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i))
+        assert np.array_equal(keys[i], ss.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", None])
+def test_seed_is_a_non_negative_integer(seed):
+    with pytest.raises(FrameError, match="seed"):
+        RandomFrameSpec(n=6, r=2, m=4, seed=seed)
+    with pytest.raises(FrameError, match="seed"):
+        substream_keys(seed, (0,), 4)
+    with pytest.raises(FrameError, match="seed"):
+        substream_rng(seed, 0)
 
 
 def test_parallel_map_preserves_order():
@@ -107,12 +143,35 @@ def test_sample_block_frame_chunks_match_per_block_draws(monkeypatch, field_tag,
 
 
 def test_sample_block_frame_size_guard(monkeypatch):
-    def no_draws(*args):
+    def no_draws(*args, **kwargs):
         raise AssertionError("drew before the size guard")
 
-    monkeypatch.setattr(sampling_module, "substream_rng", no_draws)
+    monkeypatch.setattr(sampling_module, "substream_keys", no_draws)
+    monkeypatch.setattr(np.random, "Philox", no_draws)
     with pytest.raises(FrameError, match="size guard"):
         sample_block_frame(RandomFrameSpec(n=1 << 14, r=1 << 7, m=1 << 7, seed=0))
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+def test_sample_block_frame_builds_one_philox_and_no_seed_sequence(monkeypatch, field_tag):
+    made = {"Philox": 0, "SeedSequence": 0}
+
+    def counting(name, cls):
+        def make(*args, **kwargs):
+            made[name] += 1
+            return cls(*args, **kwargs)
+
+        return make
+
+    spec = RandomFrameSpec(n=8, r=2, m=64, seed=5, field_tag=field_tag)
+    want = np.concatenate(
+        [sample_subspace(8, 2, substream_rng(5, 3, i), field_tag) for i in range(64)], axis=1
+    )
+    for name in made:
+        monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+    got = sample_block_frame(spec, 3).data
+    assert made == {"Philox": 1, "SeedSequence": 0}
+    assert got.tobytes() == want.tobytes()
 
 
 def test_random_frame_spec_rejects_non_positive_shapes():
