@@ -30,21 +30,10 @@ from .bounds import (
     spectral_distance_upper,
     welch_coherence_lower,
 )
-from .constructions import FrameRecipe, build_frame
+from .constructions import FAMILIES, FrameRecipe, build_frame
 from .flipping import FlipConfig, flip
 from .frame import average_coherence, validate
 from .io import read_bfm, sha256_file, write_bfm, write_csv, write_gram_csv, write_json
-
-_FAMILY_PARAM = {
-    "steiner": ("v", "--v"),
-    "harmonic": ("p", "--p"),
-    "alltop": ("p", "--p"),
-    "chirp": ("p", "--p"),
-    "id-hadamard": ("k", "--k"),
-    "kerdock": ("k", "--k"),
-    "external": ("path", "--file"),
-}
-
 
 def _threads(args):
     if args.threads is not None:
@@ -173,12 +162,14 @@ def _print_summary(payload):
 
 
 def cmd_construct(args):
-    key, flag = _FAMILY_PARAM[args.family]
-    value = getattr(args, key if key != "path" else "file")
-    if value is None:
+    key = FAMILIES[args.family][0]
+    params = {key: getattr(args, key)}
+    if params[key] is None:
+        flag = "--file" if key == "path" else f"--{key}"
         raise FrameError(f"{flag} is required for family {args.family}")
-    params = {key: value}
-    if args.family == "kerdock" and args.kerdock_set_file:
+    if args.kerdock_set_file is not None:
+        if args.family != "kerdock":
+            raise FrameError(f"--kerdock-set-file is for family kerdock, not {args.family}")
         params["set_file"] = args.kerdock_set_file
     recipe = FrameRecipe(
         family=args.family, params=params, kron=_parse_kron(args.kron)
@@ -454,15 +445,11 @@ def build_parser():
         return p
 
     p = command("construct", cmd_construct, "build a frame from a recipe")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=("steiner", "harmonic", "alltop", "chirp", "id-hadamard", "kerdock", "external"),
-    )
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--v", type=int, help="points of the pair design (steiner)")
     p.add_argument("--p", type=int, help="prime parameter (harmonic, alltop, chirp)")
     p.add_argument("--k", type=int, help="log2 dimension (id-hadamard, kerdock)")
-    p.add_argument("--file", help="column-matrix frame file (external)")
+    p.add_argument("--file", dest="path", help="column-matrix frame file (external)")
     p.add_argument("--kerdock-set-file", help="binary symmetric matrix set file")
     p.add_argument("--kron", default="none", help="none | hadamard:K | dft:P | file:PATH")
     p.add_argument("--out-dir", default=".", help="output directory")

@@ -10,8 +10,12 @@ Two kinds of column matrix P feed the Kronecker machinery:
     one modulus, and tensoring with a unitary gives a union of orthobases
     meeting the sqrt(r/n) bound with equality.
 
-Every constructor is checked on the way out (verify_etf / verify_flat_union)
-so a silent algebra mistake cannot leak a wrong frame.
+Every P is verified exactly once (verify_etf / verify_flat_union), so a
+silent algebra mistake cannot leak a wrong frame: a builder verifies the P
+it returns, and kron_from_etf / kron_from_flat_union verify a P their
+caller supplies.  The lift itself (_lift) never verifies P again.  Every
+builder checks P's entry count against the memory guard before it loops
+or allocates.  FAMILIES is the one list of recipe families.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +24,15 @@ import numpy as np
 
 from .errors import FrameError
 from .frame import BlockFrame
-from .matrixcore import as_matrix, dft_matrix, gram_deviation, hadamard_sylvester, kronecker
+from .io import read_bfm
+from .matrixcore import (
+    as_matrix,
+    check_entries,
+    dft_matrix,
+    gram_deviation,
+    hadamard_sylvester,
+    kronecker,
+)
 
 _VERIFY_TOL = 1e-10
 
@@ -104,6 +116,14 @@ def verify_flat_union(p, tol=_VERIFY_TOL):
     )
 
 
+def _verified(p, kind, what):
+    """p itself, once verify_etf (kind "ETF") or verify_flat_union passes it."""
+    rep = verify_etf(p) if kind == "ETF" else verify_flat_union(p)
+    if not (rep.is_etf if kind == "ETF" else rep.is_flat_union):
+        raise FrameError(f"{what} failed {kind} verification: {rep}")
+    return p
+
+
 # --- equiangular tight frames ----------------------------------------------
 
 
@@ -119,6 +139,7 @@ def steiner_pairs_etf(v):
     columns see the v-th roots of unity summed without the t=0 term, which
     lands on the same modulus.
     """
+    check_entries(v * (v - 1) // 2 * v * v, f"steiner_pairs_etf({v})")
     if v < 3:
         raise FrameError(f"need v >= 3, got {v}")
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
@@ -135,10 +156,7 @@ def steiner_pairs_etf(v):
             col = w * v + c
             for t, row in enumerate(rows_of_point[w], start=1):
                 p[row, col] = scale * omega ** (t * c)
-    rep = verify_etf(p)
-    if not rep.is_etf:
-        raise FrameError(f"steiner_pairs_etf({v}) failed verification: {rep}")
-    return p
+    return _verified(p, "ETF", f"steiner_pairs_etf({v})")
 
 
 def harmonic_qr_etf(p_prime):
@@ -148,20 +166,33 @@ def harmonic_qr_etf(p_prime):
     difference set and the selected DFT rows, rescaled to unit columns, are
     equiangular with coherence sqrt(p+1)/(p-1).
     """
+    check_entries((p_prime - 1) // 2 * p_prime, f"harmonic_qr_etf({p_prime})")
     if not is_prime(p_prime) or p_prime % 4 != 3:
         raise FrameError(f"need a prime p = 3 (mod 4), got {p_prime}")
     residues = sorted({(x * x) % p_prime for x in range(1, p_prime)})
     k = (p_prime - 1) // 2
     j = np.arange(p_prime)
     rows = np.exp(2j * np.pi * np.outer(residues, j) / p_prime)
-    p = rows / np.sqrt(k)
-    rep = verify_etf(p)
-    if not rep.is_etf:
-        raise FrameError(f"harmonic_qr_etf({p_prime}) failed verification: {rep}")
-    return p
+    return _verified(rows / np.sqrt(k), "ETF", f"harmonic_qr_etf({p_prime})")
 
 
 # --- flat unions of orthobases ---------------------------------------------
+
+
+def _modulated_windows(phase, what):
+    """The p x p^2 union whose column a*p + b is window a modulated by tone b.
+
+    phase[t, a] is the integer phase of window a at index t.  Column a*p + b
+    holds exp(2*pi*i*phase[t, a]/p) * exp(2*pi*i*b*t/p) / sqrt(p); the p
+    tones of one unimodular window form one orthobasis.
+    """
+    p_prime = phase.shape[0]
+    t = np.arange(p_prime)[:, None]
+    windows = np.exp(2j * np.pi * phase / p_prime)
+    tones = np.exp(2j * np.pi * t.T * t / p_prime)  # [t, b]
+    cols = (windows[:, :, None] * tones[:, None, :]).reshape(p_prime, p_prime * p_prime)
+    cols /= np.sqrt(p_prime)
+    return _verified(cols, "flat union", what)
 
 
 def alltop_gabor(p_prime):
@@ -175,20 +206,12 @@ def alltop_gabor(p_prime):
     that every column starts real-positive at t = 0; the frame's average
     column coherence then comes out at exactly 1/(p+1).
     """
+    check_entries(p_prime**3, f"alltop_gabor({p_prime})")
     if not is_prime(p_prime) or p_prime < 5:
         raise FrameError(f"need a prime p >= 5, got {p_prime}")
-    t = np.arange(p_prime)
-    cols = np.empty((p_prime, p_prime * p_prime), dtype=np.complex128)
-    for a in range(p_prime):
-        phase_w = ((t + a) ** 3 - a**3) % p_prime
-        window = np.exp(2j * np.pi * phase_w / p_prime)
-        for b in range(p_prime):
-            cols[:, a * p_prime + b] = window * np.exp(2j * np.pi * b * t / p_prime)
-    cols /= np.sqrt(p_prime)
-    rep = verify_flat_union(cols)
-    if not rep.is_flat_union:
-        raise FrameError(f"alltop_gabor({p_prime}) failed verification: {rep}")
-    return cols
+    t = np.arange(p_prime)[:, None]
+    a = t.T
+    return _modulated_windows(((t + a) ** 3 - a**3) % p_prime, f"alltop_gabor({p_prime})")
 
 
 def discrete_chirp(p_prime):
@@ -197,32 +220,23 @@ def discrete_chirp(p_prime):
     Fixed chirp rate a gives an orthobasis; distinct rates meet at modulus
     1/sqrt(p) by the quadratic Gauss sum.
     """
+    check_entries(p_prime**3, f"discrete_chirp({p_prime})")
     if not is_prime(p_prime) or p_prime < 3:
         raise FrameError(f"need an odd prime, got {p_prime}")
-    t = np.arange(p_prime)
-    cols = np.empty((p_prime, p_prime * p_prime), dtype=np.complex128)
-    for a in range(p_prime):
-        window = np.exp(2j * np.pi * (a * t * t % p_prime) / p_prime)
-        for b in range(p_prime):
-            cols[:, a * p_prime + b] = window * np.exp(2j * np.pi * b * t / p_prime)
-    cols /= np.sqrt(p_prime)
-    rep = verify_flat_union(cols)
-    if not rep.is_flat_union:
-        raise FrameError(f"discrete_chirp({p_prime}) failed verification: {rep}")
-    return cols
+    t = np.arange(p_prime)[:, None]
+    return _modulated_windows(t.T * t * t % p_prime, f"discrete_chirp({p_prime})")
 
 
 def id_hadamard_union(k):
     """The identity basis next to the scaled Sylvester-Hadamard basis."""
+    # 2^k x 2^(k+1) entries; the min spares a huge k a huge integer
+    check_entries(2 * 4 ** min(k, 14), f"id_hadamard_union({k})")
     if k < 1:
         raise FrameError(f"need k >= 1, got {k}")
     n = 1 << k
     h = hadamard_sylvester(k) / np.sqrt(n)
     p = np.concatenate([np.eye(n), h], axis=1)
-    rep = verify_flat_union(p)
-    if not rep.is_flat_union:
-        raise FrameError(f"id_hadamard_union({k}) failed verification: {rep}")
-    return p
+    return _verified(p, "flat union", f"id_hadamard_union({k})")
 
 
 # --- Kerdock bases ----------------------------------------------------------
@@ -357,7 +371,11 @@ def kerdock_real(k, mats=None):
     +1, -1 along the enumeration.  The alternation cancels the column sums
     of the bases pairwise, which is what puts the average column coherence
     at exactly 1/(m-1); cross-basis moduli are untouched by it.
+
+    A set given as mats is validated here; kerdock_set validates its own.
     """
+    # 2^k x 2^(2k-1) entries; the min spares a huge k a huge integer
+    check_entries(2 ** (3 * min(k, 14) - 1), f"kerdock_real({k})")
     if k < 4 or k % 2 != 0:
         raise FrameError(f"need even k >= 4, got {k}")
     if mats is None:
@@ -374,49 +392,50 @@ def kerdock_real(k, mats=None):
         d = 1.0 - 2.0 * q  # (-1)^Q per row x
         sign = 1.0 if idx % 2 == 0 else -1.0
         blocks.append(sign * d[:, None] * hu)
-    p_out = np.concatenate(blocks, axis=1)
-    rep = verify_flat_union(p_out)
-    if not rep.is_flat_union:
-        raise FrameError(f"kerdock_real({k}) failed verification: {rep}")
-    return p_out
+    return _verified(np.concatenate(blocks, axis=1), "flat union", f"kerdock_real({k})")
 
 
 def read_kerdock_set_file(path, k):
     """Parse a Kerdock set from text: one matrix per line, k hex-packed rows.
 
     Row i is an integer whose bit j is entry (i, j), written in hex; rows
-    are separated by spaces.  Blank lines and #-comments are skipped.
+    are separated by spaces.  Blank lines and #-comments are skipped.  The
+    set is only parsed here; kerdock_real validates it.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise FrameError(f"{path}: cannot read kerdock set file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     mats = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            words = line.split()
-            if len(words) != k:
-                raise FrameError(f"expected {k} rows per line, got {len(words)}")
+    for line in lines:
+        words = line.split("#", 1)[0].split()
+        if not words:
+            continue
+        if len(words) != k:
+            raise FrameError(f"{path}: expected {k} rows per line, got {len(words)}")
+        try:
             rows = [int(w, 16) for w in words]
-            p = np.zeros((k, k), dtype=np.uint8)
-            for i, rv in enumerate(rows):
-                for j in range(k):
-                    p[i, j] = (rv >> j) & 1
-            mats.append(p)
-    validate_kerdock_set(mats, k)
+        except ValueError:
+            raise FrameError(f"{path}: rows must be hex words, got {line.strip()!r}") from None
+        mats.append(np.array([[(rv >> j) & 1 for j in range(k)] for rv in rows], np.uint8))
     return mats
 
 
 # --- Kronecker constructions ------------------------------------------------
 
 
-def _check_unitary(q):
+def _lift(p, q):
+    """Blocks p_i (x) q of a verified P and a unitary q; P is not verified again."""
     q = as_matrix(q)
-    r1, r2 = q.shape
-    if r1 != r2:
+    if q.shape[0] != q.shape[1]:
         raise FrameError(f"kron factor must be square, got {q.shape}")
     if gram_deviation(q) > _VERIFY_TOL:
         raise FrameError("kron factor is not unitary within 1e-10")
-    return q
+    r = q.shape[0]
+    return BlockFrame(n=p.shape[0] * r, r=r, m=p.shape[1], data=kronecker(p, q))
 
 
 def kron_from_etf(p, q):
@@ -426,14 +445,7 @@ def kron_from_etf(p, q):
     coherence equals the ETF coherence, which meets the universal lower
     bound with equality; all principal angles coincide (equi-isoclinic).
     """
-    p = as_matrix(p)
-    q = _check_unitary(q)
-    rep = verify_etf(p)
-    if not rep.is_etf:
-        raise FrameError("kron_from_etf needs a verified ETF")
-    n1, m = p.shape
-    r = q.shape[0]
-    return BlockFrame(n=n1 * r, r=r, m=m, data=kronecker(p, q))
+    return _lift(_verified(as_matrix(p), "ETF", "kron_from_etf's P"), q)
 
 
 def kron_from_flat_union(p, q):
@@ -442,20 +454,40 @@ def kron_from_flat_union(p, q):
     The result is a union of orthobases whose worst-case block coherence
     meets the sqrt(r/n) bound with equality.
     """
-    p = as_matrix(p)
-    q = _check_unitary(q)
-    rep = verify_flat_union(p)
-    if not rep.is_flat_union:
-        raise FrameError("kron_from_flat_union needs a verified flat union")
-    n1, m = p.shape
-    r = q.shape[0]
-    return BlockFrame(n=n1 * r, r=r, m=m, data=kronecker(p, q))
+    return _lift(_verified(as_matrix(p), "flat union", "kron_from_flat_union's P"), q)
 
 
 # --- recipes ----------------------------------------------------------------
 
-_FAMILIES = ("steiner", "harmonic", "alltop", "chirp", "id-hadamard", "kerdock", "external")
-_ETF_FAMILIES = ("steiner", "harmonic")
+
+def _kerdock_recipe(k, set_file=None):
+    """kerdock_real from the generated Kerdock set, or from the one in set_file."""
+    return kerdock_real(k, None if set_file is None else read_kerdock_set_file(set_file, k))
+
+
+def _external(path):
+    """The column matrix of a .bfm file, verified once as an ETF or a flat union.
+
+    The two kinds never overlap: a flat union's first two columns lie in one
+    basis and are orthogonal, while an ETF's meet at the Welch modulus.
+    """
+    p = read_bfm(path).data
+    n, m = p.shape
+    flat = m > n and m % n == 0 and abs(np.vdot(p[:, 0], p[:, 1])) < _VERIFY_TOL
+    return _verified(p, "flat union" if flat else "ETF", f"external frame {path}")
+
+
+# family -> (its one required recipe parameter, the builder of its verified P);
+# a builder takes that parameter, then any optional ones by name
+FAMILIES = {
+    "steiner": ("v", steiner_pairs_etf),
+    "harmonic": ("p", harmonic_qr_etf),
+    "alltop": ("p", alltop_gabor),
+    "chirp": ("p", discrete_chirp),
+    "id-hadamard": ("k", id_hadamard_union),
+    "kerdock": ("k", _kerdock_recipe),
+    "external": ("path", _external),
+}
 
 
 @dataclass(frozen=True)
@@ -467,62 +499,28 @@ class FrameRecipe:
     kron: tuple = ("none",)  # ("none") | ("hadamard", k) | ("dft", r) | ("file", path)
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise FrameError(f"unknown family {self.family!r}")
-
-
-def build_column_matrix(recipe):
-    """The P factor of a recipe, before any Kronecker lift."""
-    fam, par = recipe.family, recipe.params
-    if fam == "steiner":
-        return steiner_pairs_etf(int(par["v"]))
-    if fam == "harmonic":
-        return harmonic_qr_etf(int(par["p"]))
-    if fam == "alltop":
-        return alltop_gabor(int(par["p"]))
-    if fam == "chirp":
-        return discrete_chirp(int(par["p"]))
-    if fam == "id-hadamard":
-        return id_hadamard_union(int(par["k"]))
-    if fam == "kerdock":
-        mats = None
-        if par.get("set_file"):
-            mats = read_kerdock_set_file(par["set_file"], int(par["k"]))
-        return kerdock_real(int(par["k"]), mats=mats)
-    if fam == "external":
-        from .io import read_bfm
-
-        return read_bfm(par["path"]).data
-    raise FrameError(f"unknown family {fam!r}")
 
 
 def build_frame(recipe):
     """Assemble the full block frame a recipe describes.
 
+    The family's builder verifies P once; the lift does not verify it again.
     The frame is real exactly when both factors are.
     """
-    p = build_column_matrix(recipe)
+    key, build = FAMILIES[recipe.family]
+    optional = {name: val for name, val in recipe.params.items() if name != key}
+    p = build(recipe.params[key], **optional)
     kind = recipe.kron[0]
     if kind == "none":
-        n = p.shape[0]
-        if p.shape[1] <= n:
-            raise FrameError("r=1 frame needs more columns than rows")
-        return BlockFrame(n=n, r=1, m=p.shape[1], data=p)
+        return BlockFrame(n=p.shape[0], r=1, m=p.shape[1], data=p)
     if kind == "hadamard":
         q = hadamard_sylvester(int(recipe.kron[1])) / np.sqrt(1 << int(recipe.kron[1]))
     elif kind == "dft":
         q = dft_matrix(int(recipe.kron[1]))
     elif kind == "file":
-        from .io import read_bfm
-
         q = read_bfm(recipe.kron[1]).data
     else:
         raise FrameError(f"unknown kron factor kind {kind!r}")
-    if recipe.family in _ETF_FAMILIES:
-        return kron_from_etf(p, q)
-    if recipe.family == "external":
-        try:
-            return kron_from_etf(p, q)
-        except FrameError:
-            return kron_from_flat_union(p, q)
-    return kron_from_flat_union(p, q)
+    return _lift(p, q)

@@ -12,6 +12,7 @@ import pytest
 
 from blockframe import BlockFrame, ConvergenceError, __version__, solve_threshold
 from blockframe.cli import main
+from blockframe.constructions import FAMILIES
 from blockframe.io import read_bfm, sha256_file, write_bfm
 
 
@@ -95,9 +96,51 @@ def test_bfm_write_read_write_identical(tmp_path):
     assert src.read_bytes() == copy.read_bytes()
 
 
-def test_construct_missing_param(tmp_path):
-    rc = main(["construct", "--family", "steiner", "--out-dir", str(tmp_path)])
+_FLAG = {
+    "steiner": "--v",
+    "harmonic": "--p",
+    "alltop": "--p",
+    "chirp": "--p",
+    "id-hadamard": "--k",
+    "kerdock": "--k",
+    "external": "--file",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_construct_missing_param(tmp_path, capsys, family):
+    rc = main(["construct", "--family", family, "--out-dir", str(tmp_path)])
     assert rc == 2
+    assert f"{_FLAG[family]} is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["alltop", "chirp"])
+def test_construct_refuses_a_factor_above_the_size_guard(tmp_path, capsys, family):
+    # p x p^2 entries at p = 1000003; refused before anything is allocated
+    rc = main(["construct", "--family", family, "--p", "1000003", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "size guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "non-utf8", "non-hex"])
+def test_construct_bad_kerdock_set_file_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "set.txt"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "non-utf8":
+        path.write_bytes(b"\xff\xfe 0 0 0\n")
+    elif bad == "non-hex":
+        path.write_text("zz 0 0 0\n")
+    argv = ["construct", "--family", "kerdock", "--k", "4", "--kerdock-set-file", str(path)]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_construct_kerdock_set_file_with_another_family_exits_2(tmp_path, capsys):
+    argv = ["construct", "--family", "id-hadamard", "--k", "2", "--kerdock-set-file", "set.txt"]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert "--kerdock-set-file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_construct_bad_kron(tmp_path):

@@ -1,5 +1,6 @@
 """Deterministic frame catalog and the two Kronecker lifts."""
 
+import collections
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from blockframe import (
     steiner_pairs_etf,
     welch_coherence_lower,
 )
+from blockframe import constructions, matrixcore
 from blockframe.bounds import etf_max_blocks
 from blockframe.constructions import (
     FrameRecipe,
@@ -148,6 +150,26 @@ def test_discrete_chirp_domain():
             discrete_chirp(bad)
 
 
+def _per_column_windows(p, window_phase):
+    """Reference loop: column a*p + b is window a times tone b, over sqrt(p)."""
+    t = np.arange(p)
+    cols = np.empty((p, p * p), dtype=np.complex128)
+    for a in range(p):
+        window = np.exp(2j * np.pi * window_phase(a, t) / p)
+        for b in range(p):
+            cols[:, a * p + b] = window * np.exp(2j * np.pi * b * t / p)
+    cols /= np.sqrt(p)
+    return cols
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_modulated_windows_match_the_per_column_formula_bitwise(p):
+    alltop = _per_column_windows(p, lambda a, t: ((t + a) ** 3 - a**3) % p)
+    chirp = _per_column_windows(p, lambda a, t: a * t * t % p)
+    assert alltop_gabor(p).tobytes() == alltop.tobytes()
+    assert discrete_chirp(p).tobytes() == chirp.tobytes()
+
+
 def test_id_hadamard_union_entries():
     p = id_hadamard_union(1)
     assert p.shape == (2, 4)
@@ -229,19 +251,19 @@ def test_kerdock_domain():
             kerdock_real(bad)
 
 
-def test_kerdock_set_file_round_trip(tmp_path):
-    mats = kerdock_set(4)
-    path = tmp_path / "set.txt"
+def _write_set_file(path, mats):
+    """One line per matrix: row i as the hex word whose bit j is entry (i, j)."""
     lines = ["# stored kerdock set", ""]
     for p in mats:
-        words = []
-        for i in range(4):
-            rv = 0
-            for j in range(4):
-                rv |= int(p[i, j]) << j
-            words.append(format(rv, "x"))
+        words = [format(sum(int(v) << j for j, v in enumerate(row)), "x") for row in p]
         lines.append(" ".join(words))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_kerdock_set_file_round_trip(tmp_path):
+    mats = kerdock_set(4)
+    path = _write_set_file(tmp_path / "set.txt", mats)
 
     back = read_kerdock_set_file(path, 4)
     assert len(back) == len(mats)
@@ -251,25 +273,50 @@ def test_kerdock_set_file_round_trip(tmp_path):
     assert np.array_equal(kerdock_real(4, mats=back), kerdock_real(4))
 
 
-def test_kerdock_set_file_rejects(tmp_path):
+def test_kerdock_set_file_rejects(tmp_path, monkeypatch):
     path = tmp_path / "bad.txt"
     path.write_text("0 0 0\n", encoding="utf-8")
     with pytest.raises(FrameError):
         read_kerdock_set_file(path, 4)
-    # duplicated matrix: differences become singular
-    mats = kerdock_set(4)
-    rows = []
-    for p in [mats[0]] * 8:
-        words = []
-        for i in range(4):
-            rv = 0
-            for j in range(4):
-                rv |= int(p[i, j]) << j
-            words.append(format(rv, "x"))
-        rows.append(" ".join(words))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    with pytest.raises(FrameError):
-        read_kerdock_set_file(path, 4)
+    # duplicated matrix: differences become singular.  The file is only
+    # parsed; kerdock_real validates the set before any frame is built.
+    _write_set_file(path, [kerdock_set(4)[0]] * 8)
+    assert len(read_kerdock_set_file(path, 4)) == 8
+
+    def no_frame(k):
+        raise AssertionError("a frame was built from an invalid set")
+
+    monkeypatch.setattr(constructions, "hadamard_sylvester", no_frame)
+    with pytest.raises(FrameError, match="singular"):
+        build_frame(FrameRecipe("kerdock", {"k": 4, "set_file": str(path)}, ("hadamard", 1)))
+
+
+# ---------------------------------------------------------------- size guard
+
+
+@pytest.mark.parametrize(
+    "build, arg, entries",
+    [
+        (steiner_pairs_etf, 4, 6 * 16),
+        (harmonic_qr_etf, 7, 3 * 7),
+        (alltop_gabor, 5, 5 * 25),
+        (discrete_chirp, 5, 5 * 25),
+        (id_hadamard_union, 2, 4 * 8),
+        (kerdock_real, 4, 16 * 128),
+    ],
+)
+def test_builders_check_the_entry_count_first(monkeypatch, build, arg, entries):
+    monkeypatch.setattr(matrixcore, "_MAX_ENTRIES", entries)
+    assert build(arg).size == entries
+
+    def no_work(*args):
+        raise AssertionError("work done before the size check")
+
+    monkeypatch.setattr(matrixcore, "_MAX_ENTRIES", entries - 1)
+    monkeypatch.setattr(constructions, "is_prime", no_work)
+    monkeypatch.setattr(constructions, "kerdock_set", no_work)
+    with pytest.raises(FrameError, match="size guard"):
+        build(arg)
 
 
 # ---------------------------------------------------------------- Table-1 averages
@@ -422,6 +469,75 @@ def test_build_frame_external_family(tmp_path):
     write_bfm(upath, BlockFrame(n=4, r=1, m=8, data=u.astype(np.complex128), field_tag="real"))
     uframe = build_frame(FrameRecipe("external", {"path": upath}, ("hadamard", 1)))
     assert validate(uframe).union_of_orthobases
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts of each verifier's calls, by name, from the moment it is used."""
+    calls = collections.Counter()
+    for name in ("verify_etf", "verify_flat_union", "validate_kerdock_set"):
+
+        def counted(*args, _real=getattr(constructions, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, name, counted)
+    return calls
+
+
+_ETF = {"verify_etf": 1}
+_FLAT = {"verify_flat_union": 1}
+_KERDOCK = {"verify_flat_union": 1, "validate_kerdock_set": 1}
+
+
+@pytest.mark.parametrize("kron", [("none",), ("hadamard", 1)], ids=["no-lift", "lift"])
+@pytest.mark.parametrize(
+    "family, params, calls",
+    [
+        ("steiner", {"v": 4}, _ETF),
+        ("harmonic", {"p": 7}, _ETF),
+        ("alltop", {"p": 5}, _FLAT),
+        ("chirp", {"p": 5}, _FLAT),
+        ("id-hadamard", {"k": 2}, _FLAT),
+        ("kerdock", {"k": 4}, _KERDOCK),
+        ("kerdock", {"k": 4, "set_file": "set.txt"}, _KERDOCK),
+        ("external", {"path": "etf.bfm"}, _ETF),
+        ("external", {"path": "flat.bfm"}, _FLAT),
+    ],
+    ids=[
+        "steiner",
+        "harmonic",
+        "alltop",
+        "chirp",
+        "id-hadamard",
+        "kerdock",
+        "kerdock-set-file",
+        "external-etf",
+        "external-flat",
+    ],
+)
+def test_build_frame_verifies_each_factor_once(tmp_path, verify_calls, family, params, calls, kron):
+    _write_set_file(tmp_path / "set.txt", kerdock_set(4))
+    write_bfm(tmp_path / "etf.bfm", BlockFrame(n=6, r=1, m=16, data=steiner_pairs_etf(4)))
+    write_bfm(tmp_path / "flat.bfm", BlockFrame(n=4, r=1, m=8, data=id_hadamard_union(2)))
+    files = {key: str(tmp_path / params[key]) for key in ("path", "set_file") if key in params}
+    verify_calls.clear()
+    build_frame(FrameRecipe(family, {**params, **files}, kron))
+    assert verify_calls == calls
+
+
+@pytest.mark.parametrize(
+    "lift, build, kind",
+    [
+        (kron_from_etf, steiner_pairs_etf, "verify_etf"),
+        (kron_from_flat_union, id_hadamard_union, "verify_flat_union"),
+    ],
+)
+def test_kron_from_verifies_a_supplied_factor_once(verify_calls, lift, build, kind):
+    p = build(3)
+    verify_calls.clear()
+    lift(p, H1)
+    assert verify_calls == {kind: 1}
 
 
 def test_build_frame_errors(tmp_path):
