@@ -112,6 +112,8 @@ def run_ndp_experiment(
         raise FrameError("no frames given")
     if trials < 1:
         raise FrameError(f"need at least one trial, got {trials}")
+    if snr_db is not None and not np.isfinite(snr_db):
+        raise FrameError(f"snr_db must be finite, got {snr_db}")
     cells = [(k, dr) for k in k_grid for dr in dr_grid]
 
     def one_trial(t):

@@ -34,6 +34,7 @@ from .constructions import FAMILIES, FrameRecipe, build_frame
 from .flipping import FlipConfig, flip
 from .frame import average_coherence, validate
 from .io import read_bfm, sha256_file, write_bfm, write_csv, write_gram_csv, write_json
+from .matrixcore import check_entries
 
 def _threads(args):
     if args.threads is not None:
@@ -131,9 +132,7 @@ def coherence_report(frame):
         "r": frame.r,
         "m": frame.m,
         "field": frame.field_tag,
-        "worst_case_coherence": float(
-            rec.gram.max(initial=0.0, where=~np.eye(frame.m, dtype=bool))
-        ),
+        "worst_case_coherence": rec.worst_case_coherence,
         "average_coherence": average_coherence(frame),
         "welch_lower_bound": welch_coherence_lower(frame.n, frame.r, frame.m),
         "orthobases_lower_bound": (
@@ -163,10 +162,13 @@ def _print_summary(payload):
 
 def cmd_construct(args):
     key = FAMILIES[args.family][0]
+    for name, _ in FAMILIES.values():
+        flag = "--file" if name == "path" else f"--{name}"
+        if name == key and getattr(args, name) is None:
+            raise FrameError(f"{flag} is required for family {args.family}")
+        if name != key and getattr(args, name) is not None:
+            raise FrameError(f"{flag} is not a parameter of family {args.family}")
     params = {key: getattr(args, key)}
-    if params[key] is None:
-        flag = "--file" if key == "path" else f"--{key}"
-        raise FrameError(f"{flag} is required for family {args.family}")
     if args.kerdock_set_file is not None:
         if args.family != "kerdock":
             raise FrameError(f"--kerdock-set-file is for family kerdock, not {args.family}")
@@ -243,6 +245,7 @@ def cmd_threshold(args):
             raise FrameError(f"--grid expects LO:HI:COUNT, got {args.grid!r}")
         if count < 2 or not lo < hi:
             raise FrameError("--grid needs LO < HI and COUNT >= 2")
+        check_entries(count, f"--grid COUNT {count}")
         betas = list(np.linspace(lo, hi, count))
     sols = [solve_threshold(float(b)) for b in betas]
     columns = ("beta", "multiplier", "residual")

@@ -13,9 +13,12 @@ Two kinds of column matrix P feed the Kronecker machinery:
 Every P is verified exactly once (verify_etf / verify_flat_union), so a
 silent algebra mistake cannot leak a wrong frame: a builder verifies the P
 it returns, and kron_from_etf / kron_from_flat_union verify a P their
-caller supplies.  The lift itself (_lift) never verifies P again.  Every
-builder checks P's entry count against the memory guard before it loops
-or allocates.  FAMILIES is the one list of recipe families.
+caller supplies.  The lift itself (_lift) never verifies P again.  Both
+checks are one, _verify: it reads every cross modulus from the same pair
+pass that gives mu and the Gram map, so verification allocates nothing
+larger than P, and every builder checks P's entry count against the
+memory guard before it loops or allocates.  FAMILIES is the one list of
+recipe families.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame
+from .frame import BlockFrame, _pair_chunks
 from .io import read_bfm
 from .matrixcore import (
     as_matrix,
@@ -52,74 +55,61 @@ def is_prime(p):
 
 
 @dataclass(frozen=True)
-class ETFReport:
-    is_etf: bool
-    coherence: float
-    welch_value: float
-    max_offdiag_dev: float
-    tight_residual: float
+class Verification:
+    ok: bool
+    modulus: float
+    group_dev: float
+    cross_min: float
+    cross_max: float
+    tight_dev: float
 
 
-def verify_etf(p, tol=_VERIFY_TOL):
-    """Check unit columns, equiangularity, tightness, and Welch equality."""
+def _verify(p, w, modulus):
+    """P measured as a tight union of orthonormal runs of w columns at one modulus.
+
+    group_dev is max |X* X - I| over the runs, and cross_min and cross_max
+    are the extremes of |<p_i, p_j>| across runs, read chunk by chunk from
+    the one pair pass (frame._pair_chunks) with the runs as blocks.
+    tight_dev is max |P P* - (m/n) I|.  ok is each deviation below 1e-10,
+    tightness below 1e-10 max(1, m/n).  Nothing here is larger than P.
+    """
+    n, m = p.shape
+    group_dev = gram_deviation(p.reshape(n, m // w, w).transpose(1, 0, 2))
+    cross_min, cross_max = np.inf, 0.0
+    for _, _, c in _pair_chunks(p, w):
+        mods = np.abs(c)
+        cross_min = min(cross_min, float(mods.min()))
+        cross_max = max(cross_max, float(mods.max()))
+    tight_dev = float(np.abs(p @ p.conj().T - (m / n) * np.eye(n)).max())
+    ok = (
+        max(group_dev, cross_max - modulus, modulus - cross_min) < _VERIFY_TOL
+        and tight_dev < _VERIFY_TOL * max(1.0, m / n)
+    )
+    return Verification(ok, modulus, group_dev, cross_min, cross_max, tight_dev)
+
+
+def verify_etf(p):
+    """Check unit columns, equiangularity at the Welch bound, and tightness."""
     p = as_matrix(p)
     n, m = p.shape
     if m <= n or m < 2:
         raise FrameError(f"an ETF here must be overcomplete, got {n}x{m}")
-    g = p.conj().T @ p
-    mods = np.abs(g)
-    col_dev = float(np.abs(mods.diagonal() - 1.0).max())
-    off = mods[~np.eye(m, dtype=bool)]
-    welch = float(np.sqrt((m - n) / (n * (m - 1))))
-    off_dev = float(np.abs(off - welch).max())
-    tight = float(np.abs(p @ p.conj().T - (m / n) * np.eye(n)).max())
-    ok = col_dev < tol and off_dev < tol and tight < tol * max(1.0, m / n)
-    return ETFReport(
-        is_etf=ok,
-        coherence=float(off.max()),
-        welch_value=welch,
-        max_offdiag_dev=off_dev,
-        tight_residual=tight,
-    )
+    return _verify(p, 1, float(np.sqrt((m - n) / (n * (m - 1)))))
 
 
-@dataclass(frozen=True)
-class FlatUnionReport:
-    is_flat_union: bool
-    n_bases: int
-    cross_modulus: float
-    max_unitary_dev: float
-    max_cross_dev: float
-
-
-def verify_flat_union(p, tol=_VERIFY_TOL):
-    """Check that p is a union of orthobases with one cross-basis modulus."""
+def verify_flat_union(p):
+    """Check that p is a union of orthobases with one cross-basis modulus 1/sqrt(n)."""
     p = as_matrix(p)
     n, m = p.shape
     if m % n != 0 or m // n < 2:
         raise FrameError(f"need a multiple of at least two bases, got {n}x{m}")
-    nb = m // n
-    udev = gram_deviation(p.reshape(n, nb, n).transpose(1, 0, 2))
-    target = 1.0 / np.sqrt(n)
-    cdev = 0.0
-    for a in range(nb):
-        for b in range(a + 1, nb):
-            cross = np.abs(p[:, a * n : (a + 1) * n].conj().T @ p[:, b * n : (b + 1) * n])
-            cdev = max(cdev, float(np.abs(cross - target).max()))
-    ok = udev < tol and cdev < tol
-    return FlatUnionReport(
-        is_flat_union=ok,
-        n_bases=nb,
-        cross_modulus=target,
-        max_unitary_dev=udev,
-        max_cross_dev=cdev,
-    )
+    return _verify(p, n, float(1.0 / np.sqrt(n)))
 
 
 def _verified(p, kind, what):
     """p itself, once verify_etf (kind "ETF") or verify_flat_union passes it."""
     rep = verify_etf(p) if kind == "ETF" else verify_flat_union(p)
-    if not (rep.is_etf if kind == "ETF" else rep.is_flat_union):
+    if not rep.ok:
         raise FrameError(f"{what} failed {kind} verification: {rep}")
     return p
 

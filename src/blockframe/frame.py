@@ -108,43 +108,42 @@ class BlockFrame:
         return cls(n=n, r=r, m=len(blocks), data=data, field_tag=field_tag)
 
 
-def _pair_chunks(frame):
+def _pair_chunks(x, r):
     """Every block pair i < j once, a run of block rows at a time.
 
-    One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with
-    j > i are gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.
-    Yields (i, j, C, H) with the pairs' index vectors and H = C*C, in the
-    frame's own dtype.  H is formed only at r >= 4; r = 1, 2 and 3 take
-    their singular values from C itself (see _cross_singular_values).
+    x is n x (m*r) data, read as m blocks of r columns.  One gemm
+    A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with j > i are
+    gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.  Yields
+    (i, j, C) with the pairs' index vectors, in x's own dtype.  A consumer
+    that needs H = C*C (r >= 4) forms it from C with one batched matmul.
 
     Everything computed from C or H is sign-invariant bit for bit.  Chunk
     shapes depend on (m, r) alone, and a gemm of fixed shapes does the same
     operations on negated inputs, so negating block k negates every C that
     involves it exactly and leaves H unchanged.
     """
-    r, m = frame.r, frame.m
-    x = frame.data
+    m = x.shape[1] // r
     i0 = 0
     while i0 < m - 1:
         i1 = min(m - 1, i0 + max(1, _CHUNK_ENTRIES // (r * r * (m - i0))))
         g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
         g = g.reshape(i1 - i0, r, m - i0, r).swapaxes(1, 2)
         a, b = np.triu_indices(i1 - i0, 1, m - i0)
-        c = g[a, b]
-        yield a + i0, b + i0, c, np.matmul(c.conj().swapaxes(1, 2), c) if r >= 4 else None
+        yield a + i0, b + i0, g[a, b]
         i0 = i1
 
 
-def _cross_singular_values(c, h):
+def _cross_singular_values(c):
     """Singular values of each cross-Gram in a chunk, smallest first, largest last.
 
     |c| at r = 1, the closed forms at r = 2 and r = 3, eigvalsh(H) at r >= 4.
     """
-    if h is not None:
-        return gram_singular_values(h)
-    if c.shape[-1] == 1:
+    r = c.shape[-1]
+    if r >= 4:
+        return gram_singular_values(np.matmul(c.conj().swapaxes(1, 2), c))
+    if r == 1:
         return np.abs(c[:, :, 0])
-    return singular_values_2x2(c) if c.shape[-1] == 2 else singular_values_3x3(c)
+    return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
 
 
 def _exhaustive_sweep(frame):
@@ -152,8 +151,8 @@ def _exhaustive_sweep(frame):
     check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
     g = np.eye(frame.m)
     smin, smax = np.inf, 0.0
-    for i, j, c, h in _pair_chunks(frame):
-        sv = _cross_singular_values(c, h)
+    for i, j, c in _pair_chunks(frame.data, frame.r):
+        sv = _cross_singular_values(c)
         g[i, j] = g[j, i] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
@@ -188,11 +187,12 @@ def worst_case_coherence(frame):
     if frame.m < 2:
         raise FrameError("worst-case coherence needs at least two blocks")
     best = 0.0
-    for _, _, c, h in _pair_chunks(frame):
-        if h is None:
-            best = max(best, float(_cross_singular_values(c, h)[:, -1].max()))
+    for _, _, c in _pair_chunks(frame.data, frame.r):
+        if frame.r <= 3:
+            best = max(best, float(_cross_singular_values(c)[:, -1].max()))
             continue
         floor = best * (1.0 - _PRUNE_SLACK)
+        h = np.matmul(c.conj().swapaxes(1, 2), c)
         h = h[_sigma_max_bound(h, 1) >= floor]
         u2 = _sigma_max_bound(np.matmul(h, h), 2)
         if not np.any(u2 >= floor):
@@ -268,7 +268,8 @@ def spectral_distance(frame, i, j):
 class ValidationRecord:
     """Structural facts about a frame, with the deviations behind them.
 
-    gram is the m x m Gram map, a by-product of the pass behind the spread.
+    gram is the m x m Gram map, and worst_case_coherence its largest
+    off-diagonal entry, both by-products of the pass behind the spread.
     """
 
     unit_columns: bool
@@ -280,6 +281,7 @@ class ValidationRecord:
     max_block_gram_dev: float
     tight_residual: float
     cross_singular_spread: float
+    worst_case_coherence: float
     gram: np.ndarray = field(repr=False, compare=False)
 
 
@@ -314,5 +316,6 @@ def validate(frame):
         max_block_gram_dev=block_dev,
         tight_residual=float(residual),
         cross_singular_spread=spread,
+        worst_case_coherence=smax,
         gram=g,
     )

@@ -188,6 +188,7 @@ def dft_matrix(p):
     """
     if p < 1:
         raise FrameError(f"dft size must be >= 1, got {p}")
+    check_entries(p * p, f"dft matrix of size {p}")
     j = np.arange(p)
     w = np.exp(2j * np.pi * np.outer(j, j) / p)
     if p <= 2:

@@ -215,8 +215,8 @@ def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, threads=1):
         raise FrameError(f"need at least one trial, got {trials}")
     points = []
     for ri, r in enumerate(r_grid):
-        if not 2 * r < n:
-            raise FrameError(f"grid point r={r} violates 2r < n")
+        if r < 1 or not 2 * r < n:
+            raise FrameError(f"grid point r={r} violates 1 <= r, 2r < n")
         m = default_block_count(n, r, cap=m_cap)
         beta = r / n
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=seed, field_tag="real")

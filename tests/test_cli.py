@@ -12,6 +12,7 @@ import pytest
 
 from blockframe import BlockFrame, ConvergenceError, __version__, solve_threshold
 from blockframe.cli import main
+from blockframe import matrixcore
 from blockframe.constructions import FAMILIES
 from blockframe.io import read_bfm, sha256_file, write_bfm
 
@@ -112,6 +113,15 @@ def test_construct_missing_param(tmp_path, capsys, family):
     rc = main(["construct", "--family", family, "--out-dir", str(tmp_path)])
     assert rc == 2
     assert f"{_FLAG[family]} is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_construct_refuses_another_familys_flag(tmp_path, capsys, family):
+    stray = next(flag for flag in _FLAG.values() if flag != _FLAG[family])
+    argv = ["construct", "--family", family, _FLAG[family], "5", stray, "7"]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert f"{stray} is not a parameter of family {family}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("family", ["alltop", "chirp"])
@@ -229,6 +239,12 @@ def test_threshold_errors():
     assert main(["threshold"]) == 2
     assert main(["threshold", "--grid", "0.1:0.4"]) == 2
     assert main(["threshold", "--grid", "0.4:0.1:5"]) == 2
+
+
+def test_threshold_grid_count_above_the_size_guard_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(matrixcore, "_MAX_ENTRIES", 1000)
+    assert main(["threshold", "--grid", "0.1:0.3:1001"]) == 2
+    assert "size guard" in capsys.readouterr().err
 
 
 def test_threshold_convergence_exit(monkeypatch):
@@ -419,6 +435,14 @@ def test_cs_zero_trials(tmp_path):
     assert main(argv + ["--out-dir", str(tmp_path / "cs")]) == 2
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_cs_non_finite_snr_exits_2(tmp_path, capsys, snr):
+    argv = ["cs", "--random", "rnd=8,2,8", "--k-grid", "1", "--trials", "1", f"--snr-db={snr}"]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert "snr_db must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cs_random_non_positive_shape(tmp_path, capsys):
     argv = ["cs", "--random", "rnd=3,-2,-2", "--k-grid", "1", "--trials", "1"]
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
@@ -447,6 +471,13 @@ def test_cs_signal_substreams_reject_a_negative_seed(tmp_path, capsys):
     argv = ["cs", "--frame", f"det={cdir / 'frame.bfm'}", "--k-grid", "1", "--trials", "1"]
     assert main(argv + ["--seed", "-2", "--out-dir", str(tmp_path / "cs")]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_random_mu_block_width_below_one_exits_2(tmp_path, capsys):
+    argv = ["random-mu", "--n", "10", "--r-grid", "0", "--trials", "1"]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    assert "r=0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_random_mu_zero_trials(tmp_path):

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,9 +53,9 @@ def test_steiner_pairs_etf_v4():
     p = steiner_pairs_etf(4)
     assert p.shape == (6, 16)
     rep = verify_etf(p)
-    assert rep.is_etf
-    assert rep.coherence == pytest.approx(1.0 / 3.0, abs=1e-10)
-    assert rep.coherence == pytest.approx(welch_coherence_lower(6, 1, 16), abs=1e-10)
+    assert rep.ok
+    assert rep.cross_max == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert rep.cross_max == pytest.approx(welch_coherence_lower(6, 1, 16), abs=1e-10)
     norms = np.linalg.norm(p, axis=0)
     assert np.abs(norms - 1.0).max() < 1e-12
 
@@ -63,8 +64,8 @@ def test_steiner_pairs_etf_v5():
     p = steiner_pairs_etf(5)
     assert p.shape == (10, 25)
     rep = verify_etf(p)
-    assert rep.is_etf
-    assert rep.coherence == pytest.approx(0.25, abs=1e-10)
+    assert rep.ok
+    assert rep.cross_max == pytest.approx(0.25, abs=1e-10)
 
 
 def test_steiner_domain():
@@ -76,13 +77,13 @@ def test_harmonic_qr_etf():
     p7 = harmonic_qr_etf(7)
     assert p7.shape == (3, 7)
     rep = verify_etf(p7)
-    assert rep.is_etf
-    assert rep.coherence == pytest.approx(math.sqrt(4.0 / 18.0), abs=1e-10)
-    assert rep.tight_residual < 1e-9
+    assert rep.ok
+    assert rep.cross_max == pytest.approx(math.sqrt(4.0 / 18.0), abs=1e-10)
+    assert rep.tight_dev < 1e-9
 
     p11 = harmonic_qr_etf(11)
     assert p11.shape == (5, 11)
-    assert verify_etf(p11).is_etf
+    assert verify_etf(p11).ok
 
 
 def test_harmonic_domain():
@@ -95,7 +96,7 @@ def test_verify_etf_rejects():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 12))
     g /= np.linalg.norm(g, axis=0, keepdims=True)
-    assert not verify_etf(g).is_etf
+    assert not verify_etf(g).ok
     # a lone orthonormal basis is not overcomplete
     with pytest.raises(FrameError):
         verify_etf(dft_matrix(5))
@@ -122,11 +123,11 @@ def test_alltop_gabor_p5():
     same, cross = _enumerate_moduli(p, 5)
     assert np.abs(cross - 5.0 ** -0.5).max() < 1e-10
     assert same.max() < 1e-10
-    assert verify_flat_union(p).is_flat_union
+    assert verify_flat_union(p).ok
 
 
 def test_alltop_gabor_p7_flat():
-    assert verify_flat_union(alltop_gabor(7)).is_flat_union
+    assert verify_flat_union(alltop_gabor(7)).ok
 
 
 def test_alltop_domain():
@@ -141,7 +142,7 @@ def test_discrete_chirp_p5():
     same, cross = _enumerate_moduli(p, 5)
     assert np.abs(cross - 5.0 ** -0.5).max() < 1e-10
     assert same.max() < 1e-10
-    assert verify_flat_union(p).is_flat_union
+    assert verify_flat_union(p).ok
 
 
 def test_discrete_chirp_domain():
@@ -182,7 +183,7 @@ def test_id_hadamard_union_entries():
 
 def test_id_hadamard_union_flat_small_k():
     for k in (1, 2, 3, 4):
-        assert verify_flat_union(id_hadamard_union(k)).is_flat_union
+        assert verify_flat_union(id_hadamard_union(k)).ok
     with pytest.raises(FrameError):
         id_hadamard_union(0)
 
@@ -191,9 +192,34 @@ def test_verify_flat_union_rejects():
     rng = np.random.default_rng(4)
     g = rng.standard_normal((4, 8))
     g /= np.linalg.norm(g, axis=0, keepdims=True)
-    assert not verify_flat_union(g).is_flat_union
+    assert not verify_flat_union(g).ok
     with pytest.raises(FrameError):
         verify_flat_union(rng.standard_normal((4, 6)))  # not a basis multiple
+
+
+def test_verify_flat_union_rejects_bases_that_fail_only_the_cross_moduli():
+    p = kerdock_real(4)
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))[0]
+    rotated = p.copy()
+    rotated[:, -16:] = p[:, -16:] @ q  # the same span, another orthobasis
+    repeated = p.copy()
+    repeated[:, -16:] = p[:, :16]
+    for bad in (rotated, repeated):
+        rep = verify_flat_union(bad)
+        assert rep.group_dev < 1e-10 and rep.tight_dev < 1e-10
+        assert not rep.ok
+        assert max(rep.cross_max - 0.25, 0.25 - rep.cross_min) > 1e-3
+
+
+def test_verify_etf_peaks_below_twice_the_size_of_p():
+    p = harmonic_qr_etf(1019)
+    tracemalloc.start()
+    try:
+        assert verify_etf(p).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * p.nbytes
 
 
 # ---------------------------------------------------------------- kerdock family
@@ -234,7 +260,7 @@ def test_gf2_rank_basics():
 def test_kerdock_real_k4():
     p = kerdock_real(4)
     assert p.shape == (16, 128)
-    assert verify_flat_union(p).is_flat_union
+    assert verify_flat_union(p).ok
     assert np.all(p.imag == 0.0)
     # within-basis Gram is the exact identity: entries are signed powers of two
     b = p[:, :16]

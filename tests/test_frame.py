@@ -199,7 +199,7 @@ def test_pair_sweep_properties(case, sign_seed):
     frame, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
-        chunks = list(frame_module._pair_chunks(frame))
+        chunks = list(frame_module._pair_chunks(frame.data, frame.r))
         mu = worst_case_coherence(frame)
         g = gram_map(frame)
         signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)

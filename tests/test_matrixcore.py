@@ -375,6 +375,13 @@ def test_dft_matrix():
         dft_matrix(0)
 
 
+def test_dft_matrix_is_size_checked_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(matrixcore_module, "_MAX_ENTRIES", 1000)
+    assert dft_matrix(31).shape == (31, 31)
+    with pytest.raises(FrameError, match="size guard"):
+        dft_matrix(100)
+
+
 def test_hadamard_sylvester():
     for k in (0, 1, 3):
         h = hadamard_sylvester(k)
