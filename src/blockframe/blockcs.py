@@ -8,6 +8,7 @@ the lower block index.  The score is the non-discovery proportion, the
 fraction of true blocks missed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +74,31 @@ def ndp(true_support, est_support):
     return len(s - shat) / len(s)
 
 
+def _noise_ratio(snr_db):
+    """10^(-snr_db / 10), the noise-to-signal power ratio; inf where it overflows float64."""
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _add_noise(y, snr_db, rng):
-    power = float(np.mean(np.abs(y) ** 2))
-    sigma = np.sqrt(power * 10.0 ** (-snr_db / 10.0))
-    noise = rng.standard_normal(y.shape)
-    if np.iscomplexobj(y):
-        noise = (noise + 1j * rng.standard_normal(y.shape)) / np.sqrt(2.0)
-    return y + sigma * noise
+    """y plus white Gaussian noise snr_db below its mean power.
+
+    Refuses noise that takes ||y||^2 out of float64.  Where ||y||^2 is finite,
+    so is every correlation energy ||A_i* y||^2 <= ||y||^2 that thresholding
+    ranks, A_i having orthonormal columns.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = float(np.mean(np.abs(y) ** 2))
+        sigma = np.sqrt(power * _noise_ratio(snr_db))
+        noise = rng.standard_normal(y.shape)
+        if np.iscomplexobj(y):
+            noise = (noise + 1j * rng.standard_normal(y.shape)) / np.sqrt(2.0)
+        noisy = y + sigma * noise
+    if not math.isfinite(np.vdot(noisy, noisy).real):
+        raise FrameError(f"snr_db {snr_db} takes the noisy measurements out of float64")
+    return noisy
 
 
 @dataclass(frozen=True)
@@ -105,8 +124,10 @@ def run_ndp_experiment(
     is the IEEE-754 bit pattern of dr, so distinct ranges never share draws,
     whatever the grid order.  With snr_db set, white Gaussian noise at that
     SNR relative to the mean measurement power is added from a sibling
-    substream.  Trials parallelize over threads; results are bit-identical
-    either way.
+    substream.  snr_db must be finite, and a trial whose noise takes the
+    measurements' ||y||^2 out of float64 is refused (for n = 8 and dynamic
+    range 10, from about -3060 dB down).  Trials parallelize over threads;
+    results are bit-identical either way.
     """
     if not frames:
         raise FrameError("no frames given")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, _pair_chunks
+from .frame import BlockFrame, _cross_grams
 from .io import read_bfm
 from .matrixcore import (
     as_matrix,
@@ -69,14 +69,14 @@ def _verify(p, w, modulus):
 
     group_dev is max |X* X - I| over the runs, and cross_min and cross_max
     are the extremes of |<p_i, p_j>| across runs, read chunk by chunk from
-    the one pair pass (frame._pair_chunks) with the runs as blocks.
+    the one pair pass (frame._cross_grams) with the runs as blocks.
     tight_dev is max |P P* - (m/n) I|.  ok is each deviation below 1e-10,
     tightness below 1e-10 max(1, m/n).  Nothing here is larger than P.
     """
     n, m = p.shape
     group_dev = gram_deviation(p.reshape(n, m // w, w).transpose(1, 0, 2))
     cross_min, cross_max = np.inf, 0.0
-    for _, _, c in _pair_chunks(p, w):
+    for _, _, c in _cross_grams(p, w):
         mods = np.abs(c)
         cross_min = min(cross_min, float(mods.min()))
         cross_max = max(cross_max, float(mods.max()))

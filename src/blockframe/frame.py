@@ -34,7 +34,9 @@ _ORTHO_TOL = 1e-8
 _TIGHT_TOL = 1e-8
 _ISOCLINIC_TOL = 1e-6
 _CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
-_PRUNE_SLACK = 1e-10  # covers rounding in the certificate and in eigvalsh
+_PRUNE_SLACK = 1e-10  # covers rounding in the certificates, the closed forms and eigvalsh
+_MAX_POWER = 32  # the last H^p whose ||H^p||_F prunes at r >= 4
+_NORMAL_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps  # see _prunes
 
 
 def check_nrm(n, r, m):
@@ -112,25 +114,44 @@ def _pair_chunks(x, r):
     """Every block pair i < j once, a run of block rows at a time.
 
     x is n x (m*r) data, read as m blocks of r columns.  One gemm
-    A_I* A[:, i0*r:] covers the rows I = i0..i1-1; its blocks with j > i are
-    gathered into the (p, r, r) stack C of cross-Grams A_i* A_j.  Yields
-    (i, j, C) with the pairs' index vectors, in x's own dtype.  A consumer
-    that needs H = C*C (r >= 4) forms it from C with one batched matmul.
+    A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Yields (i0, g), g being
+    the gemm output as an (I, r, m - i0, r) view in x's own dtype:
+    g[a, :, b, :] is the cross-Gram A_i* A_j of i = i0 + a and j = i0 + b.
+    The pairs of the chunk are its entries with b > a; the others are the
+    diagonal blocks A_i* A_i and pairs that an earlier chunk covers.
 
-    Everything computed from C or H is sign-invariant bit for bit.  Chunk
-    shapes depend on (m, r) alone, and a gemm of fixed shapes does the same
-    operations on negated inputs, so negating block k negates every C that
-    involves it exactly and leaves H unchanged.
+    Everything computed from a cross-Gram C, or from H = C*C, is
+    sign-invariant bit for bit.  Chunk shapes depend on (m, r) alone, and a
+    gemm of fixed shapes does the same operations on negated inputs, so
+    negating block k negates every C that involves it exactly and leaves H,
+    the squared entries behind ||C||_F and the pruning choices unchanged.
     """
     m = x.shape[1] // r
     i0 = 0
     while i0 < m - 1:
         i1 = min(m - 1, i0 + max(1, _CHUNK_ENTRIES // (r * r * (m - i0))))
         g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
-        g = g.reshape(i1 - i0, r, m - i0, r).swapaxes(1, 2)
-        a, b = np.triu_indices(i1 - i0, 1, m - i0)
-        yield a + i0, b + i0, g[a, b]
+        yield i0, g.reshape(i1 - i0, r, m - i0, r)
         i0 = i1
+
+
+def _gather(g, a, b):
+    """The (p, r, r) stack of cross-Grams g[a, :, b, :] of a chunk, C-contiguous.
+
+    Each row of r entries is copied as one opaque item, which is faster than
+    numpy's entry-by-entry copy of a strided r x r subspace; the bytes are
+    the same.
+    """
+    r = g.shape[1]
+    rows = g.view(np.dtype((np.void, r * g.itemsize)))
+    return rows[a, :, b, 0].view(g.dtype).reshape(len(a), r, r)
+
+
+def _cross_grams(x, r):
+    """Every pair of _pair_chunks gathered: yields (i, j, C), C the (p, r, r) stack."""
+    for i0, g in _pair_chunks(x, r):
+        a, b = np.triu_indices(g.shape[0], 1, g.shape[2])
+        yield a + i0, b + i0, _gather(g, a, b)
 
 
 def _cross_singular_values(c):
@@ -151,7 +172,7 @@ def _exhaustive_sweep(frame):
     check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
     g = np.eye(frame.m)
     smin, smax = np.inf, 0.0
-    for i, j, c in _pair_chunks(frame.data, frame.r):
+    for i, j, c in _cross_grams(frame.data, frame.r):
         sv = _cross_singular_values(c)
         g[i, j] = g[j, i] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
@@ -172,37 +193,137 @@ def gram_map(frame):
 def worst_case_coherence(frame):
     """Largest cross-block spectral norm over all unordered block pairs.
 
-    At r <= 3 every pair's sigma_max is taken in closed form.  At r >= 4
-    only pairs that can hold the maximum are eigen-solved, behind two
-    certificates that bound sigma_max from above: u = ||H||_F^(1/2) =
-    (sum of sigma^4)^(1/4) for every pair, with H = C*C, then the tighter
-    u2 = ||H^2||_F^(1/4) = (sum of sigma^8)^(1/8) for the pairs u keeps.
-    A chunk drops the pairs with u or u2 below best * (1 - 1e-10), best
-    being the largest sigma_max solved so far.  If any are left, it solves
-    its pair of largest u2, then the other pairs with u2 >= best * (1 - 1e-10),
-    so no pair is solved twice.
-    eigvalsh treats each matrix on its own, so the result equals the
-    exhaustive maximum bit for bit.
+    Each chunk of the pair sweep solves only the pairs that can hold the
+    maximum.  best is the largest sigma_max solved so far, and a pair is
+    dropped when a certificate, an upper bound on its sigma_max, is below
+    best * (1 - 1e-10).
+      r = 1: sigma = |c|, read straight off the chunk.
+      r = 2, 3: ||C||_F, from strided sums of the squared chunk, before any
+        pair is gathered; the pair of largest ||C||_F is solved in closed
+        form first, and the rest are held against the raised best before
+        they are gathered and solved.
+      r >= 4: u = ||H||_F^(1/2) = (sum of sigma^4)^(1/4), H = C*C, then
+        u_p = ||H^p||_F^(1/(2p)) = (sum of sigma^(4p))^(1/(4p)) for
+        p = 2, 4, ... up to 32, H^p squared in turn for the pairs the last
+        bound kept, while a squaring drops pairs.  The survivor of largest
+        u_p is eigen-solved, and the rest are held against the raised best
+        and squared on in the same way before they are solved.
+    No certificate is held against best where best^(4p) (p = 1/2 for
+    ||C||_F) would leave the normal float64 range; see _prunes.  No pair is
+    solved twice.  The closed forms are elementwise and eigvalsh treats each
+    matrix on its own, so the result equals the exhaustive maximum bit for
+    bit.
     """
     if frame.m < 2:
         raise FrameError("worst-case coherence needs at least two blocks")
+    r = frame.r
     best = 0.0
-    for _, _, c in _pair_chunks(frame.data, frame.r):
-        if frame.r <= 3:
-            best = max(best, float(_cross_singular_values(c)[:, -1].max()))
-            continue
-        floor = best * (1.0 - _PRUNE_SLACK)
-        h = np.matmul(c.conj().swapaxes(1, 2), c)
-        h = h[_sigma_max_bound(h, 1) >= floor]
-        u2 = _sigma_max_bound(np.matmul(h, h), 2)
-        if not np.any(u2 >= floor):
-            continue
-        top = int(u2.argmax())
-        best = max(best, float(gram_singular_values(h[top : top + 1])[0, -1]))
-        keep = u2 >= best * (1.0 - _PRUNE_SLACK)
-        keep[top] = False
-        best = float(gram_singular_values(h[keep])[:, -1].max(initial=best))
+    for _, g in _pair_chunks(frame.data, r):
+        if r == 1:
+            best = max(best, float(np.triu(np.abs(g[:, 0, :, 0]), 1).max()))
+        elif r <= 3:
+            best = _closed_form_max(g, best)
+        else:
+            best = _eigen_max(_gather(g, *np.triu_indices(g.shape[0], 1, g.shape[2])), best)
     return best
+
+
+def _frobenius_squares(g):
+    """||C||_F^2 of every cross-Gram of an (I, r, J, r) chunk, as an (I, J) array."""
+    n_i, r, n_j, _ = g.shape
+    x = g.reshape(n_i * r, n_j * r)
+    sq = np.square(x) if x.dtype == np.float64 else np.square(x.real) + np.square(x.imag)
+    cols = sq[:, 0::r] + sq[:, 1::r]
+    for k in range(2, r):
+        cols += sq[:, k::r]
+    rows = cols[0::r] + cols[1::r]
+    for k in range(2, r):
+        rows += cols[k::r]
+    return rows
+
+
+def _closed_form_max(g, best):
+    """best raised to the largest sigma_max of an r = 2 or r = 3 chunk, by Frobenius pruning.
+
+    The pairs are pruned against best so far, the survivor of largest ||C||_F
+    is solved, and the rest are pruned again against the raised best before
+    they are solved, as in _eigen_max.
+    """
+    n_i, _, n_j, _ = g.shape
+    f = _frobenius_squares(g)
+    keep = np.arange(n_j) > np.arange(n_i)[:, None]  # the chunk's pairs, j > i
+    floor = best * (1.0 - _PRUNE_SLACK)
+    if _prunes(floor, 0.5):
+        keep &= f >= floor * floor
+    if not keep.any():
+        return best
+    a, b = divmod(int(np.where(keep, f, -1.0).argmax()), n_j)
+    best = max(best, float(_cross_singular_values(g[a, :, b, :][None])[0, -1]))
+    keep[a, b] = False
+    floor = best * (1.0 - _PRUNE_SLACK)
+    if _prunes(floor, 0.5):
+        keep &= f >= floor * floor
+    a, b = np.nonzero(keep)
+    if a.size:
+        best = max(best, float(_cross_singular_values(_gather(g, a, b))[:, -1].max()))
+    return best
+
+
+def _eigen_max(c, best):
+    """best raised to the largest sigma_max of a (p, r, r) stack, r >= 4, by squaring.
+
+    The pairs are pruned against best so far, the survivor of largest
+    certificate is eigen-solved, and the rest are pruned again against the
+    raised best before they are solved.
+    """
+    floor = best * (1.0 - _PRUNE_SLACK)
+    h = np.matmul(c.conj().swapaxes(1, 2), c)
+    if _prunes(floor, 1):
+        h = h[_sigma_max_bound(h, 1) >= floor]
+    g = np.matmul(h, h)
+    h, g, u, power = _square_and_prune(h, g, _sigma_max_bound(g, 2), 2, floor)
+    if not len(h):
+        return best
+    top, last = int(u.argmax()), len(h) - 1
+    best = max(best, float(gram_singular_values(h[top : top + 1])[0, -1]))
+    for x in (h, g, u):  # the top pair to the end, and out of the views below
+        x[[top, last]] = x[[last, top]]
+    floor = best * (1.0 - _PRUNE_SLACK)
+    h, _, _, _ = _square_and_prune(h[:last], g[:last], u[:last], power, floor)
+    if len(h):
+        best = max(best, float(gram_singular_values(h)[:, -1].max()))
+    return best
+
+
+def _square_and_prune(h, g, u, power, floor):
+    """The pairs of (H, G = H^power, u = u_power) whose certificate reaches floor.
+
+    G is squared on while a squaring drops pairs, always at least once past
+    u_2, which is loose at large r, and up to H^32.  Returns (h, g, u, power)
+    of the survivors at the last power.
+    """
+    while _prunes(floor, power):
+        keep = u >= floor
+        if not keep.all():
+            h, g, u = h[keep], g[keep], u[keep]
+        elif power > 2:
+            break
+        if not len(h) or power == _MAX_POWER or not _prunes(floor, 2 * power):
+            break
+        g = np.matmul(g, g)
+        power *= 2
+        u = _sigma_max_bound(g, power)
+    return h, g, u, power
+
+
+def _prunes(floor, power):
+    """Whether a certificate (sum of sigma^(4 power))^(1/(4 power)) may be held against floor.
+
+    The sum is formed from entries of size about sigma^(4 power); below the
+    normal float64 range, with 52 bits to spare, rounding could take a pair
+    that holds the maximum under floor, so no pair is dropped there.
+    """
+    return floor ** (4 * power) >= _NORMAL_MIN
 
 
 def _sigma_max_bound(g, power):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,19 @@ def test_cs_non_finite_snr_exits_2(tmp_path, capsys, snr):
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     assert "snr_db must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("snr, rc", [("-4000", 2), ("-3080", 2), ("-3000", 0)])
+def test_cs_snr_whose_noise_power_overflows_exits_2(tmp_path, capsys, snr, rc):
+    # at -4000 dB the power ratio 10^(-snr/10) itself leaves float64; at -3080 dB
+    # it is finite, but sigma times the noise draws overflows ||y||^2
+    argv = ["cs", "--random", "rnd=8,2,8", "--k-grid", "1", "--trials", "1", f"--snr-db={snr}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == rc
+    if rc:
+        assert "takes the noisy measurements out of float64" in capsys.readouterr().err
+    assert (tmp_path / "o").exists() == (rc == 0)
 
 
 def test_cs_random_non_positive_shape(tmp_path, capsys):

@@ -18,6 +18,7 @@ from blockframe import (
     spectral_norm,
     worst_case_coherence,
 )
+from blockframe.constructions import FrameRecipe, build_frame
 from blockframe.flipping import FlipConfig, apply_block_signs
 from blockframe.frame import BlockFrame
 
@@ -80,28 +81,42 @@ def test_flip_raises_when_a_flipped_block_is_not_plus_minus_its_original(monkeyp
 
 
 def _greedy_signs_oracle(frame, variant):
-    """The greedy rule with one np.linalg.norm call per candidate sum."""
+    """The greedy rule with one np.linalg.norm call per candidate sum.
+
+    Returns the signs and the number of steps whose two norms are equal.
+    """
     order = 2 if variant == "spectral" else None
-    signs = [1]
+    signs, ties = [1], 0
     f_sum = frame.block(0).copy()
     for k in range(1, frame.m):
         b = frame.block(k)
-        if np.linalg.norm(f_sum + b, order) - np.linalg.norm(f_sum - b, order) <= 1e-12:
+        n_plus, n_minus = np.linalg.norm(f_sum + b, order), np.linalg.norm(f_sum - b, order)
+        ties += n_plus == n_minus
+        if n_plus - n_minus <= 1e-12:
             signs.append(1)
             f_sum += b
         else:
             signs.append(-1)
             f_sum -= b
-    return signs
+    return signs, ties
 
 
 @pytest.mark.parametrize("variant", ["spectral", "frobenius"])
 @pytest.mark.parametrize("field_tag", ["real", "complex"])
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_flip_signs_match_the_two_norm_greedy_rule(r, field_tag, variant):
     frame = sample_block_frame(RandomFrameSpec(n=24, r=r, m=60, seed=r, field_tag=field_tag))
     res = flip(frame, FlipConfig(norm_variant=variant))
-    assert res.signs.tolist() == _greedy_signs_oracle(frame, variant)
+    assert res.signs.tolist() == _greedy_signs_oracle(frame, variant)[0]
+
+
+@pytest.mark.parametrize("variant", ["spectral", "frobenius"])
+def test_flip_signs_match_the_greedy_rule_through_exact_ties(variant):
+    # kerdock(4) x H_1: a block orthogonal to the running sum gives n+ = n-
+    frame = build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
+    signs, ties = _greedy_signs_oracle(frame, variant)
+    assert ties >= 10
+    assert flip(frame, FlipConfig(norm_variant=variant)).signs.tolist() == signs
 
 
 def test_flip_nu_matches_recomputation():

@@ -199,7 +199,7 @@ def test_pair_sweep_properties(case, sign_seed):
     frame, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
-        chunks = list(frame_module._pair_chunks(frame.data, frame.r))
+        chunks = list(frame_module._cross_grams(frame.data, frame.r))
         mu = worst_case_coherence(frame)
         g = gram_map(frame)
         signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)
@@ -237,19 +237,114 @@ def _certificate_stacks(r):
     return {"isoclinic": isoclinic, "rank-1": rank1, "gaussian": gauss}
 
 
+def _as_chunk(c):
+    """A (p, r, r) stack laid out as a (1, r, p, r) chunk of the pair sweep."""
+    return np.ascontiguousarray(c.transpose(1, 0, 2))[None]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_frobenius_certificate_bounds_sigma_max(r, cplx):
+    rng = np.random.default_rng(2000 + r)
+    stacks = _certificate_stacks(r)
+    if cplx:
+        # rank one with complex factors: ||C||_F = sigma_max exactly
+        u = rng.standard_normal((400, r, 1)) + 1j * rng.standard_normal((400, r, 1))
+        v = rng.standard_normal((400, 1, r)) + 1j * rng.standard_normal((400, 1, r))
+        stacks = {"rank-1": u * v / (2 * r), "gaussian": stacks["gaussian"] * (1 + 1j) / 2}
+    else:
+        u, v = rng.standard_normal((400, r, 1)), rng.standard_normal((400, 1, r))
+        stacks["rank-1"] = np.concatenate([stacks["rank-1"], u * v / r])
+    slack = frame_module._PRUNE_SLACK
+    for kind, c in stacks.items():
+        frob = np.sqrt(frame_module._frobenius_squares(_as_chunk(c))[0])
+        smax = frame_module._cross_singular_values(c)[:, -1]
+        assert np.all(frob >= smax * (1.0 - slack)), kind
+        assert np.all(frob >= np.linalg.svd(c, compute_uv=False)[:, 0] * (1.0 - slack)), kind
+        if kind == "rank-1":
+            # equal in exact arithmetic: only rounding, well inside the slack, separates them
+            assert np.all(np.abs(frob - smax) <= 1e-14 * smax), kind
+
+
 @pytest.mark.parametrize("r", [4, 10, 90])
 def test_second_certificate_bounds_sigma_max(r):
+    slack = frame_module._PRUNE_SLACK
     for kind, c in _certificate_stacks(r).items():
         h = np.matmul(c.conj().swapaxes(1, 2), c)
-        u = frame_module._sigma_max_bound(h, 1)
-        u2 = frame_module._sigma_max_bound(np.matmul(h, h), 2)
         smax = np.linalg.svd(c, compute_uv=False)[:, 0]
-        # what the pruning rule relies on, with the slack it allows
-        assert np.all(u2 >= smax * (1.0 - frame_module._PRUNE_SLACK)), kind
-        assert np.all(u2 <= u * (1.0 + frame_module._PRUNE_SLACK)), kind
+        g, power = h, 1
+        previous = frame_module._sigma_max_bound(g, power)
+        while power < frame_module._MAX_POWER:
+            g, power = np.matmul(g, g), 2 * power
+            bound = frame_module._sigma_max_bound(g, power)
+            # what the pruning rule relies on, with the slack it allows
+            assert np.all(bound >= smax * (1.0 - slack)), (kind, power)
+            assert np.all(bound <= previous * (1.0 + slack)), (kind, power)
+            previous = bound
 
 
-@pytest.mark.parametrize("r", [4, 10, 90])
+def test_squared_certificate_underflow_is_never_held_against_best():
+    # sigma ~ 1e-3: sigma^128 underflows, so u_32 reads 0 below sigma_max
+    c = 1e-3 * _certificate_stacks(4)["gaussian"]
+    smax = np.linalg.svd(c, compute_uv=False)[:, 0]
+    floor = smax.min() * (1.0 - frame_module._PRUNE_SLACK)
+    g, power = np.matmul(c.swapaxes(1, 2), c), 1
+    held = []
+    while power < frame_module._MAX_POWER:
+        g, power = np.matmul(g, g), 2 * power
+        bound = frame_module._sigma_max_bound(g, power)
+        if frame_module._prunes(floor, power):
+            held.append(power)
+            assert np.all(bound >= smax * (1.0 - frame_module._PRUNE_SLACK)), power
+    assert held and held[-1] < frame_module._MAX_POWER
+    assert np.all(bound < smax)  # the bound the guard keeps out of the sweep
+
+
+def test_squaring_stops_before_the_certificate_underflows():
+    # s = 1e-3: pair 0 (s Q, isoclinic) has the largest u_2 and is solved
+    # first; fillers t_p Q drop out at p = 2, 4, 8, 16 and keep the squaring
+    # going; the rank-one pair of sigma 1.05 s holds the maximum, and its
+    # u_32 = (1.05 s)^128 would underflow to 0
+    r, s = 4, 1e-3
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, r, r)))[0]
+    fillers = [s * 4.0 ** (-3 / (8 * p)) * q[k] for k, p in enumerate((2, 4, 8, 16), 1)]
+    u, v = q[5][:, :1], q[5][:1, :]
+    c = np.stack([s * q[0], *fillers, 1.05 * s * u @ v / np.linalg.norm(v)])
+    exhaustive = float(gram_singular_values(np.matmul(c.swapaxes(1, 2), c))[:, -1].max())
+    assert exhaustive == pytest.approx(1.05 * s, rel=1e-12)
+    assert frame_module._eigen_max(c, 0.0) == exhaustive
+
+
+def _orthogonal_first_block_frame(r, seed):
+    """Block 0 = [e_1 .. e_r], every other block random in span(e_{r+1} .. e_{3r})."""
+    rng = np.random.default_rng(seed)
+    first = np.zeros((3 * r, r))
+    first[:r] = np.eye(r)
+    others = np.zeros((7, 3 * r, r))
+    others[:, r:] = orthonormalize(rng.standard_normal((7, 2 * r, r)))
+    return BlockFrame.from_blocks([first, *others], field_tag="real")
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 1 << 16])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_first_block_orthogonal_to_every_other_block(monkeypatch, r, chunk):
+    # block 0's cross-Grams are exactly 0, so a chunk may open with best = 0:
+    # only pairs j > i may then pass the certificate, never a block with itself
+    frame = _orthogonal_first_block_frame(r, 40 + r)
+    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+    mu = worst_case_coherence(frame)
+    g = gram_map(frame)
+    assert np.all(g[0, 1:] == 0.0)
+    assert 0.0 < mu < 1.0
+    assert mu == _off_diagonal_max(g)
+
+
+def _kerdock4():
+    return build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 10, 90])
 def test_twice_pruned_mu_equals_the_exhaustive_maximum(r):
     etf = harmonic_qr_etf(7)  # 3 x 7: cross-Grams of its Kronecker blocks are c I_r
     frames = [
@@ -257,27 +352,61 @@ def test_twice_pruned_mu_equals_the_exhaustive_maximum(r):
         random_frame(r + 6, r, 12, r),
         random_frame(r + 6, r, 12, r + 1, complex_blocks=True),
     ]
+    if r == 2:
+        frames.append(_kerdock4())  # every cross-basis pair ties at 1/4
     for frame in frames:
         assert worst_case_coherence(frame) == _off_diagonal_max(gram_map(frame))
 
 
-@pytest.mark.parametrize("chunk", [1, 200, 1 << 16])
-def test_no_pair_is_eigen_solved_twice(monkeypatch, chunk):
-    # every cross-Gram of this Kronecker frame is c I_4 with one c, so the
-    # certificates prune no pair and each chunk solves all of its pairs
-    frame = kron_from_etf(harmonic_qr_etf(7), np.eye(4))
+def _solved_rows(monkeypatch, frame):
+    """mu of frame, and the rows it hands to the closed forms and to eigvalsh."""
     rows = []
 
-    def counting(h):
-        rows.append(len(h))
-        return gram_singular_values(h)
+    def counting(solve):
+        def solve_and_count(stack):
+            rows.append(len(stack))
+            return solve(stack)
 
-    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
-    monkeypatch.setattr(frame_module, "gram_singular_values", counting)
-    mu = worst_case_coherence(frame)
-    monkeypatch.undo()
+        return solve_and_count
+
+    with monkeypatch.context() as mp:
+        for name in ("gram_singular_values", "singular_values_2x2", "singular_values_3x3"):
+            mp.setattr(frame_module, name, counting(getattr(frame_module, name)))
+        mu = worst_case_coherence(frame)
+    return mu, sum(rows)
+
+
+def test_squaring_decides_at_r30(monkeypatch):
+    # (200, 30, 44): u and u_2 leave almost every pair; squaring on to u_32 leaves few
+    frame = random_frame(200, 30, 44, 0)
     pairs = frame.m * (frame.m - 1) // 2
-    assert sum(rows) <= pairs
+    mu, rows = _solved_rows(monkeypatch, frame)
+    assert mu == _off_diagonal_max(gram_map(frame))
+    assert rows < 0.05 * pairs
+    monkeypatch.setattr(frame_module, "_MAX_POWER", 2)
+    mu2, rows2 = _solved_rows(monkeypatch, frame)
+    assert mu2 == mu
+    assert rows2 > 0.9 * pairs
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 1 << 16])
+def test_no_pair_is_eigen_solved_twice(monkeypatch, chunk):
+    # every cross-Gram of a Kronecker frame ETF x I_r is c I_r with one c, and
+    # every cross-basis pair of kerdock(4) x H_1 has sigma = 1/4, so the
+    # certificates prune none of those and each chunk solves all of them,
+    # its first-solved pair included, once
+    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+    etf = harmonic_qr_etf(7)
+    for frame in [kron_from_etf(etf, np.eye(r)) for r in (2, 3, 4)] + [_kerdock4()]:
+        mu, rows = _solved_rows(monkeypatch, frame)
+        assert rows <= frame.m * (frame.m - 1) // 2
+        assert mu == _off_diagonal_max(gram_map(frame))
+
+
+def test_frobenius_certificate_prunes_random_frames(monkeypatch):
+    frame = random_frame(128, 2, 256, 0)
+    mu, rows = _solved_rows(monkeypatch, frame)
+    assert rows < 0.01 * frame.m * (frame.m - 1) // 2
     assert mu == _off_diagonal_max(gram_map(frame))
 
 
