@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical non-convergence.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,18 +111,23 @@ def _parse_kron(text):
     raise FrameError(f"unknown --kron kind {text!r} (none|hadamard:K|dft:P|file:PATH)")
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, kind, what):
+    """The values of a comma-separated list; one that holds none is refused."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [kind(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise FrameError(f"{flag} expects comma-separated integers, got {text!r}")
+        values = []
+    if not values:
+        raise FrameError(f"{flag} expects comma-separated {what}, got {text!r}")
+    return values
+
+
+def _parse_int_list(text, flag):
+    return _parse_list(text, flag, int, "integers")
 
 
 def _parse_float_list(text, flag):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise FrameError(f"{flag} expects comma-separated numbers, got {text!r}")
+    return _parse_list(text, flag, float, "numbers")
 
 
 def coherence_report(frame):
@@ -368,15 +374,21 @@ def cmd_cs(args):
     from .sampling import RandomFrameSpec, sample_block_frame
 
     frames = []
+
+    def labelled(item, flag, form):
+        # --frame and --random labels name the rows of one table
+        label, _, value = item.partition("=")
+        if not label or not value:
+            raise FrameError(f"{flag} expects {form}, got {item!r}")
+        if any(label == seen for seen, _ in frames):
+            raise FrameError(f"{flag} {item!r}: label {label!r} is already taken")
+        return label, value
+
     for item in args.frame or []:
-        label, _, path = item.partition("=")
-        if not path:
-            raise FrameError(f"--frame expects LABEL=PATH, got {item!r}")
+        label, path = labelled(item, "--frame", "LABEL=PATH")
         frames.append((label, read_bfm(path)))
     for idx, item in enumerate(args.random or []):
-        label, _, shape = item.partition("=")
-        if not shape:
-            raise FrameError(f"--random expects LABEL=N,R,M, got {item!r}")
+        label, shape = labelled(item, "--random", "LABEL=N,R,M")
         dims = _parse_int_list(shape, "--random")
         if len(dims) != 3:
             raise FrameError(f"--random expects LABEL=N,R,M, got {item!r}")
@@ -431,7 +443,13 @@ _SHARED = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and reused by every later one.
+
+    parse_args leaves the parser as it found it and returns a fresh
+    namespace, so the one parser serves every main call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="blockframe",
         description="Build, measure, and improve block frames with low block coherence.",
@@ -439,15 +457,14 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *shared):
+    def command(name, help, *shared):
         p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         for opt in shared:
             p.add_argument(opt, **_SHARED[opt])
-        p.set_defaults(func=func)
         return p
 
-    p = command("construct", cmd_construct, "build a frame from a recipe")
+    p = command("construct", "build a frame from a recipe")
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--v", type=int, help="points of the pair design (steiner)")
     p.add_argument("--p", type=int, help="prime parameter (harmonic, alltop, chirp)")
@@ -457,42 +474,34 @@ def build_parser():
     p.add_argument("--kron", default="none", help="none | hadamard:K | dft:P | file:PATH")
     p.add_argument("--out-dir", default=".", help="output directory")
 
-    p = command("analyze", cmd_analyze, "report on a frame file")
+    p = command("analyze", "report on a frame file")
     p.add_argument("frame", help=".bfm frame file")
     p.add_argument("--out-dir", default=".", help="output directory")
 
-    p = command("bounds", cmd_bounds, "bound table for (n, r, m)")
+    p = command("bounds", "bound table for (n, r, m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--field", choices=("real", "complex"), default="complex")
     p.add_argument("--out-dir", default=None, help="also write bounds.json here")
 
-    p = command("threshold", cmd_threshold, "sparsity threshold multiplier", "--format")
+    p = command("threshold", "sparsity threshold multiplier", "--format")
     p.add_argument("--beta", type=float, help="single aspect ratio in (0, 1/2)")
     p.add_argument("--grid", help="LO:HI:COUNT inclusive grid")
     p.add_argument("--out-dir", default=None, help="also write threshold table here")
 
-    p = command(
-        "random-mu", cmd_random_mu, "random-frame coherence curve", "--trials", "--threads"
-    )
+    p = command("random-mu", "random-frame coherence curve", "--trials", "--threads")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r-grid", required=True, help="comma-separated block widths")
     p.add_argument("--m-cap", type=int, default=400, help="cap on block count")
     p.add_argument("--out-dir", default=".", help="output directory")
 
-    p = command("flip", cmd_flip, "greedy sign flip of a frame")
+    p = command("flip", "greedy sign flip of a frame")
     p.add_argument("frame", help=".bfm frame file")
     p.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
     p.add_argument("--out-dir", default=".", help="output directory")
 
-    p = command(
-        "flip-table",
-        cmd_flip_table,
-        "flip improvement over random frames",
-        "--threads",
-        "--format",
-    )
+    p = command("flip-table", "flip improvement over random frames", "--threads", "--format")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r-list", required=True, help="comma-separated block widths")
@@ -500,9 +509,7 @@ def build_parser():
     p.add_argument("--norm", choices=("spectral", "frobenius"), default="spectral")
     p.add_argument("--out-dir", default=".", help="output directory")
 
-    p = command(
-        "cs", cmd_cs, "block-sparse recovery experiment", "--trials", "--threads"
-    )
+    p = command("cs", "block-sparse recovery experiment", "--trials", "--threads")
     p.add_argument("--frame", action="append", help="LABEL=PATH (repeatable)")
     p.add_argument(
         "--random", action="append", help="LABEL=N,R,M random frame, redrawn per trial"
@@ -519,12 +526,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
     args.started = time.time()
+    # looked up when called, not when the cached parser was built, so a
+    # wrapper put on the module since then is the one that runs
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except FrameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

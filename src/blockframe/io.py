@@ -17,13 +17,18 @@ time.  Real frames are float64, so every imaginary part of a field=real
 file is written as 0.0.
 
 read_bfm checks the header (field, shape rule, size guard) before it reads
-a row, checks each row's separators (exactly one ":" per comma-separated
-entry, m*r entries) in one C-speed comparison, and parses the row's tokens
-with float().
+a row, and checks each row's separators (exactly one ":" per comma-separated
+entry, m*r entries) in one C-speed comparison as it reads it.  numpy's C
+text reader then parses the checked rows into the frame's array, at most
+_TEXT_CHUNK floats (and at least one row) per call, so no text copy of the
+whole body exists.  It rounds as float() does, and reads float()'s grammar
+without "_" separators or non-ASCII digits; an entry it refuses is a
+FrameError naming that entry.
 """
 
 import csv
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -34,7 +39,7 @@ from .matrixcore import check_entries
 
 _MAGIC = "BFM 1"
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b":,")))
-_TEXT_CHUNK = 1 << 16  # entries whose texts are looked up at once
+_TEXT_CHUNK = 1 << 16  # floats whose texts are formatted or parsed at once
 
 
 def _float_text(a):
@@ -113,37 +118,57 @@ def _read_header(path, fh):
     return n, r, m, field_tag
 
 
-def _row_floats(path, line, separators):
-    """The floats re, im, re, im, ... of one body line.
+def _parse(rows):
+    """numpy's C text reader on rows of comma-separated floats."""
+    return np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
-    With everything else deleted, the row's separators must equal
-    separators, ":,:,...,:" with one ":" per entry: one C-speed comparison
-    checks the structure and the width together.  Then the tokens go
-    through float() with no per-token Python loop.
+
+def _refuse_entries(path, entries):
+    """Raise a FrameError naming the first "re:im" entry the reader refuses.
+
+    A token with no ":" leaves an empty im part and one with two leaves a
+    ":" in it; the reader refuses both.
     """
-    if line.encode().translate(None, _NOT_SEPARATOR) == separators:
-        try:
-            return np.fromiter(
-                map(float, line.replace(":", ",").split(",")), np.float64, len(separators) + 1
-            )
-        except ValueError:
-            pass
-    # name the first token that is not "re:im"; a token with no ":" or two
-    # leaves nothing or a ":" in im_s, which float() refuses
-    for tok in line.split(","):
+    for tok in entries:
         re_s, _, im_s = tok.partition(":")
         try:
-            float(re_s), float(im_s)
+            _parse([f"{re_s},{im_s}"])
         except ValueError:
             raise FrameError(f"{path}: bad entry {tok!r}") from None
-    raise FrameError(f"{path}: data shape does not match header")
+
+
+def _checked_rows(path, fh, n, m, r):
+    """The body's n rows, blank lines skipped, each checked before it is parsed.
+
+    With everything else deleted, a row's separators must equal
+    ":,:,...,:" with one ":" per entry: one C-speed comparison checks the
+    structure and the width together.
+    """
+    separators = b":," * (m * r - 1) + b":"
+    rows = 0
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        if rows == n:
+            raise FrameError(f"{path}: data shape does not match header")
+        if line.encode().translate(None, _NOT_SEPARATOR) != separators:
+            _refuse_entries(path, line.split(","))
+            raise FrameError(f"{path}: data shape does not match header")
+        rows += 1
+        yield line
+    if rows != n:
+        raise FrameError(f"{path}: data shape does not match header")
 
 
 def read_bfm(path):
     """Read a .bfm file; BlockFrame refuses blocks not orthonormal to 1e-8.
 
     The rows are parsed into one (n, 2*m*r) float64 array that is viewed as
-    complex128, so every bit of every part, -0.0 included, is kept.
+    complex128, so every bit of every part, -0.0 included, is kept.  A
+    chunk's rows are all checked before any of them is parsed, so a fault in
+    a row's structure is reported before a bad number in an earlier row of
+    its chunk.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -153,20 +178,18 @@ def read_bfm(path):
         with fh:
             n, r, m, field_tag = _read_header(path, fh)
             data = np.empty((n, 2 * m * r))
-            separators = b":," * (m * r - 1) + b":"
-            rows = 0
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if rows == n:
-                    raise FrameError(f"{path}: data shape does not match header")
-                data[rows] = _row_floats(path, line, separators)
-                rows += 1
+            rows = _checked_rows(path, fh, n, m, r)
+            step = max(1, _TEXT_CHUNK // data.shape[1])
+            for i0 in range(0, n, step):
+                chunk = list(itertools.islice(rows, step))
+                try:
+                    data[i0 : i0 + len(chunk)] = _parse([row.replace(":", ",") for row in chunk])
+                except ValueError:
+                    _refuse_entries(path, (tok for row in chunk for tok in row.split(",")))
+                    raise
+            next(rows, None)  # a row past the n-th, which no chunk asked for
     except UnicodeDecodeError as exc:
         raise FrameError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if rows != n:
-        raise FrameError(f"{path}: data shape does not match header")
     try:
         return BlockFrame(n=n, r=r, m=m, data=data.view(np.complex128), field_tag=field_tag)
     except FrameError as exc:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from blockframe import BlockFrame, ConvergenceError, __version__, solve_threshold
+from blockframe import cli
 from blockframe.cli import main
 from blockframe import matrixcore
 from blockframe.constructions import FAMILIES
@@ -362,6 +363,81 @@ def test_cs_requires_frames(tmp_path):
 
 def test_cs_bad_frame_argument(tmp_path):
     assert main(["cs", "--frame", "nopath", "--k-grid", "1", "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        (["--frame", "a={frame}", "--frame", "a={frame}"], "label 'a' is already taken"),
+        (["--frame", "a={frame}", "--random", "a=4,1,8"], "label 'a' is already taken"),
+        (["--random", "a=4,1,8", "--random", "a=4,1,8"], "label 'a' is already taken"),
+        (["--frame", "={frame}"], "--frame expects LABEL=PATH"),
+        (["--random", "=4,1,8"], "--random expects LABEL=N,R,M"),
+    ],
+    ids=["frame-twice", "frame-and-random", "random-twice", "empty-frame", "empty-random"],
+)
+def test_cs_duplicate_or_empty_label_exits_2(tmp_path, capsys, frame_file, items, message):
+    # --frame and --random labels name the rows of one table
+    out = tmp_path / "o"
+    argv = ["cs", *(tok.format(frame=frame_file) for tok in items), "--k-grid", "1,2"]
+    assert main(argv + ["--trials", "2", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cs", "--random", "rnd=4,1,8", "--k-grid", ",", "--trials", "1"],
+        ["cs", "--random", "rnd=4,1,8", "--k-grid", "1", "--dr-grid", ",", "--trials", "1"],
+        ["random-mu", "--n", "16", "--r-grid", ",", "--trials", "1"],
+        ["flip-table", "--n", "16", "--m", "24", "--r-list", ",", "--realizations", "1"],
+    ],
+    ids=["k-grid", "dr-grid", "r-grid", "r-list"],
+)
+def test_empty_grid_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "expects comma-separated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, frame_file):
+    # one parser serves every main call in a process
+    runs = [
+        ["cs", "--frame", f"a={frame_file}", "--k-grid", "1", "--trials", "1"],
+        ["cs", "--random", "b=4,1,8", "--k-grid", "1", "--trials", "1"],
+    ]
+    for i, argv in enumerate(runs):
+        argv = argv + ["--out-dir", str(tmp_path / str(i))]
+        assert main(argv) == 0
+        man = json.loads((tmp_path / str(i) / "cs-manifest.json").read_text())
+        assert man["argv"] == argv
+        assert man["params"]["frames"] == [["a"], ["b"]][i]
+    with pytest.raises(SystemExit) as ex:
+        main(["bounds", "--n", "12", "--r", "2", "--m", "16", "--no-such-option"])
+    assert ex.value.code == 2
+    out = tmp_path / "b"
+    argv = ["bounds", "--n", "12", "--r", "2", "--m", "16", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert json.loads((out / "bounds-manifest.json").read_text())["argv"] == argv
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as ex:
+            main(["--version"])
+        assert ex.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
+
+def test_main_calls_the_command_the_module_holds_now(monkeypatch, capsys):
+    # the parser is built once, so wrappers set on the module after it was
+    # built (a tracer's, a test's) must still be the ones main runs
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.n) or 0)
+    assert main(["bounds", "--n", "12", "--r", "2", "--m", "16"]) == 0
+    assert seen == [12]
 
 
 # ---------------------------------------------------------------- bad input exits 2

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blockframe import BlockFrame, FrameError, RandomFrameSpec, gram_map, sample_block_frame
+from blockframe import io as bfm_io
 from blockframe.io import (
     read_bfm,
     sha256_file,
@@ -84,10 +86,7 @@ def structured_frames(draw):
     return BlockFrame.from_blocks(blocks)
 
 
-@settings(max_examples=60, deadline=None)
-@given(structured_frames())
-def test_bfm_bytes_and_bits_match_per_entry_oracle(tmp_path_factory, frame):
-    tmp = tmp_path_factory.mktemp("oracle")
+def check_against_oracle(tmp, frame):
     path = tmp / "f.bfm"
     write_bfm(path, frame)
     assert path.read_bytes() == oracle_bfm(frame)
@@ -98,6 +97,28 @@ def test_bfm_bytes_and_bits_match_per_entry_oracle(tmp_path_factory, frame):
     g = gram_map(frame)
     write_gram_csv(gram_path, g)
     assert gram_path.read_bytes() == oracle_csv(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_frames())
+def test_bfm_bytes_and_bits_match_per_entry_oracle(tmp_path_factory, frame):
+    check_against_oracle(tmp_path_factory.mktemp("oracle"), frame)
+
+
+# chunk sizes in floats, from the frame: one float (a row per chunk), and two
+# rows of 2*m*r floats and part of a third (a short last chunk whenever n is odd)
+CHUNKS = {
+    "one-float": lambda frame: 1,
+    "uneven": lambda frame: 5 * frame.m * frame.r,
+}
+
+
+@pytest.mark.parametrize("chunk", list(CHUNKS))
+@settings(max_examples=30, deadline=None)
+@given(frame=structured_frames())
+def test_bfm_oracle_holds_at_any_chunk_size(tmp_path_factory, chunk, frame):
+    with mock.patch.object(bfm_io, "_TEXT_CHUNK", CHUNKS[chunk](frame)):
+        check_against_oracle(tmp_path_factory.mktemp("chunk"), frame)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -193,6 +214,11 @@ def test_bfm_read_errors(tmp_path):
         "1.0:0.0,1.0",
         "1.0:0.0,,0.0:0.0",
         "1.0:0.0,0.0:0.0,",
+        "1.0:0.0,0.176_77:0.0",  # float() reads "_" separators, the reader does not
+        "1.0:0.0,\uff10.5:0.0",  # nor non-ASCII digits
+        "1.0:0.0,#:0.0",  # nor a comment
+        "1.0:0.0,0.0:#1",
+        "1.0:0.0,0.0:",
     ):
         path.write_text(f"BFM 1\nn=2 r=1 m=2 field=real\n{row}\n0.0:0.0,1.0:0.0\n")
         with pytest.raises(FrameError, match="entry"):
@@ -204,6 +230,35 @@ def test_bfm_read_errors(tmp_path):
     )
     with pytest.raises(FrameError):
         read_bfm(path)
+
+
+def test_bfm_rows_checked_at_any_chunk_size(tmp_path, monkeypatch):
+    path = tmp_path / "x.bfm"
+    head = "BFM 1\nn=3 r=1 m=3 field=real\n"
+    rows = ["1.0:0.0,0.0:0.0,0.0:0.0", "0.0:0.0,1.0:0.0,0.0:0.0", "0.0:0.0,0.0:0.0,1.0:0.0"]
+    bad = rows[:2] + ["0.0:0.0,0.0:0.0,1_0:0.0"]
+    # one row per chunk, two rows of 6 floats and a short last chunk, one chunk
+    for chunk in (1, 12, 1 << 16):
+        monkeypatch.setattr(bfm_io, "_TEXT_CHUNK", chunk)
+        assert np.array_equal(read_bfm_text(path, head, rows).data, np.eye(3))
+        with pytest.raises(FrameError, match="bad entry '1_0:0.0'"):
+            read_bfm_text(path, head, bad)
+        for body in (rows[:2], rows + rows[:1], rows + ["", "  "] + rows[:1]):
+            with pytest.raises(FrameError, match="shape"):
+                read_bfm_text(path, head, body)
+
+
+def read_bfm_text(path, head, rows):
+    path.write_text(head + "\n".join(rows) + "\n")
+    return read_bfm(path)
+
+
+def test_bfm_crlf_reads_to_the_same_bits(tmp_path):
+    frame = sample_block_frame(RandomFrameSpec(n=6, r=2, m=4, seed=3, field_tag="complex"))
+    path, crlf = tmp_path / "lf.bfm", tmp_path / "crlf.bfm"
+    write_bfm(path, frame)
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_bfm(crlf).data.tobytes() == frame.data.tobytes()
 
 
 def test_bfm_header_checked_before_rows(tmp_path):
