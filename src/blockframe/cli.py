@@ -111,23 +111,27 @@ def _parse_kron(text):
     raise FrameError(f"unknown --kron kind {text!r} (none|hadamard:K|dft:P|file:PATH)")
 
 
-def _parse_list(text, flag, kind, what):
-    """The values of a comma-separated list; one that holds none is refused."""
+def _parse_list(text, flag, kind, what, distinct):
+    """The values of a comma-separated list.
+
+    An empty entry, and so an empty list, is refused; with distinct, so is a
+    value given twice, since a grid's rows are keyed by their values.
+    """
     try:
-        values = [kind(tok) for tok in text.split(",") if tok]
+        values = [kind(tok) for tok in text.split(",")]
     except ValueError:
-        values = []
-    if not values:
-        raise FrameError(f"{flag} expects comma-separated {what}, got {text!r}")
+        raise FrameError(f"{flag} expects comma-separated {what}, got {text!r}") from None
+    if distinct and len(set(values)) < len(values):
+        raise FrameError(f"{flag} repeats a value: {text!r}")
     return values
 
 
-def _parse_int_list(text, flag):
-    return _parse_list(text, flag, int, "integers")
+def _parse_int_list(text, flag, distinct=True):
+    return _parse_list(text, flag, int, "integers", distinct)
 
 
 def _parse_float_list(text, flag):
-    return _parse_list(text, flag, float, "numbers")
+    return _parse_list(text, flag, float, "numbers", True)
 
 
 def coherence_report(frame):
@@ -389,7 +393,7 @@ def cmd_cs(args):
         frames.append((label, read_bfm(path)))
     for idx, item in enumerate(args.random or []):
         label, shape = labelled(item, "--random", "LABEL=N,R,M")
-        dims = _parse_int_list(shape, "--random")
+        dims = _parse_int_list(shape, "--random", distinct=False)  # 8,2,8 is a shape
         if len(dims) != 3:
             raise FrameError(f"--random expects LABEL=N,R,M, got {item!r}")
         n, r, m = dims

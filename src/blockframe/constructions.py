@@ -14,10 +14,10 @@ Every P is verified exactly once (verify_etf / verify_flat_union), so a
 silent algebra mistake cannot leak a wrong frame: a builder verifies the P
 it returns, and kron_from_etf / kron_from_flat_union verify a P their
 caller supplies.  The lift itself (_lift) never verifies P again.  Both
-checks are one, _verify: it reads every cross modulus from the same pair
-pass that gives mu and the Gram map, so verification allocates nothing
-larger than P, and every builder checks P's entry count against the
-memory guard before it loops or allocates.  FAMILIES is the one list of
+checks are one, _verify: it reads every cross modulus off the chunks of the
+pair pass that gives mu and the Gram map, copies no whole P and forms no
+n x n product, and every builder checks P's entry count against the memory
+guard before it loops or allocates.  FAMILIES is the one list of
 recipe families.
 """
 
@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, _cross_grams
+from .frame import BlockFrame, _pair_chunks
 from .io import read_bfm
 from .matrixcore import (
+    _SLICE_ENTRIES,
     as_matrix,
     check_entries,
     dft_matrix,
@@ -68,24 +69,50 @@ def _verify(p, w, modulus):
     """P measured as a tight union of orthonormal runs of w columns at one modulus.
 
     group_dev is max |X* X - I| over the runs, and cross_min and cross_max
-    are the extremes of |<p_i, p_j>| across runs, read chunk by chunk from
-    the one pair pass (frame._cross_grams) with the runs as blocks.
-    tight_dev is max |P P* - (m/n) I|.  ok is each deviation below 1e-10,
-    tightness below 1e-10 max(1, m/n).  Nothing here is larger than P.
+    are the extremes of |<p_i, p_j>| across runs, read off each chunk of the
+    one pair pass (frame._pair_chunks) with the runs as blocks.  tight_dev
+    is max |P P* - (m/n) I| (_tight_deviation).  ok is each deviation below
+    1e-10, tightness below 1e-10 max(1, m/n).  P is never copied whole, and
+    no n x n product is made.
     """
     n, m = p.shape
     group_dev = gram_deviation(p.reshape(n, m // w, w).transpose(1, 0, 2))
-    cross_min, cross_max = np.inf, 0.0
-    for _, _, c in _cross_grams(p, w):
-        mods = np.abs(c)
-        cross_min = min(cross_min, float(mods.min()))
-        cross_max = max(cross_max, float(mods.max()))
-    tight_dev = float(np.abs(p @ p.conj().T - (m / n) * np.eye(n)).max())
+    # map holds no chunk while the pass makes the next one
+    lows, highs = zip(*map(_cross_moduli, _pair_chunks(p, w)))
+    cross_min, cross_max = min(lows), max(highs)
+    tight_dev = _tight_deviation(p)
     ok = (
         max(group_dev, cross_max - modulus, modulus - cross_min) < _VERIFY_TOL
         and tight_dev < _VERIFY_TOL * max(1.0, m / n)
     )
     return Verification(ok, modulus, group_dev, cross_min, cross_max, tight_dev)
+
+
+def _cross_moduli(chunk):
+    """The smallest and largest |<p_i, p_j>| over the pairs of a chunk of the pair pass."""
+    _, g, keep = chunk
+    mods, pairs = np.abs(g), keep[:, None, :, None]
+    return float(mods.min(where=pairs, initial=np.inf)), float(mods.max(where=pairs, initial=0.0))
+
+
+def _tight_deviation(p):
+    """max |P P* - (m/n) I|, a tile of columns of P P* at a time.
+
+    A tile is P times the conjugate of a run of P's rows, with m/n taken off
+    its diagonal in place.  What a tile allocates, its n x step product and,
+    for a complex P, the step x m conjugated rows, is at most 2^16 entries
+    (or one column's worth), so P is never copied whole and no n x n product
+    is made.  A real P of n <= 256 is one tile, one symmetric rank-k update.
+    """
+    n, m = p.shape
+    step = max(1, _SLICE_ENTRIES // (n + m if np.iscomplexobj(p) else n))
+    devs = []
+    for i0 in range(0, n, step):
+        t = p @ p[i0 : i0 + step].conj().T
+        k = np.arange(t.shape[1])
+        t[i0 + k, k] -= m / n
+        devs.append(np.abs(t).max())
+    return float(np.max(devs))
 
 
 def verify_etf(p):

@@ -14,6 +14,7 @@ the average: 1/(m-1) * max_i | sum_{j != i} <p_i, p_j> |.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -114,11 +115,11 @@ def _pair_chunks(x, r):
     """Every block pair i < j once, a run of block rows at a time.
 
     x is n x (m*r) data, read as m blocks of r columns.  One gemm
-    A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Yields (i0, g), g being
-    the gemm output as an (I, r, m - i0, r) view in x's own dtype:
+    A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Yields (i0, g, keep), g
+    being the gemm output as an (I, r, m - i0, r) view in x's own dtype:
     g[a, :, b, :] is the cross-Gram A_i* A_j of i = i0 + a and j = i0 + b.
-    The pairs of the chunk are its entries with b > a; the others are the
-    diagonal blocks A_i* A_i and pairs that an earlier chunk covers.
+    keep is the (I, m - i0) mask of the chunk's pairs, b > a; the others are
+    the diagonal blocks A_i* A_i and pairs that an earlier chunk covers.
 
     Everything computed from a cross-Gram C, or from H = C*C, is
     sign-invariant bit for bit.  Chunk shapes depend on (m, r) alone, and a
@@ -131,7 +132,9 @@ def _pair_chunks(x, r):
     while i0 < m - 1:
         i1 = min(m - 1, i0 + max(1, _CHUNK_ENTRIES // (r * r * (m - i0))))
         g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
-        yield i0, g.reshape(i1 - i0, r, m - i0, r)
+        keep = np.arange(m - i0) > np.arange(i1 - i0)[:, None]
+        yield i0, g.reshape(i1 - i0, r, m - i0, r), keep
+        del g  # two products live at once only if the caller keeps one
         i0 = i1
 
 
@@ -147,21 +150,23 @@ def _gather(g, a, b):
     return rows[a, :, b, 0].view(g.dtype).reshape(len(a), r, r)
 
 
-def _cross_grams(x, r):
-    """Every pair of _pair_chunks gathered: yields (i, j, C), C the (p, r, r) stack."""
-    for i0, g in _pair_chunks(x, r):
-        a, b = np.triu_indices(g.shape[0], 1, g.shape[2])
-        yield a + i0, b + i0, _gather(g, a, b)
+def _gram_stack(g):
+    """H = C*C of every cross-Gram of an (I, r, J, r) chunk, as an (I*J, r, r) stack.
+
+    Formed on the chunk's own (I, J, r, r) view, with no C copied out, and
+    bitwise the H of a gathered C; row a*J + b is the pair (a, b).
+    """
+    r = g.shape[1]
+    v = g.transpose(0, 2, 1, 3)
+    return np.matmul(v.conj().swapaxes(-1, -2), v).reshape(-1, r, r)
 
 
 def _cross_singular_values(c):
-    """Singular values of each cross-Gram in a chunk, smallest first, largest last.
+    """Singular values of each cross-Gram in a (p, r, r) stack, r <= 3, smallest first.
 
-    |c| at r = 1, the closed forms at r = 2 and r = 3, eigvalsh(H) at r >= 4.
+    |c| at r = 1 and the closed forms at r = 2 and r = 3.
     """
     r = c.shape[-1]
-    if r >= 4:
-        return gram_singular_values(np.matmul(c.conj().swapaxes(1, 2), c))
     if r == 1:
         return np.abs(c[:, :, 0])
     return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
@@ -170,14 +175,18 @@ def _cross_singular_values(c):
 def _exhaustive_sweep(frame):
     """The Gram map and the extreme cross singular values, in one pass."""
     check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
-    g = np.eye(frame.m)
+    gram = np.eye(frame.m)
     smin, smax = np.inf, 0.0
-    for i, j, c in _cross_grams(frame.data, frame.r):
-        sv = _cross_singular_values(c)
-        g[i, j] = g[j, i] = sv[:, -1]
+    for i0, g, keep in _pair_chunks(frame.data, frame.r):
+        a, b = np.nonzero(keep)
+        if frame.r >= 4:  # the H that worst_case_coherence solves
+            sv = gram_singular_values(_gram_stack(g)[np.flatnonzero(keep)])
+        else:
+            sv = _cross_singular_values(_gather(g, a, b))
+        gram[a + i0, b + i0] = gram[b + i0, a + i0] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
-    return g, smin, smax
+    return gram, smin, smax
 
 
 def gram_map(frame):
@@ -193,39 +202,70 @@ def gram_map(frame):
 def worst_case_coherence(frame):
     """Largest cross-block spectral norm over all unordered block pairs.
 
-    Each chunk of the pair sweep solves only the pairs that can hold the
-    maximum.  best is the largest sigma_max solved so far, and a pair is
-    dropped when a certificate, an upper bound on its sigma_max, is below
-    best * (1 - 1e-10).
-      r = 1: sigma = |c|, read straight off the chunk.
-      r = 2, 3: ||C||_F, from strided sums of the squared chunk, before any
-        pair is gathered; the pair of largest ||C||_F is solved in closed
-        form first, and the rest are held against the raised best before
-        they are gathered and solved.
-      r >= 4: u = ||H||_F^(1/2) = (sum of sigma^4)^(1/4), H = C*C, then
-        u_p = ||H^p||_F^(1/(2p)) = (sum of sigma^(4p))^(1/(4p)) for
-        p = 2, 4, ... up to 32, H^p squared in turn for the pairs the last
-        bound kept, while a squaring drops pairs.  The survivor of largest
-        u_p is eigen-solved, and the rest are held against the raised best
-        and squared on in the same way before they are solved.
-    No certificate is held against best where best^(4p) (p = 1/2 for
-    ||C||_F) would leave the normal float64 range; see _prunes.  No pair is
-    solved twice.  The closed forms are elementwise and eigvalsh treats each
-    matrix on its own, so the result equals the exhaustive maximum bit for
-    bit.
+    Each chunk of the pair sweep goes through one skeleton for every r
+    (_chunk_max), which solves only the pairs that can hold the maximum.
+    best is the largest sigma_max solved so far, and a pair is dropped when
+    a certificate, an upper bound on a power of its sigma_max, is below that
+    power of best * (1 - 1e-10); _certificate lists them.  No certificate is
+    held against best where that power would leave the normal float64 range
+    (_prunes).  No pair is solved twice.  The closed forms are elementwise
+    and eigvalsh treats each matrix on its own, so the result equals the
+    exhaustive maximum bit for bit.
     """
     if frame.m < 2:
         raise FrameError("worst-case coherence needs at least two blocks")
-    r = frame.r
     best = 0.0
-    for _, g in _pair_chunks(frame.data, r):
-        if r == 1:
-            best = max(best, float(np.triu(np.abs(g[:, 0, :, 0]), 1).max()))
-        elif r <= 3:
-            best = _closed_form_max(g, best)
-        else:
-            best = _eigen_max(_gather(g, *np.triu_indices(g.shape[0], 1, g.shape[2])), best)
+    for _, g, keep in _pair_chunks(frame.data, frame.r):
+        best = _chunk_max(g, keep, best)
     return best
+
+
+def _chunk_max(g, keep, best):
+    """best raised to the largest sigma_max of the pairs keep selects in an (I, r, J, r) chunk.
+
+    keep is an (I, J) mask.  The pairs whose certificates reach best are
+    kept, the one of largest certificate is solved, and the rest are held
+    against the raised best before they are solved.
+    """
+    u, e, refine, solve = _certificate(g)
+    v, p = refine(np.flatnonzero(keep.ravel() & _held(u, best, e)), best)
+    if not p.size:
+        return best
+    k = int(v.argmax())
+    best = float(solve(p[k : k + 1]).max(initial=best))
+    p = np.delete(p, k)
+    _, p = refine(p[_held(u[p], best, e)], best)
+    return float(solve(p).max(initial=best)) if p.size else best
+
+
+def _certificate(g):
+    """Every pair's certificate in an (I, r, J, r) chunk, and the rules that refine and solve it.
+
+    Returns (u, e, refine, solve).  u is flat over the I*J pairs, row a*J + b
+    the pair (a, b), and at least its sigma_max^e; no C is gathered for it:
+      r = 1: u = |c| = sigma (e = 1), and solving reads u;
+      r = 2, 3: u = ||C||_F^2 (e = 2), from strided sums of the squared
+        chunk, and the closed forms solve the gathered C;
+      r >= 4: u = ||H||_F^2 (e = 4), H = C*C from _gram_stack, refined by
+        the squared certificates of _square_and_prune, and eigvalsh solves H.
+    refine(p, best) gives the flat pairs p still held against best, with the
+    certificate to rank them by; solve(p) gives their sigma_max.
+    """
+    r, n_j = g.shape[1], g.shape[2]
+    if r >= 4:
+        h = _gram_stack(g)
+        u = np.einsum("pij,pij->p", h.conj(), h).real
+        return u, 4, partial(_square_and_prune, h, u), lambda p: gram_singular_values(h[p])[:, -1]
+    if r == 1:
+        u, e = np.abs(g[:, 0, :, 0]).ravel(), 1
+        solve = u.__getitem__
+    else:
+        u, e = _frobenius_squares(g).ravel(), 2
+
+        def solve(p):
+            return _cross_singular_values(_gather(g, *np.divmod(p, n_j)))[:, -1]
+
+    return u, e, lambda p, best: (u[p], p), solve
 
 
 def _frobenius_squares(g):
@@ -242,78 +282,32 @@ def _frobenius_squares(g):
     return rows
 
 
-def _closed_form_max(g, best):
-    """best raised to the largest sigma_max of an r = 2 or r = 3 chunk, by Frobenius pruning.
-
-    The pairs are pruned against best so far, the survivor of largest ||C||_F
-    is solved, and the rest are pruned again against the raised best before
-    they are solved, as in _eigen_max.
-    """
-    n_i, _, n_j, _ = g.shape
-    f = _frobenius_squares(g)
-    keep = np.arange(n_j) > np.arange(n_i)[:, None]  # the chunk's pairs, j > i
+def _held(u, best, e):
+    """Where u, at least sigma_max^e, reaches (best (1 - 1e-10))^e; everywhere if not _prunes."""
     floor = best * (1.0 - _PRUNE_SLACK)
-    if _prunes(floor, 0.5):
-        keep &= f >= floor * floor
-    if not keep.any():
-        return best
-    a, b = divmod(int(np.where(keep, f, -1.0).argmax()), n_j)
-    best = max(best, float(_cross_singular_values(g[a, :, b, :][None])[0, -1]))
-    keep[a, b] = False
-    floor = best * (1.0 - _PRUNE_SLACK)
-    if _prunes(floor, 0.5):
-        keep &= f >= floor * floor
-    a, b = np.nonzero(keep)
-    if a.size:
-        best = max(best, float(_cross_singular_values(_gather(g, a, b))[:, -1].max()))
-    return best
+    return u >= floor**e if _prunes(floor, e / 4) else np.ones(u.shape, dtype=bool)
 
 
-def _eigen_max(c, best):
-    """best raised to the largest sigma_max of a (p, r, r) stack, r >= 4, by squaring.
+def _square_and_prune(h, u, p, best):
+    """(v, p) for the rows p of a stack h of H = C*C whose squared certificates v reach best.
 
-    The pairs are pruned against best so far, the survivor of largest
-    certificate is eigen-solved, and the rest are pruned again against the
-    raised best before they are solved.
+    u_q = ||H^q||_F^(1/(2q)) is at least sigma_max and tighter for a larger
+    q.  H^2 is formed, then H^4, ... up to H^32, each for the rows the last
+    bound kept: always on to H^4, since u_2 is loose at large r, and then
+    while a squaring drops rows.  Where best cannot prune, v is u[p], u
+    being ||H||_F^2 of every row.
     """
     floor = best * (1.0 - _PRUNE_SLACK)
-    h = np.matmul(c.conj().swapaxes(1, 2), c)
-    if _prunes(floor, 1):
-        h = h[_sigma_max_bound(h, 1) >= floor]
-    g = np.matmul(h, h)
-    h, g, u, power = _square_and_prune(h, g, _sigma_max_bound(g, 2), 2, floor)
-    if not len(h):
-        return best
-    top, last = int(u.argmax()), len(h) - 1
-    best = max(best, float(gram_singular_values(h[top : top + 1])[0, -1]))
-    for x in (h, g, u):  # the top pair to the end, and out of the views below
-        x[[top, last]] = x[[last, top]]
-    floor = best * (1.0 - _PRUNE_SLACK)
-    h, _, _, _ = _square_and_prune(h[:last], g[:last], u[:last], power, floor)
-    if len(h):
-        best = max(best, float(gram_singular_values(h)[:, -1].max()))
-    return best
-
-
-def _square_and_prune(h, g, u, power, floor):
-    """The pairs of (H, G = H^power, u = u_power) whose certificate reaches floor.
-
-    G is squared on while a squaring drops pairs, always at least once past
-    u_2, which is loose at large r, and up to H^32.  Returns (h, g, u, power)
-    of the survivors at the last power.
-    """
-    while _prunes(floor, power):
-        keep = u >= floor
+    v, g, power = u[p], h[p], 1
+    while p.size and power < _MAX_POWER and _prunes(floor, 2 * power):
+        g, power = np.matmul(g, g), 2 * power
+        v = _sigma_max_bound(g, power)
+        keep = v >= floor
         if not keep.all():
-            h, g, u = h[keep], g[keep], u[keep]
+            p, g, v = p[keep], g[keep], v[keep]
         elif power > 2:
             break
-        if not len(h) or power == _MAX_POWER or not _prunes(floor, 2 * power):
-            break
-        g = np.matmul(g, g)
-        power *= 2
-        u = _sigma_max_bound(g, power)
-    return h, g, u, power
+    return v, p
 
 
 def _prunes(floor, power):

@@ -22,8 +22,9 @@ entry, m*r entries) in one C-speed comparison as it reads it.  numpy's C
 text reader then parses the checked rows into the frame's array, at most
 _TEXT_CHUNK floats (and at least one row) per call, so no text copy of the
 whole body exists.  It rounds as float() does, and reads float()'s grammar
-without "_" separators or non-ASCII digits; an entry it refuses is a
-FrameError naming that entry.
+without "_" separators, non-ASCII digits or the controls 0x1c-0x1f, which
+it alone takes as whitespace; an entry it refuses is a FrameError naming
+that entry.
 """
 
 import csv
@@ -38,7 +39,8 @@ from .frame import BlockFrame, check_nrm
 from .matrixcore import check_entries
 
 _MAGIC = "BFM 1"
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b":,")))
+_CONTROLS = frozenset("\x1c\x1d\x1e\x1f")  # whitespace to numpy's reader, not to float()
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b":,") - set(map(ord, _CONTROLS))))
 _TEXT_CHUNK = 1 << 16  # floats whose texts are formatted or parsed at once
 
 
@@ -127,14 +129,19 @@ def _refuse_entries(path, entries):
     """Raise a FrameError naming the first "re:im" entry the reader refuses.
 
     A token with no ":" leaves an empty im part and one with two leaves a
-    ":" in it; the reader refuses both.
+    ":" in it; the reader refuses both.  It would read a number next to one
+    of the controls 0x1c-0x1f, which float() refuses, so those are refused
+    here.
     """
     for tok in entries:
         re_s, _, im_s = tok.partition(":")
         try:
             _parse([f"{re_s},{im_s}"])
+            clean = _CONTROLS.isdisjoint(tok)
         except ValueError:
-            raise FrameError(f"{path}: bad entry {tok!r}") from None
+            clean = False
+        if not clean:
+            raise FrameError(f"{path}: bad entry {tok!r}")
 
 
 def _checked_rows(path, fh, n, m, r):
@@ -142,18 +149,21 @@ def _checked_rows(path, fh, n, m, r):
 
     With everything else deleted, a row's separators must equal
     ":,:,...,:" with one ":" per entry: one C-speed comparison checks the
-    structure and the width together.
+    structure and the width together.  The deletion keeps the controls
+    0x1c-0x1f, and it is taken before the line is stripped, which would drop
+    them at its ends, so a line holding one is refused, naming the entry.
     """
     separators = b":," * (m * r - 1) + b":"
     rows = 0
-    for line in fh:
-        line = line.strip()
-        if not line:
+    for raw in fh:
+        line = raw.strip()
+        kept = raw.encode().translate(None, _NOT_SEPARATOR)
+        if not line and not kept:
             continue
-        if rows == n:
+        if kept != separators:
+            _refuse_entries(path, raw.rstrip("\n").split(","))
             raise FrameError(f"{path}: data shape does not match header")
-        if line.encode().translate(None, _NOT_SEPARATOR) != separators:
-            _refuse_entries(path, line.split(","))
+        if rows == n:
             raise FrameError(f"{path}: data shape does not match header")
         rows += 1
         yield line

@@ -15,6 +15,10 @@ _MAX_ENTRIES = 1 << 27
 # pivot threshold below which a column set is treated as rank deficient
 _RANK_TOL = 1e-12
 
+# entries that gram_deviation, and the tightness residual of a construction
+# check, conjugate or form at once
+_SLICE_ENTRIES = 1 << 16
+
 
 def as_matrix(a, stack=False):
     """Coerce to a finite 2-d float64 or complex128 array, copying only if needed.
@@ -174,10 +178,23 @@ def orthonormalize(m):
 
 
 def gram_deviation(stack):
-    """max |X* X - I| over every X in an (..., n, r) stack: the one orthonormality test."""
+    """max |X* X - I| over every X in an (n, r) matrix or (p, ..., n, r) stack.
+
+    The one orthonormality test.  A complex stack is conjugated a slice of at
+    most 2^16 entries (or one matrix) at a time, so it is never copied whole;
+    conj() copies nothing of a real one, which is taken in one pass.  Each
+    X* X is its own product, so the result is the same bit for bit, and NaN
+    propagates as in one pass.
+    """
     x = np.asarray(stack)
-    g = np.matmul(x.conj().swapaxes(-1, -2), x)
-    return float(np.abs(g - np.eye(x.shape[-1])).max())
+    x = x[None] if x.ndim == 2 else x
+    step = max(1, _SLICE_ENTRIES // x[0].size if np.iscomplexobj(x) else len(x))
+    eye = np.eye(x.shape[-1])
+    devs = []
+    for i0 in range(0, len(x), step):
+        s = x[i0 : i0 + step]
+        devs.append(np.abs(np.matmul(s.conj().swapaxes(-1, -2), s) - eye).max())
+    return float(np.max(devs))
 
 
 def dft_matrix(p):

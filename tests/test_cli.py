@@ -403,6 +403,38 @@ def test_empty_grid_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_CS = ["cs", "--random", "rnd=4,1,8", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cs", "--random", "rnd=4,,1,8", "--k-grid", "1"], "--random expects comma-separated"),
+        ([*_CS, "--k-grid", ",1,,2,"], "--k-grid expects comma-separated"),
+        ([*_CS, "--k-grid", "1,2", "--dr-grid", "10,"], "--dr-grid expects comma-separated"),
+        (["random-mu", "--n", "16", "--r-grid", "2,,3"], "--r-grid expects comma-separated"),
+        ([*_CS, "--k-grid", "1,2,1"], "--k-grid repeats a value"),
+        ([*_CS, "--k-grid", "1", "--dr-grid", "10,1e1"], "--dr-grid repeats a value"),
+        (["random-mu", "--n", "16", "--r-grid", "2,2"], "--r-grid repeats a value"),
+        (["flip-table", "--n", "16", "--m", "24", "--r-list", "1,1"], "--r-list repeats a value"),
+    ],
+    ids=["random-empty", "k-empty", "dr-empty", "r-empty", "k", "dr", "r-grid", "r-list"],
+)
+def test_empty_entry_or_repeated_grid_value_exits_2(tmp_path, capsys, argv, message):
+    # a grid's rows are keyed by its values, and an empty entry is no value
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_random_shape_may_repeat_a_value(tmp_path):
+    out = tmp_path / "o"
+    argv = ["cs", "--random", "rnd=8,2,8", "--k-grid", "1", "--trials", "1"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert (out / "ndp.csv").read_text().splitlines()[1].startswith("rnd,1,")
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, frame_file):
     # one parser serves every main call in a process
     runs = [

@@ -211,7 +211,8 @@ def test_verify_flat_union_rejects_bases_that_fail_only_the_cross_moduli():
         assert max(rep.cross_max - 0.25, 0.25 - rep.cross_min) > 1e-3
 
 
-def test_verify_etf_peaks_below_twice_the_size_of_p():
+def test_verify_etf_peaks_below_half_the_size_of_p():
+    # P is never conjugated whole, and P P* is taken a tile of columns at a time
     p = harmonic_qr_etf(1019)
     tracemalloc.start()
     try:
@@ -219,7 +220,22 @@ def test_verify_etf_peaks_below_twice_the_size_of_p():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * p.nbytes
+    assert peak <= 0.5 * p.nbytes
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_tight_deviation_equals_the_one_pass_residual(monkeypatch, cplx):
+    # tiles of one column, of a few with a short last tile, and one tile.
+    # A complex P goes through the same gemm either way; a real P P* was one
+    # symmetric rank-k update, and its tiles are gemms, which round apart
+    rng = np.random.default_rng(17)
+    p = rng.standard_normal((7, 20)) + (1j * rng.standard_normal((7, 20)) if cplx else 0)
+    gram = p @ p.conj().T
+    one_pass = float(np.abs(gram - (20 / 7) * np.eye(7)).max())
+    ulps = 0 if cplx else 4 * np.finfo(np.float64).eps * np.abs(gram).max()
+    for tile in (1, 20, 60, 1 << 16):  # 2 columns: 20 entries of a real P, 60 of a complex one
+        monkeypatch.setattr(constructions, "_SLICE_ENTRIES", tile)
+        assert constructions._tight_deviation(p) == pytest.approx(one_pass, rel=0, abs=ulps)
 
 
 # ---------------------------------------------------------------- kerdock family

@@ -27,6 +27,7 @@ from blockframe.cli import coherence_report
 from blockframe.constructions import FrameRecipe, build_frame, harmonic_qr_etf, kron_from_etf
 from blockframe.flipping import apply_block_signs
 from blockframe.matrixcore import gram_singular_values, orthonormalize
+from blockframe.sampling import RandomFrameSpec, sample_block_frame
 
 
 def random_frame(n, r, m, seed, complex_blocks=False):
@@ -199,7 +200,7 @@ def test_pair_sweep_properties(case, sign_seed):
     frame, chunk = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
-        chunks = list(frame_module._cross_grams(frame.data, frame.r))
+        chunks = [(i0, keep) for i0, _, keep in frame_module._pair_chunks(frame.data, frame.r)]
         mu = worst_case_coherence(frame)
         g = gram_map(frame)
         signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)
@@ -208,9 +209,8 @@ def test_pair_sweep_properties(case, sign_seed):
         g_flipped = gram_map(flipped)
 
     # every unordered pair exactly once
-    i = np.concatenate([part[0] for part in chunks])
-    j = np.concatenate([part[1] for part in chunks])
-    assert sorted(zip(i, j)) == list(zip(*np.triu_indices(frame.m, 1)))
+    pairs = [(i0 + a, i0 + b) for i0, keep in chunks for a, b in zip(*np.nonzero(keep))]
+    assert sorted(pairs) == list(zip(*np.triu_indices(frame.m, 1)))
     # pruning never changes the maximum, by even one ulp
     assert mu == _off_diagonal_max(g)
     # flipping block signs moves neither mu nor the gram map, bit for bit
@@ -313,7 +313,8 @@ def test_squaring_stops_before_the_certificate_underflows():
     c = np.stack([s * q[0], *fillers, 1.05 * s * u @ v / np.linalg.norm(v)])
     exhaustive = float(gram_singular_values(np.matmul(c.swapaxes(1, 2), c))[:, -1].max())
     assert exhaustive == pytest.approx(1.05 * s, rel=1e-12)
-    assert frame_module._eigen_max(c, 0.0) == exhaustive
+    keep = np.ones((1, len(c)), dtype=bool)
+    assert frame_module._chunk_max(_as_chunk(c), keep, 0.0) == exhaustive
 
 
 def _orthogonal_first_block_frame(r, seed):
@@ -408,6 +409,53 @@ def test_frobenius_certificate_prunes_random_frames(monkeypatch):
     mu, rows = _solved_rows(monkeypatch, frame)
     assert rows < 0.01 * frame.m * (frame.m - 1) // 2
     assert mu == _off_diagonal_max(gram_map(frame))
+
+
+def test_r10_mu_gathers_no_pair_and_squares_few(monkeypatch):
+    # H is formed on each chunk's own view, and ||H||_F drops most pairs
+    # before any is copied out or squared: over the benchmark's three
+    # (200, 10, 200) frames, 1.6% to 5.3% of the pairs of a frame are squared
+    frames = [sample_block_frame(_benchmark_spec(200, 10, 200), trial=t) for t in range(3)]
+    gather, square = frame_module._gather, frame_module._square_and_prune
+    gathered, squared = [], []
+
+    def counting_gather(g, a, b):
+        gathered.append(len(a))
+        return gather(g, a, b)
+
+    def counting_square(h, u, p, best):
+        squared.append(len(p) if best > 0 else 0)  # best = 0 squares nothing
+        return square(h, u, p, best)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(frame_module, "_gather", counting_gather)
+        mp.setattr(frame_module, "_square_and_prune", counting_square)
+        mus = [worst_case_coherence(frame) for frame in frames]
+    assert gathered == []
+    assert 0 < sum(squared) < 0.05 * 3 * 200 * 199 // 2
+    assert mus == [_off_diagonal_max(gram_map(frame)) for frame in frames]
+
+
+def _benchmark_spec(n, r, m):
+    return RandomFrameSpec(n, r, m, seed=1, field_tag="real")
+
+
+# worst_case_coherence(...).hex() of the benchmark's random frames (seed 1,
+# trials 0-2), pinned from the separate closed-form and eigen paths that the
+# one skeleton replaced
+PINNED_MU = {
+    (200, 10, 200): ["0x1.13c372947918fp-1", "0x1.20f419bb1e016p-1", "0x1.2871f1945e5c5p-1"],
+    (128, 1, 256): ["0x1.5f5c5c55e6be3p-2", "0x1.6fb3997a2791dp-2", "0x1.607b005460b3bp-2"],
+    (128, 2, 256): ["0x1.a629898ec475ep-2", "0x1.b402cfcf0a186p-2", "0x1.980a627cf1627p-2"],
+    (128, 3, 256): ["0x1.df5d6c347730dp-2", "0x1.e4228d5c12e82p-2", "0x1.dce9e60882f1fp-2"],
+}
+
+
+@pytest.mark.parametrize("shape", list(PINNED_MU))
+def test_mu_of_the_benchmark_frames_is_pinned(shape):
+    spec = _benchmark_spec(*shape)
+    got = [worst_case_coherence(sample_block_frame(spec, trial=t)).hex() for t in range(3)]
+    assert got == PINNED_MU[shape]
 
 
 # --- distances --------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -251,6 +252,23 @@ def test_bfm_rows_checked_at_any_chunk_size(tmp_path, monkeypatch):
 def read_bfm_text(path, head, rows):
     path.write_text(head + "\n".join(rows) + "\n")
     return read_bfm(path)
+
+
+@pytest.mark.parametrize("control", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_bfm_separator_controls_are_refused(tmp_path, control):
+    # numpy's reader takes them as whitespace around a number; float() does not
+    head = "BFM 1\nn=2 r=1 m=2 field=real\n"
+    for row, entry in (
+        (f"1.0{control}:0.0,0.0:0.0", f"1.0{control}:0.0"),
+        (f"1.0:0.0,0.0:{control}0.0", f"0.0:{control}0.0"),
+        (f"{control}1.0:0.0,0.0:0.0", f"{control}1.0:0.0"),
+        (f"1.0:0.0,0.0:0.0{control}", f"0.0:0.0{control}"),
+    ):
+        with pytest.raises(FrameError, match=re.escape(f"bad entry {entry!r}")):
+            read_bfm_text(tmp_path / "x.bfm", head, [row, "0.0:0.0,1.0:0.0"])
+    # a line holding only a control is no blank line
+    with pytest.raises(FrameError, match=re.escape(f"bad entry {control!r}")):
+        read_bfm_text(tmp_path / "x.bfm", head, ["1.0:0.0,0.0:0.0", control, "0.0:0.0,1.0:0.0"])
 
 
 def test_bfm_crlf_reads_to_the_same_bits(tmp_path):

@@ -364,6 +364,22 @@ def test_gram_deviation():
     assert gram_deviation(np.eye(3)[:, :2] * 1j) == 0.0
 
 
+def test_gram_deviation_in_slices_equals_the_one_pass_value(monkeypatch):
+    # a complex stack in slices of one matrix, of 3 matrices with a short
+    # last one, and in one slice
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((10, 6, 2)) + 1j * rng.standard_normal((10, 6, 2))
+    view = x.transpose(1, 0, 2).reshape(6, 20).reshape(6, 10, 2).transpose(1, 0, 2)
+    one_pass = float(np.abs(np.matmul(x.conj().swapaxes(1, 2), x) - np.eye(2)).max())
+    nan = x.copy()
+    nan[7, 0, 0] = np.nan
+    for size in (1, 36, 1 << 16):
+        monkeypatch.setattr(matrixcore_module, "_SLICE_ENTRIES", size)
+        assert gram_deviation(x) == one_pass
+        assert gram_deviation(view) == one_pass
+        assert np.isnan(gram_deviation(nan))
+
+
 def test_dft_matrix():
     for p in (1, 2, 3, 5, 8):
         f = dft_matrix(p)
