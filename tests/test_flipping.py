@@ -111,6 +111,20 @@ def test_flip_signs_match_the_two_norm_greedy_rule(r, field_tag, variant):
 
 
 @pytest.mark.parametrize("variant", ["spectral", "frobenius"])
+@pytest.mark.parametrize(
+    "spec",
+    [RandomFrameSpec(n=128, r=r, m=256, seed=0) for r in (1, 2, 3)]
+    + [RandomFrameSpec(n=48, r=r, m=96, seed=0, field_tag="complex") for r in (1, 2, 3)],
+    ids=lambda spec: f"{spec.field_tag}-{spec.n}-{spec.r}-{spec.m}",
+)
+def test_flip_signs_match_the_greedy_rule_on_benchmark_shapes(spec, variant):
+    # the benchmark's flip frames (trial 0) and complex frames of the same make
+    frame = sample_block_frame(spec, trial=0)
+    res = flip(frame, FlipConfig(norm_variant=variant))
+    assert res.signs.tolist() == _greedy_signs_oracle(frame, variant)[0]
+
+
+@pytest.mark.parametrize("variant", ["spectral", "frobenius"])
 def test_flip_signs_match_the_greedy_rule_through_exact_ties(variant):
     # kerdock(4) x H_1: a block orthogonal to the running sum gives n+ = n-
     frame = build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
@@ -142,14 +156,41 @@ def test_flip_frobenius_partial_sum_bound():
 
 
 def test_flip_partial_sum_recompute():
-    frame = sample_block_frame(RandomFrameSpec(n=16, r=2, m=12, seed=6))
-    for variant, norm in (("spectral", spectral_norm), ("frobenius", frobenius_norm)):
-        res = flip(frame, FlipConfig(norm_variant=variant))
-        total = frame.block(0).copy()
-        for k in range(1, frame.m):
-            total += res.signs[k] * frame.block(k)
-        # the greedy loop's norms agree with matrixcore's bit for bit
-        assert res.partial_sum_norm == norm(total)
+    for r in (1, 2, 3, 4):
+        for field_tag in ("real", "complex"):
+            spec = RandomFrameSpec(n=16, r=r, m=16, seed=6, field_tag=field_tag)
+            frame = sample_block_frame(spec)
+            for variant, norm in (("spectral", spectral_norm), ("frobenius", frobenius_norm)):
+                res = flip(frame, FlipConfig(norm_variant=variant))
+                total = frame.block(0).copy()
+                for k in range(1, frame.m):
+                    total += res.signs[k] * frame.block(k)
+                # the running sum is kept transposed; its norm matches matrixcore's bit for bit
+                assert res.partial_sum_norm == norm(total), (r, field_tag, variant)
+
+
+@pytest.mark.parametrize("variant", ["spectral", "frobenius"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_flip_step_solves_an_eigenproblem_only_at_r_above_2(monkeypatch, r, variant):
+    counts = {"gram_singular_values": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    gsv = counted("gram_singular_values", flipping.gram_singular_values)
+    monkeypatch.setattr(flipping, "gram_singular_values", gsv)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    # mu and nu have their own sweeps; only the greedy step is counted here
+    monkeypatch.setattr(flipping, "worst_case_coherence", lambda frame: 0.0)
+    monkeypatch.setattr(flipping, "average_coherence", lambda frame: 0.0)
+    frame = sample_block_frame(RandomFrameSpec(n=16, r=r, m=20, seed=2))
+    flip(frame, FlipConfig(norm_variant=variant))
+    expected = frame.m - 1 if variant == "spectral" and r >= 3 else 0
+    assert counts == {"gram_singular_values": expected, "eigvalsh": expected}
 
 
 def test_flip_result_metadata():
@@ -170,6 +211,18 @@ def test_apply_block_signs():
         apply_block_signs(frame, np.array([1, 0, 1, 1, -1]))
     with pytest.raises(FrameError):
         apply_block_signs(frame, np.array([1, 2, 1, 1, -1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_apply_block_signs_refuses_non_real_signs():
+    # |1j| == 1, but casting it to a real sign would drop it to 0 with a ComplexWarning
+    frame = sample_block_frame(RandomFrameSpec(n=8, r=2, m=5, seed=0))
+    with pytest.raises(FrameError, match="signs must be a vector of"):
+        apply_block_signs(frame, np.array([1j, 1, 1, 1, 1]))
+    with pytest.raises(FrameError, match="signs must be a vector of"):
+        apply_block_signs(frame, np.array([1, -1, 1, 1, np.exp(0.5j)]))
+    out = apply_block_signs(frame, np.array([1, -1, 1, 1, -1], dtype=np.complex128))
+    assert np.array_equal(out.data, apply_block_signs(frame, np.array([1, -1, 1, 1, -1])).data)
 
 
 def test_flipped_nu_bound_values():
