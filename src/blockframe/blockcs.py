@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .flipping import FlipConfig, flip, flipped_nu_bound
+from .flipping import flip, flipped_nu_bound
+from .frame import check_field
 from .sampling import RandomFrameSpec, parallel_map, sample_block_frame, substream_rng
 
 
@@ -33,8 +34,7 @@ class SignalSpec:
             raise FrameError(
                 f"dynamic_range must be finite and >= 1, got {self.dynamic_range}"
             )
-        if self.field_tag not in ("real", "complex"):
-            raise FrameError(f"bad field_tag {self.field_tag!r}")
+        check_field(self.field_tag)
 
 
 def gen_signal(spec, rng):
@@ -198,14 +198,13 @@ def run_flipping_table(n, m, r_list, realizations, seed, norm_variant="spectral"
     """
     if realizations < 1:
         raise FrameError(f"need at least one realization, got {realizations}")
-    cfg = FlipConfig(norm_variant=norm_variant)
     rows = []
     for ri, r in enumerate(r_list):
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=seed, field_tag="real")
 
         def one_run(t, _spec=spec, _ri=ri):
             frame = sample_block_frame(_spec, _ri, t)
-            res = flip(frame, cfg)
+            res = flip(frame, norm_variant)
             return (res.nu_before, res.nu_after, res.mu_before, res.mu_after)
 
         runs = parallel_map(one_run, range(realizations), threads)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, FrameError
-from .frame import check_nrm
+from .frame import check_field, check_nrm
 
 
 def welch_coherence_lower(n, r, m):
@@ -64,22 +64,20 @@ def max_equi_isoclinic(n, r, field="complex"):
     """Largest possible number of pairwise equi-isoclinic r-subspaces."""
     if r <= 0 or r > n:
         raise FrameError(f"need 0 < r <= n, got r={r}, n={n}")
+    check_field(field)
     if field == "complex":
         return n * n - r * r + 1
-    if field == "real":
-        return n * (n + 1) // 2 - r * (r + 1) // 2 + 1
-    raise FrameError(f"unknown field {field!r}")
+    return n * (n + 1) // 2 - r * (r + 1) // 2 + 1
 
 
 def max_orthobases_blocks(n, field="complex"):
     """Cap on the block count of a union of orthobases meeting sqrt(r/n)."""
     if n < 2:
         raise FrameError(f"dimension must be at least 2, got {n}")
+    check_field(field)
     if field == "complex":
         return 2 * (n + 1) * (n - 1)
-    if field == "real":
-        return (n - 1) * (n + 2)
-    raise FrameError(f"unknown field {field!r}")
+    return (n - 1) * (n + 2)
 
 
 def etf_max_blocks(n, r):

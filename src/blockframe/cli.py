@@ -31,11 +31,14 @@ from .bounds import (
     spectral_distance_upper,
     welch_coherence_lower,
 )
-from .constructions import FAMILIES, FrameRecipe, build_frame
-from .flipping import FlipConfig, flip
+from .blockcs import run_flipping_table, run_ndp_experiment
+from .constructions import FAMILIES, build_frame
+from .flipping import flip
 from .frame import average_coherence, validate
 from .io import read_bfm, sha256_file, write_bfm, write_csv, write_gram_csv, write_json
 from .matrixcore import check_entries
+from .sampling import RandomFrameSpec, empirical_mu_curve, sample_block_frame
+
 
 def _threads(args):
     if args.threads is not None:
@@ -178,19 +181,17 @@ def cmd_construct(args):
             raise FrameError(f"{flag} is required for family {args.family}")
         if name != key and getattr(args, name) is not None:
             raise FrameError(f"{flag} is not a parameter of family {args.family}")
-    params = {key: getattr(args, key)}
+    optional = {}
     if args.kerdock_set_file is not None:
         if args.family != "kerdock":
             raise FrameError(f"--kerdock-set-file is for family kerdock, not {args.family}")
-        params["set_file"] = args.kerdock_set_file
-    recipe = FrameRecipe(
-        family=args.family, params=params, kron=_parse_kron(args.kron)
-    )
-    frame = build_frame(recipe)
+        optional["set_file"] = args.kerdock_set_file
+    value = getattr(args, key)
+    frame = build_frame(args.family, value, _parse_kron(args.kron), **optional)
     payload, _ = coherence_report(frame)
     _write_outputs(
         args,
-        {"family": args.family, **params, "kron": args.kron},
+        {"family": args.family, key: value, **optional, "kron": args.kron},
         {
             "frame.bfm": lambda path: write_bfm(path, frame),
             "report.json": lambda path: write_json(path, payload),
@@ -273,8 +274,6 @@ def cmd_threshold(args):
 
 
 def cmd_random_mu(args):
-    from .sampling import empirical_mu_curve
-
     r_grid = _parse_int_list(args.r_grid, "--r-grid")
     points = empirical_mu_curve(
         args.n,
@@ -305,7 +304,7 @@ def cmd_random_mu(args):
 
 def cmd_flip(args):
     frame = read_bfm(args.frame)
-    result = flip(frame, FlipConfig(norm_variant=args.norm))
+    result = flip(frame, args.norm)
     summary = {
         "signs": [int(s) for s in result.signs],
         "mu_before": result.mu_before,
@@ -330,8 +329,6 @@ def cmd_flip(args):
 
 
 def cmd_flip_table(args):
-    from .blockcs import run_flipping_table
-
     r_list = _parse_int_list(args.r_list, "--r-list")
     columns = ("r", "nu_before_mean", "nu_after_mean", "improvement_pct", "nu_bound")
     rows = run_flipping_table(
@@ -374,9 +371,6 @@ def cmd_flip_table(args):
 
 
 def cmd_cs(args):
-    from .blockcs import run_ndp_experiment
-    from .sampling import RandomFrameSpec, sample_block_frame
-
     frames = []
 
     def labelled(item, flag, form):

@@ -18,10 +18,11 @@ checks are one, _verify: it reads every cross modulus off the chunks of the
 pair pass that gives mu and the Gram map, copies no whole P and forms no
 n x n product, and every builder checks P's entry count against the memory
 guard before it loops or allocates.  FAMILIES is the one list of
-recipe families.
+families: build_frame(family, value, kron) builds one family's P from its
+one required value and lifts it by a Kronecker factor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +30,13 @@ from .errors import FrameError
 from .frame import BlockFrame, _pair_chunks
 from .io import read_bfm
 from .matrixcore import (
-    _SLICE_ENTRIES,
     as_matrix,
     check_entries,
     dft_matrix,
     gram_deviation,
     hadamard_sylvester,
     kronecker,
+    tight_deviation,
 )
 
 _VERIFY_TOL = 1e-10
@@ -71,7 +72,7 @@ def _verify(p, w, modulus):
     group_dev is max |X* X - I| over the runs, and cross_min and cross_max
     are the extremes of |<p_i, p_j>| across runs, read off each chunk of the
     one pair pass (frame._pair_chunks) with the runs as blocks.  tight_dev
-    is max |P P* - (m/n) I| (_tight_deviation).  ok is each deviation below
+    is max |P P* - (m/n) I| (tight_deviation).  ok is each deviation below
     1e-10, tightness below 1e-10 max(1, m/n).  P is never copied whole, and
     no n x n product is made.
     """
@@ -80,7 +81,7 @@ def _verify(p, w, modulus):
     # map holds no chunk while the pass makes the next one
     lows, highs = zip(*map(_cross_moduli, _pair_chunks(p, w)))
     cross_min, cross_max = min(lows), max(highs)
-    tight_dev = _tight_deviation(p)
+    tight_dev = tight_deviation(p)
     ok = (
         max(group_dev, cross_max - modulus, modulus - cross_min) < _VERIFY_TOL
         and tight_dev < _VERIFY_TOL * max(1.0, m / n)
@@ -93,26 +94,6 @@ def _cross_moduli(chunk):
     _, g, keep = chunk
     mods, pairs = np.abs(g), keep[:, None, :, None]
     return float(mods.min(where=pairs, initial=np.inf)), float(mods.max(where=pairs, initial=0.0))
-
-
-def _tight_deviation(p):
-    """max |P P* - (m/n) I|, a tile of columns of P P* at a time.
-
-    A tile is P times the conjugate of a run of P's rows, with m/n taken off
-    its diagonal in place.  What a tile allocates, its n x step product and,
-    for a complex P, the step x m conjugated rows, is at most 2^16 entries
-    (or one column's worth), so P is never copied whole and no n x n product
-    is made.  A real P of n <= 256 is one tile, one symmetric rank-k update.
-    """
-    n, m = p.shape
-    step = max(1, _SLICE_ENTRIES // (n + m if np.iscomplexobj(p) else n))
-    devs = []
-    for i0 in range(0, n, step):
-        t = p @ p[i0 : i0 + step].conj().T
-        k = np.arange(t.shape[1])
-        t[i0 + k, k] -= m / n
-        devs.append(np.abs(t).max())
-    return float(np.max(devs))
 
 
 def verify_etf(p):
@@ -494,7 +475,7 @@ def _external(path):
     return _verified(p, "flat union" if flat else "ETF", f"external frame {path}")
 
 
-# family -> (its one required recipe parameter, the builder of its verified P);
+# family -> (the name of its one required parameter, the builder of its verified P);
 # a builder takes that parameter, then any optional ones by name
 FAMILIES = {
     "steiner": ("v", steiner_pairs_etf),
@@ -507,37 +488,27 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FrameRecipe:
-    """A reproducible description of a constructed frame."""
+def build_frame(family, value, kron=("none",), **optional):
+    """The block frame of a family's P, lifted by a kron factor.
 
-    family: str
-    params: dict = field(default_factory=dict)
-    kron: tuple = ("none",)  # ("none") | ("hadamard", k) | ("dft", r) | ("file", path)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise FrameError(f"unknown family {self.family!r}")
-
-
-def build_frame(recipe):
-    """Assemble the full block frame a recipe describes.
-
-    The family's builder verifies P once; the lift does not verify it again.
-    The frame is real exactly when both factors are.
+    value is the family's one required parameter, the one FAMILIES names,
+    and optional holds the builder's optional ones by name (kerdock's
+    set_file).  kron is ("none",), ("hadamard", k), ("dft", r) or
+    ("file", path).  The family's builder verifies P once; the lift does not
+    verify it again.  The frame is real exactly when both factors are.
     """
-    key, build = FAMILIES[recipe.family]
-    optional = {name: val for name, val in recipe.params.items() if name != key}
-    p = build(recipe.params[key], **optional)
-    kind = recipe.kron[0]
+    if family not in FAMILIES:
+        raise FrameError(f"unknown family {family!r}")
+    p = FAMILIES[family][1](value, **optional)
+    kind = kron[0]
     if kind == "none":
         return BlockFrame(n=p.shape[0], r=1, m=p.shape[1], data=p)
     if kind == "hadamard":
-        q = hadamard_sylvester(int(recipe.kron[1])) / np.sqrt(1 << int(recipe.kron[1]))
+        q = hadamard_sylvester(int(kron[1])) / np.sqrt(1 << int(kron[1]))
     elif kind == "dft":
-        q = dft_matrix(int(recipe.kron[1]))
+        q = dft_matrix(int(kron[1]))
     elif kind == "file":
-        q = read_bfm(recipe.kron[1]).data
+        q = read_bfm(kron[1]).data
     else:
         raise FrameError(f"unknown kron factor kind {kind!r}")
     return _lift(p, q)

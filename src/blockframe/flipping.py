@@ -2,7 +2,8 @@
 
 One pass over the blocks maintains a running sum F of the signed blocks.
 Block k+1 joins with whichever sign keeps ||F +- A_{k+1}|| smaller (ties go
-to +1).  Flipping a block negates whole columns, so cross-Gram singular
+to +1); flip(frame, norm_variant) takes that norm to be the spectral or the
+Frobenius one.  Flipping a block negates whole columns, so cross-Gram singular
 values, worst-case coherence, and all subspace distances are untouched; only
 the average coherence moves.  The pair sweep is sign-invariant bit for bit,
 so flip measures mu once and checks only the premise of that argument: every
@@ -19,15 +20,6 @@ from .frame import BlockFrame, average_coherence, worst_case_coherence
 from .matrixcore import gram_singular_values
 
 _TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FlipConfig:
-    norm_variant: str = "spectral"
-
-    def __post_init__(self):
-        if self.norm_variant not in ("spectral", "frobenius"):
-            raise FrameError(f"unknown norm variant {self.norm_variant!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,11 @@ def _step_norms(r, spectral):
     return step
 
 
-def flip(frame, config=FlipConfig()):
+def flip(frame, norm_variant="spectral"):
     """Algorithm: greedy sign choice per block against the running sum.
+
+    norm_variant, "spectral" or "frobenius", is the norm the greedy step
+    compares; any other is refused before any work.
 
     F and A_k are kept transposed as the rows of one (2r, n) buffer W, and
     each step forms the one product conj(W) W^T and takes both candidate
@@ -131,7 +126,9 @@ def flip(frame, config=FlipConfig()):
     is checked to be the original with each block bitwise times its sign,
     and the pair sweep gives such a frame the same mu bit for bit.
     """
-    spectral = config.norm_variant == "spectral"
+    if norm_variant not in ("spectral", "frobenius"):
+        raise FrameError(f"unknown norm variant {norm_variant!r}")
+    spectral = norm_variant == "spectral"
     m, r = frame.m, frame.r
     step_norms = _step_norms(r, spectral)
     blocks = frame.blocks3d()
@@ -161,5 +158,5 @@ def flip(frame, config=FlipConfig()):
         nu_after=average_coherence(flipped),
         nu_bound=flipped_nu_bound(m),
         partial_sum_norm=float(np.linalg.norm(f_rows.T.copy(), 2 if spectral else None)),
-        norm_variant=config.norm_variant,
+        norm_variant=norm_variant,
     )

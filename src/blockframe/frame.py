@@ -28,6 +28,7 @@ from .matrixcore import (
     gram_singular_values,
     singular_values_2x2,
     singular_values_3x3,
+    tight_deviation,
 )
 
 _UNIT_TOL = 1e-8
@@ -50,6 +51,12 @@ def check_nrm(n, r, m):
         raise FrameError(f"need n <= m*r, got n={n}, m*r={m * r}")
 
 
+def check_field(tag):
+    """The one field rule: a field tag is "real" or "complex"."""
+    if tag not in ("real", "complex"):
+        raise FrameError(f"field must be real or complex, got {tag!r}")
+
+
 @dataclass(frozen=True, init=False)
 class BlockFrame:
     """m blocks of r orthonormal columns each, stacked side by side.
@@ -69,14 +76,14 @@ class BlockFrame:
 
     def __init__(self, n, r, m, data, field_tag=None):
         data = as_matrix(data)
+        if field_tag is not None:
+            check_field(field_tag)
         if field_tag == "real" and np.iscomplexobj(data):
             if np.any(data.imag != 0.0):
                 raise FrameError("field_tag is real but imaginary parts are nonzero")
             data = np.ascontiguousarray(data.real)
         elif field_tag == "complex":
             data = data.astype(np.complex128, copy=False)
-        elif field_tag not in (None, "real"):
-            raise FrameError(f"field_tag must be real or complex, got {field_tag!r}")
         check_nrm(n, r, m)
         if data.shape != (n, m * r):
             raise FrameError(f"data shape {data.shape} does not match n={n}, m={m}, r={r}")
@@ -383,8 +390,10 @@ def spectral_distance(frame, i, j):
 class ValidationRecord:
     """Structural facts about a frame, with the deviations behind them.
 
-    gram is the m x m Gram map, and worst_case_coherence its largest
-    off-diagonal entry, both by-products of the pass behind the spread.
+    tight_residual is max |F F* - (mr/n) I| over the entries
+    (tight_deviation).  gram is the m x m Gram map, and worst_case_coherence
+    its largest off-diagonal entry, both by-products of the pass behind the
+    spread.
     """
 
     unit_columns: bool
@@ -410,8 +419,7 @@ def validate(frame):
 
     block_dev = gram_deviation(frame.blocks3d())
 
-    tight_ratio = m * r / n
-    residual = frobenius_norm(data @ data.conj().T - tight_ratio * np.eye(n))
+    residual = tight_deviation(data)
 
     union = n % r == 0 and (m * r) % n == 0 and m % (n // r) == 0
     if union:
@@ -424,12 +432,12 @@ def validate(frame):
     return ValidationRecord(
         unit_columns=col_dev < _UNIT_TOL,
         block_orthonormal=block_dev <= _ORTHO_TOL,
-        tight=residual < _TIGHT_TOL * max(1.0, tight_ratio),
+        tight=residual < _TIGHT_TOL * max(1.0, m * r / n),
         union_of_orthobases=union,
         equi_isoclinic=spread < _ISOCLINIC_TOL,
         max_column_norm_dev=col_dev,
         max_block_gram_dev=block_dev,
-        tight_residual=float(residual),
+        tight_residual=residual,
         cross_singular_spread=spread,
         worst_case_coherence=smax,
         gram=g,

@@ -35,7 +35,7 @@ import json
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, check_nrm
+from .frame import BlockFrame, check_field, check_nrm
 from .matrixcore import check_entries
 
 _MAGIC = "BFM 1"
@@ -111,8 +111,7 @@ def _read_header(path, fh):
     except (KeyError, ValueError) as exc:
         raise FrameError(f"{path}: bad header line") from exc
     try:
-        if field_tag not in ("real", "complex"):
-            raise FrameError(f"field must be real or complex, got {field_tag!r}")
+        check_field(field_tag)
         check_nrm(n, r, m)
         check_entries(n * m * r, "the frame's data")
     except FrameError as exc:

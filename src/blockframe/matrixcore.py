@@ -15,8 +15,7 @@ _MAX_ENTRIES = 1 << 27
 # pivot threshold below which a column set is treated as rank deficient
 _RANK_TOL = 1e-12
 
-# entries that gram_deviation, and the tightness residual of a construction
-# check, conjugate or form at once
+# entries that gram_deviation and tight_deviation conjugate or form at once
 _SLICE_ENTRIES = 1 << 16
 
 
@@ -194,6 +193,27 @@ def gram_deviation(stack):
     for i0 in range(0, len(x), step):
         s = x[i0 : i0 + step]
         devs.append(np.abs(np.matmul(s.conj().swapaxes(-1, -2), s) - eye).max())
+    return float(np.max(devs))
+
+
+def tight_deviation(p):
+    """max |P P* - (m/n) I| of an n x m matrix P, a tile of columns of P P* at a time.
+
+    The one tightness residual.  A tile is P times the conjugate of a run of
+    P's rows, with m/n taken off its diagonal in place.  What a tile
+    allocates, its n x step product and, for a complex P, the step x m
+    conjugated rows, is at most 2^16 entries (or one column's worth), so P
+    is never copied whole and no n x n product is made.  A real P of
+    n <= 256 is one tile, one symmetric rank-k update.
+    """
+    n, m = p.shape
+    step = max(1, _SLICE_ENTRIES // (n + m if np.iscomplexobj(p) else n))
+    devs = []
+    for i0 in range(0, n, step):
+        t = p @ p[i0 : i0 + step].conj().T
+        k = np.arange(t.shape[1])
+        t[i0 + k, k] -= m / n
+        devs.append(np.abs(t).max())
     return float(np.max(devs))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import frame as frame_module
 from .bounds import solve_threshold
 from .errors import FrameError
-from .frame import BlockFrame, check_nrm, worst_case_coherence
+from .frame import BlockFrame, check_field, check_nrm, worst_case_coherence
 from .matrixcore import check_entries, orthonormalize
 
 
@@ -133,8 +133,7 @@ class RandomFrameSpec:
     def __post_init__(self):
         check_nrm(self.n, self.r, self.m)
         _substream_address(self.seed, ())
-        if self.field_tag not in ("real", "complex"):
-            raise FrameError(f"bad field_tag {self.field_tag!r}")
+        check_field(self.field_tag)
 
 
 def _gaussian(n, r, rng, field_tag):

@@ -25,7 +25,6 @@ from blockframe import (
 from blockframe import constructions, matrixcore
 from blockframe.bounds import etf_max_blocks
 from blockframe.constructions import (
-    FrameRecipe,
     build_frame,
     gf2_rank,
     is_prime,
@@ -223,21 +222,6 @@ def test_verify_etf_peaks_below_half_the_size_of_p():
     assert peak <= 0.5 * p.nbytes
 
 
-@pytest.mark.parametrize("cplx", [False, True])
-def test_tight_deviation_equals_the_one_pass_residual(monkeypatch, cplx):
-    # tiles of one column, of a few with a short last tile, and one tile.
-    # A complex P goes through the same gemm either way; a real P P* was one
-    # symmetric rank-k update, and its tiles are gemms, which round apart
-    rng = np.random.default_rng(17)
-    p = rng.standard_normal((7, 20)) + (1j * rng.standard_normal((7, 20)) if cplx else 0)
-    gram = p @ p.conj().T
-    one_pass = float(np.abs(gram - (20 / 7) * np.eye(7)).max())
-    ulps = 0 if cplx else 4 * np.finfo(np.float64).eps * np.abs(gram).max()
-    for tile in (1, 20, 60, 1 << 16):  # 2 columns: 20 entries of a real P, 60 of a complex one
-        monkeypatch.setattr(constructions, "_SLICE_ENTRIES", tile)
-        assert constructions._tight_deviation(p) == pytest.approx(one_pass, rel=0, abs=ulps)
-
-
 # ---------------------------------------------------------------- kerdock family
 
 
@@ -330,7 +314,7 @@ def test_kerdock_set_file_rejects(tmp_path, monkeypatch):
 
     monkeypatch.setattr(constructions, "hadamard_sylvester", no_frame)
     with pytest.raises(FrameError, match="singular"):
-        build_frame(FrameRecipe("kerdock", {"k": 4, "set_file": str(path)}, ("hadamard", 1)))
+        build_frame("kerdock", 4, ("hadamard", 1), set_file=str(path))
 
 
 # ---------------------------------------------------------------- size guard
@@ -453,7 +437,7 @@ def test_kron_average_matches_column_average():
 def test_build_frame_steiner_recipe():
     from blockframe import validate, worst_case_coherence
 
-    frame = build_frame(FrameRecipe("steiner", {"v": 4}, ("hadamard", 1)))
+    frame = build_frame("steiner", 4, ("hadamard", 1))
     assert (frame.n, frame.r, frame.m) == (12, 2, 16)
     assert frame.field_tag == "complex"
     assert frame.data.dtype == np.complex128
@@ -462,7 +446,7 @@ def test_build_frame_steiner_recipe():
 
 
 def test_build_frame_dft2_keeps_real_tag():
-    frame = build_frame(FrameRecipe("id-hadamard", {"k": 2}, ("dft", 2)))
+    frame = build_frame("id-hadamard", 2, ("dft", 2))
     assert frame.field_tag == "real"
     assert frame.data.dtype == np.float64
 
@@ -470,21 +454,21 @@ def test_build_frame_dft2_keeps_real_tag():
 @pytest.mark.parametrize(
     "recipe, dtype",
     [
-        (FrameRecipe("kerdock", {"k": 4}, ("hadamard", 1)), np.float64),
-        (FrameRecipe("id-hadamard", {"k": 3}, ("none",)), np.float64),
-        (FrameRecipe("id-hadamard", {"k": 3}, ("hadamard", 1)), np.float64),
-        (FrameRecipe("alltop", {"p": 5}, ("dft", 3)), np.complex128),
-        (FrameRecipe("id-hadamard", {"k": 2}, ("dft", 3)), np.complex128),
+        (("kerdock", 4, ("hadamard", 1)), np.float64),
+        (("id-hadamard", 3, ("none",)), np.float64),
+        (("id-hadamard", 3, ("hadamard", 1)), np.float64),
+        (("alltop", 5, ("dft", 3)), np.complex128),
+        (("id-hadamard", 2, ("dft", 3)), np.complex128),
     ],
 )
 def test_build_frame_dtype_is_the_field(recipe, dtype):
-    frame = build_frame(recipe)
+    frame = build_frame(*recipe)
     assert frame.data.dtype == dtype
     assert frame.field_tag == ("real" if dtype == np.float64 else "complex")
 
 
 def test_build_frame_no_lift():
-    frame = build_frame(FrameRecipe("id-hadamard", {"k": 2}, ("none",)))
+    frame = build_frame("id-hadamard", 2)
     assert (frame.n, frame.r, frame.m) == (4, 1, 8)
 
 
@@ -492,8 +476,8 @@ def test_build_frame_factor_from_file(tmp_path):
     qpath = str(tmp_path / "q.bfm")
     qframe = BlockFrame(n=2, r=1, m=2, data=H1.astype(np.complex128), field_tag="real")
     write_bfm(qpath, qframe)
-    a = build_frame(FrameRecipe("steiner", {"v": 4}, ("file", qpath)))
-    b = build_frame(FrameRecipe("steiner", {"v": 4}, ("hadamard", 1)))
+    a = build_frame("steiner", 4, ("file", qpath))
+    b = build_frame("steiner", 4, ("hadamard", 1))
     assert np.array_equal(a.data, b.data)
 
 
@@ -503,13 +487,13 @@ def test_build_frame_external_family(tmp_path):
     epath = str(tmp_path / "p.bfm")
     p = steiner_pairs_etf(4)
     write_bfm(epath, BlockFrame(n=6, r=1, m=16, data=p, field_tag="complex"))
-    frame = build_frame(FrameRecipe("external", {"path": epath}, ("hadamard", 1)))
+    frame = build_frame("external", epath, ("hadamard", 1))
     assert validate(frame).equi_isoclinic
 
     upath = str(tmp_path / "u.bfm")
     u = id_hadamard_union(2)
     write_bfm(upath, BlockFrame(n=4, r=1, m=8, data=u.astype(np.complex128), field_tag="real"))
-    uframe = build_frame(FrameRecipe("external", {"path": upath}, ("hadamard", 1)))
+    uframe = build_frame("external", upath, ("hadamard", 1))
     assert validate(uframe).union_of_orthobases
 
 
@@ -534,17 +518,17 @@ _KERDOCK = {"verify_flat_union": 1, "validate_kerdock_set": 1}
 
 @pytest.mark.parametrize("kron", [("none",), ("hadamard", 1)], ids=["no-lift", "lift"])
 @pytest.mark.parametrize(
-    "family, params, calls",
+    "family, value, optional, calls",
     [
-        ("steiner", {"v": 4}, _ETF),
-        ("harmonic", {"p": 7}, _ETF),
-        ("alltop", {"p": 5}, _FLAT),
-        ("chirp", {"p": 5}, _FLAT),
-        ("id-hadamard", {"k": 2}, _FLAT),
-        ("kerdock", {"k": 4}, _KERDOCK),
-        ("kerdock", {"k": 4, "set_file": "set.txt"}, _KERDOCK),
-        ("external", {"path": "etf.bfm"}, _ETF),
-        ("external", {"path": "flat.bfm"}, _FLAT),
+        ("steiner", 4, {}, _ETF),
+        ("harmonic", 7, {}, _ETF),
+        ("alltop", 5, {}, _FLAT),
+        ("chirp", 5, {}, _FLAT),
+        ("id-hadamard", 2, {}, _FLAT),
+        ("kerdock", 4, {}, _KERDOCK),
+        ("kerdock", 4, {"set_file": "set.txt"}, _KERDOCK),
+        ("external", "etf.bfm", {}, _ETF),
+        ("external", "flat.bfm", {}, _FLAT),
     ],
     ids=[
         "steiner",
@@ -558,13 +542,17 @@ _KERDOCK = {"verify_flat_union": 1, "validate_kerdock_set": 1}
         "external-flat",
     ],
 )
-def test_build_frame_verifies_each_factor_once(tmp_path, verify_calls, family, params, calls, kron):
+def test_build_frame_verifies_each_factor_once(
+    tmp_path, verify_calls, family, value, optional, calls, kron
+):
     _write_set_file(tmp_path / "set.txt", kerdock_set(4))
     write_bfm(tmp_path / "etf.bfm", BlockFrame(n=6, r=1, m=16, data=steiner_pairs_etf(4)))
     write_bfm(tmp_path / "flat.bfm", BlockFrame(n=4, r=1, m=8, data=id_hadamard_union(2)))
-    files = {key: str(tmp_path / params[key]) for key in ("path", "set_file") if key in params}
+    if family == "external":
+        value = str(tmp_path / value)
+    optional = {key: str(tmp_path / name) for key, name in optional.items()}
     verify_calls.clear()
-    build_frame(FrameRecipe(family, {**params, **files}, kron))
+    build_frame(family, value, kron, **optional)
     assert verify_calls == calls
 
 
@@ -583,13 +571,13 @@ def test_kron_from_verifies_a_supplied_factor_once(verify_calls, lift, build, ki
 
 
 def test_build_frame_errors(tmp_path):
+    with pytest.raises(FrameError, match="unknown family 'mystery'"):
+        build_frame("mystery", 4)
     with pytest.raises(FrameError):
-        FrameRecipe("mystery", {"v": 4})
-    with pytest.raises(FrameError):
-        build_frame(FrameRecipe("steiner", {"v": 4}, ("fourier", 2)))
+        build_frame("steiner", 4, ("fourier", 2))
     # square external matrix cannot become an r=1 frame
     qpath = str(tmp_path / "sq.bfm")
     write_bfm(qpath, BlockFrame(n=2, r=1, m=2, data=H1.astype(np.complex128), field_tag="real"))
     with pytest.raises(FrameError):
-        build_frame(FrameRecipe("external", {"path": qpath}, ("none",)))
+        build_frame("external", qpath, ("none",))
 

@@ -18,8 +18,8 @@ from blockframe import (
     spectral_norm,
     worst_case_coherence,
 )
-from blockframe.constructions import FrameRecipe, build_frame
-from blockframe.flipping import FlipConfig, apply_block_signs
+from blockframe.constructions import build_frame
+from blockframe.flipping import apply_block_signs
 from blockframe.frame import BlockFrame
 
 
@@ -47,7 +47,7 @@ def test_flip_hand_traced():
 )
 def test_flip_preserves_mu_and_gram_bitwise(spec, variant):
     frame = sample_block_frame(spec)
-    res = flip(frame, FlipConfig(norm_variant=variant))
+    res = flip(frame, variant)
     # sign flips cancel exactly inside every cross-Gram product
     assert res.mu_after == res.mu_before
     assert np.array_equal(gram_map(res.frame), gram_map(frame))
@@ -106,7 +106,7 @@ def _greedy_signs_oracle(frame, variant):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_flip_signs_match_the_two_norm_greedy_rule(r, field_tag, variant):
     frame = sample_block_frame(RandomFrameSpec(n=24, r=r, m=60, seed=r, field_tag=field_tag))
-    res = flip(frame, FlipConfig(norm_variant=variant))
+    res = flip(frame, variant)
     assert res.signs.tolist() == _greedy_signs_oracle(frame, variant)[0]
 
 
@@ -120,17 +120,17 @@ def test_flip_signs_match_the_two_norm_greedy_rule(r, field_tag, variant):
 def test_flip_signs_match_the_greedy_rule_on_benchmark_shapes(spec, variant):
     # the benchmark's flip frames (trial 0) and complex frames of the same make
     frame = sample_block_frame(spec, trial=0)
-    res = flip(frame, FlipConfig(norm_variant=variant))
+    res = flip(frame, variant)
     assert res.signs.tolist() == _greedy_signs_oracle(frame, variant)[0]
 
 
 @pytest.mark.parametrize("variant", ["spectral", "frobenius"])
 def test_flip_signs_match_the_greedy_rule_through_exact_ties(variant):
     # kerdock(4) x H_1: a block orthogonal to the running sum gives n+ = n-
-    frame = build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
+    frame = build_frame("kerdock", 4, ("hadamard", 1))
     signs, ties = _greedy_signs_oracle(frame, variant)
     assert ties >= 10
-    assert flip(frame, FlipConfig(norm_variant=variant)).signs.tolist() == signs
+    assert flip(frame, variant).signs.tolist() == signs
 
 
 def test_flip_nu_matches_recomputation():
@@ -144,14 +144,14 @@ def test_flip_nu_matches_recomputation():
 def test_flip_reduces_nu_on_seeded_frames(seed):
     frame = sample_block_frame(RandomFrameSpec(n=32, r=2, m=40, seed=seed))
     for variant in ("spectral", "frobenius"):
-        res = flip(frame, FlipConfig(norm_variant=variant))
+        res = flip(frame, variant)
         assert res.nu_after < res.nu_before
 
 
 def test_flip_frobenius_partial_sum_bound():
     # greedy choice keeps ||F||_F^2 <= sum of block squared norms = m*r
     frame = sample_block_frame(RandomFrameSpec(n=32, r=2, m=40, seed=1))
-    res = flip(frame, FlipConfig(norm_variant="frobenius"))
+    res = flip(frame, "frobenius")
     assert res.partial_sum_norm**2 <= frame.m * frame.r + 1e-9
 
 
@@ -161,7 +161,7 @@ def test_flip_partial_sum_recompute():
             spec = RandomFrameSpec(n=16, r=r, m=16, seed=6, field_tag=field_tag)
             frame = sample_block_frame(spec)
             for variant, norm in (("spectral", spectral_norm), ("frobenius", frobenius_norm)):
-                res = flip(frame, FlipConfig(norm_variant=variant))
+                res = flip(frame, variant)
                 total = frame.block(0).copy()
                 for k in range(1, frame.m):
                     total += res.signs[k] * frame.block(k)
@@ -188,14 +188,14 @@ def test_flip_step_solves_an_eigenproblem_only_at_r_above_2(monkeypatch, r, vari
     monkeypatch.setattr(flipping, "worst_case_coherence", lambda frame: 0.0)
     monkeypatch.setattr(flipping, "average_coherence", lambda frame: 0.0)
     frame = sample_block_frame(RandomFrameSpec(n=16, r=r, m=20, seed=2))
-    flip(frame, FlipConfig(norm_variant=variant))
+    flip(frame, variant)
     expected = frame.m - 1 if variant == "spectral" and r >= 3 else 0
     assert counts == {"gram_singular_values": expected, "eigvalsh": expected}
 
 
 def test_flip_result_metadata():
     frame = sample_block_frame(RandomFrameSpec(n=16, r=2, m=12, seed=6))
-    res = flip(frame, FlipConfig(norm_variant="frobenius"))
+    res = flip(frame, "frobenius")
     assert res.norm_variant == "frobenius"
     assert res.nu_bound == flipped_nu_bound(frame.m)
 
@@ -232,7 +232,13 @@ def test_flipped_nu_bound_values():
         flipped_nu_bound(1)
 
 
-def test_flip_config_validation():
-    with pytest.raises(FrameError):
-        FlipConfig(norm_variant="nuclear")
+def test_flip_config_validation(monkeypatch):
+    # an unknown norm is refused before the greedy loop and the mu sweep
+    calls = []
+    monkeypatch.setattr(flipping, "_step_norms", lambda *args: calls.append("step"))
+    monkeypatch.setattr(flipping, "worst_case_coherence", lambda frame: calls.append("mu"))
+    frame = sample_block_frame(RandomFrameSpec(n=16, r=2, m=10, seed=3))
+    with pytest.raises(FrameError, match="unknown norm variant 'nuclear'"):
+        flip(frame, norm_variant="nuclear")
+    assert calls == []
 

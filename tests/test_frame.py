@@ -24,8 +24,11 @@ from blockframe import (
     worst_case_coherence,
 )
 from blockframe.cli import coherence_report
-from blockframe.constructions import FrameRecipe, build_frame, harmonic_qr_etf, kron_from_etf
+from blockframe.blockcs import SignalSpec
+from blockframe.bounds import max_equi_isoclinic, max_orthobases_blocks
+from blockframe.constructions import build_frame, harmonic_qr_etf, kron_from_etf
 from blockframe.flipping import apply_block_signs
+from blockframe.io import read_bfm
 from blockframe.matrixcore import gram_singular_values, orthonormalize
 from blockframe.sampling import RandomFrameSpec, sample_block_frame
 
@@ -342,7 +345,7 @@ def test_first_block_orthogonal_to_every_other_block(monkeypatch, r, chunk):
 
 
 def _kerdock4():
-    return build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
+    return build_frame("kerdock", 4, ("hadamard", 1))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 10, 90])
@@ -512,6 +515,41 @@ def test_block_frame_shape_checks():
         BlockFrame(n=4, r=2, m=3, data=np.full((4, 6), 1j), field_tag="real")
 
 
+_TWO_BASES = np.eye(4)[:, [0, 1, 2, 3, 0, 1]]
+
+
+def _bfm_with_field(tag, tmp_path):
+    path = tmp_path / "f.bfm"
+    path.write_text(f"BFM 1\nn=2 r=1 m=2 field={tag}\n1.0:0.0,0.0:0.0\n0.0:0.0,1.0:0.0\n")
+    return read_bfm(path)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tag, _: BlockFrame(n=4, r=2, m=3, data=_TWO_BASES, field_tag=tag),
+        lambda tag, _: RandomFrameSpec(n=6, r=2, m=4, seed=0, field_tag=tag),
+        lambda tag, _: SignalSpec(m=10, r=2, k=3, field_tag=tag),
+        _bfm_with_field,
+        lambda tag, _: max_equi_isoclinic(4, 2, tag),
+        lambda tag, _: max_orthobases_blocks(4, tag),
+    ],
+    ids=[
+        "BlockFrame",
+        "RandomFrameSpec",
+        "SignalSpec",
+        "bfm-header",
+        "max_equi_isoclinic",
+        "max_orthobases_blocks",
+    ],
+)
+def test_every_field_entry_point_refuses_an_unknown_tag_with_one_message(tmp_path, entry):
+    with pytest.raises(FrameError, match="field must be real or complex, got 'rational'"):
+        entry("rational", tmp_path)
+    for tag in ("real", "complex"):
+        entry(tag, tmp_path)
+
+
 def test_block_views_and_from_blocks():
     frame = random_frame(5, 2, 4, 11)
     assert frame.block(2).base is frame.data
@@ -552,7 +590,7 @@ def test_negative_zero_counts_as_real():
 
 
 def test_validate_union_of_orthobases():
-    frame = build_frame(FrameRecipe(family="id-hadamard", params={"k": 2}))
+    frame = build_frame("id-hadamard", 2)
     rec = validate(frame)
     assert rec.unit_columns
     assert rec.block_orthonormal
@@ -569,6 +607,17 @@ def test_non_orthonormal_blocks_are_refused():
     nearly = frame.data.copy()
     nearly[0, 0] += 1e-9
     assert BlockFrame(n=6, r=2, m=5, data=nearly).m == 5
+
+
+def test_validate_tight_residual_is_the_largest_entry():
+    # columns e1, e2, e3, e1: F F* = diag(2, 1, 1) and mr/n = 4/3, so the
+    # residual's entries are 2/3, -1/3, -1/3; the largest, not their
+    # Frobenius norm sqrt(6)/3, is tight_residual
+    frame = BlockFrame(n=3, r=1, m=4, data=np.eye(3)[:, [0, 1, 2, 0]])
+    rec = validate(frame)
+    assert rec.tight_residual == pytest.approx(2 / 3, rel=0, abs=1e-15)
+    assert not rec.tight
+    assert validate(build_frame("id-hadamard", 2)).tight_residual <= 1e-15
 
 
 def test_validate_random_frame():
@@ -597,7 +646,7 @@ def test_validate_spread_at_r2_matches_svd(seed, cplx):
 
 def test_validate_kerdock_r2_is_not_equi_isoclinic():
     # pairs within one orthobasis have C = 0 up to rounding, the others C = +-I/4
-    frame = build_frame(FrameRecipe(family="kerdock", params={"k": 4}, kron=("hadamard", 1)))
+    frame = build_frame("kerdock", 4, ("hadamard", 1))
     assert (frame.n, frame.r, frame.m) == (32, 2, 128)
     rec = validate(frame)
     assert rec.cross_singular_spread == pytest.approx(0.25, abs=1e-15)
@@ -605,7 +654,7 @@ def test_validate_kerdock_r2_is_not_equi_isoclinic():
 
 
 def test_coherence_report_fields():
-    frame = build_frame(FrameRecipe(family="id-hadamard", params={"k": 2}))
+    frame = build_frame("id-hadamard", 2)
     payload, gram = coherence_report(frame)
     assert payload["n"] == 4 and payload["r"] == 1 and payload["m"] == 8
     assert payload["worst_case_coherence"] == pytest.approx(0.5, abs=1e-12)

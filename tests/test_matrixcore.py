@@ -27,6 +27,7 @@ from blockframe.matrixcore import (
     singular_values_2x2,
     singular_values_3x3,
     spectral_norm,
+    tight_deviation,
 )
 
 
@@ -378,6 +379,21 @@ def test_gram_deviation_in_slices_equals_the_one_pass_value(monkeypatch):
         assert gram_deviation(x) == one_pass
         assert gram_deviation(view) == one_pass
         assert np.isnan(gram_deviation(nan))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_tight_deviation_equals_the_one_pass_residual(monkeypatch, cplx):
+    # tiles of one column, of a few with a short last tile, and one tile.
+    # A complex P goes through the same gemm either way; a real P P* was one
+    # symmetric rank-k update, and its tiles are gemms, which round apart
+    rng = np.random.default_rng(17)
+    p = rng.standard_normal((7, 20)) + (1j * rng.standard_normal((7, 20)) if cplx else 0)
+    gram = p @ p.conj().T
+    one_pass = float(np.abs(gram - (20 / 7) * np.eye(7)).max())
+    ulps = 0 if cplx else 4 * np.finfo(np.float64).eps * np.abs(gram).max()
+    for tile in (1, 20, 60, 1 << 16):  # 2 columns: 20 entries of a real P, 60 of a complex one
+        monkeypatch.setattr(matrixcore_module, "_SLICE_ENTRIES", tile)
+        assert tight_deviation(p) == pytest.approx(one_pass, rel=0, abs=ulps)
 
 
 def test_dft_matrix():
