@@ -23,14 +23,12 @@ from .frame import check_field, check_nrm
 def welch_coherence_lower(n, r, m):
     """Lower bound sqrt((m*r - n) / (n*(m-1))) on worst-case coherence."""
     check_nrm(n, r, m)
-    if m < 2:
-        raise FrameError("bound needs m >= 2")
     return math.sqrt((m * r - n) / (n * (m - 1)))
 
 
 def orthobases_coherence_lower(n, r):
     """Lower bound sqrt(r/n) for unions of two or more orthonormal bases."""
-    if r <= 0 or n <= 0 or r >= n:
+    if not 0 < r < n:
         raise FrameError(f"need 0 < r < n, got r={r}, n={n}")
     if n % r != 0:
         raise FrameError(f"r must divide n for an orthobasis split, got n={n}, r={r}")
@@ -40,8 +38,6 @@ def orthobases_coherence_lower(n, r):
 def rankin_chordal_upper(n, r, m):
     """Rankin bound on the minimum chordal distance between m subspaces."""
     check_nrm(n, r, m)
-    if m < 2:
-        raise FrameError("bound needs m >= 2")
     return math.sqrt(r * (n - r) / n * m / (m - 1))
 
 
@@ -55,8 +51,6 @@ def rankin_chordal_upper_tight(n, r):
 def spectral_distance_upper(n, r, m):
     """Bound on the minimum spectral distance; clamps at 1 for small m."""
     check_nrm(n, r, m)
-    if m < 2:
-        raise FrameError("bound needs m >= 2")
     return math.sqrt(min(1.0, (n - r) / n * m / (m - 1)))
 
 

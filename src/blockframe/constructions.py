@@ -100,7 +100,7 @@ def verify_etf(p):
     """Check unit columns, equiangularity at the Welch bound, and tightness."""
     p = as_matrix(p)
     n, m = p.shape
-    if m <= n or m < 2:
+    if not 0 < n < m:
         raise FrameError(f"an ETF here must be overcomplete, got {n}x{m}")
     return _verify(p, 1, float(np.sqrt((m - n) / (n * (m - 1)))))
 
@@ -109,7 +109,7 @@ def verify_flat_union(p):
     """Check that p is a union of orthobases with one cross-basis modulus 1/sqrt(n)."""
     p = as_matrix(p)
     n, m = p.shape
-    if m % n != 0 or m // n < 2:
+    if n == 0 or m % n != 0 or m // n < 2:
         raise FrameError(f"need a multiple of at least two bases, got {n}x{m}")
     return _verify(p, n, float(1.0 / np.sqrt(n)))
 

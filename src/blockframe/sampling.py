@@ -151,6 +151,7 @@ def sample_subspace(n, r, rng, field_tag="real"):
     Gaussian ensemble under rotation makes the span uniform on the
     Grassmannian.  r = n gives a random orthogonal or unitary matrix.
     """
+    check_field(field_tag)
     return orthonormalize(_gaussian(n, r, rng, field_tag))
 
 

@@ -99,6 +99,8 @@ def test_verify_etf_rejects():
     # a lone orthonormal basis is not overcomplete
     with pytest.raises(FrameError):
         verify_etf(dft_matrix(5))
+    with pytest.raises(FrameError, match="overcomplete"):
+        verify_etf(np.zeros((0, 3)))  # no rows
 
 
 # ---------------------------------------------------------------- flat unions
@@ -194,6 +196,8 @@ def test_verify_flat_union_rejects():
     assert not verify_flat_union(g).ok
     with pytest.raises(FrameError):
         verify_flat_union(rng.standard_normal((4, 6)))  # not a basis multiple
+    with pytest.raises(FrameError, match="multiple of at least two bases"):
+        verify_flat_union(np.zeros((0, 3)))  # no rows
 
 
 def test_verify_flat_union_rejects_bases_that_fail_only_the_cross_moduli():
@@ -365,9 +369,7 @@ def test_kron_from_etf_steiner_hadamard():
     from blockframe import validate, worst_case_coherence
 
     assert worst_case_coherence(frame) == pytest.approx(1.0 / 3.0, abs=1e-9)
-    rec = validate(frame)
-    assert rec.block_orthonormal
-    assert rec.equi_isoclinic
+    assert validate(frame).equi_isoclinic
     assert frame.m <= etf_max_blocks(frame.n, frame.r)
 
 

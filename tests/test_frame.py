@@ -30,7 +30,12 @@ from blockframe.constructions import build_frame, harmonic_qr_etf, kron_from_etf
 from blockframe.flipping import apply_block_signs
 from blockframe.io import read_bfm
 from blockframe.matrixcore import gram_singular_values, orthonormalize
-from blockframe.sampling import RandomFrameSpec, sample_block_frame
+from blockframe.sampling import (
+    RandomFrameSpec,
+    sample_block_frame,
+    sample_subspace,
+    substream_rng,
+)
 
 
 def random_frame(n, r, m, seed, complex_blocks=False):
@@ -533,6 +538,7 @@ def _bfm_with_field(tag, tmp_path):
         _bfm_with_field,
         lambda tag, _: max_equi_isoclinic(4, 2, tag),
         lambda tag, _: max_orthobases_blocks(4, tag),
+        lambda tag, _: sample_subspace(4, 2, substream_rng(0, 1), field_tag=tag),
     ],
     ids=[
         "BlockFrame",
@@ -541,6 +547,7 @@ def _bfm_with_field(tag, tmp_path):
         "bfm-header",
         "max_equi_isoclinic",
         "max_orthobases_blocks",
+        "sample_subspace",
     ],
 )
 def test_every_field_entry_point_refuses_an_unknown_tag_with_one_message(tmp_path, entry):
@@ -561,6 +568,8 @@ def test_block_views_and_from_blocks():
         frame.block(4)
     with pytest.raises(FrameError):
         BlockFrame.from_blocks([np.zeros((3, 2)), np.zeros((4, 2))])
+    with pytest.raises(FrameError, match="at least one block"):
+        BlockFrame.from_blocks([])
 
 
 def test_dtype_is_the_field():
@@ -592,8 +601,6 @@ def test_negative_zero_counts_as_real():
 def test_validate_union_of_orthobases():
     frame = build_frame("id-hadamard", 2)
     rec = validate(frame)
-    assert rec.unit_columns
-    assert rec.block_orthonormal
     assert rec.tight
     assert rec.union_of_orthobases
     assert not rec.equi_isoclinic  # same-basis cross norms are 0, others 1/2
@@ -607,6 +614,33 @@ def test_non_orthonormal_blocks_are_refused():
     nearly = frame.data.copy()
     nearly[0, 0] += 1e-9
     assert BlockFrame(n=6, r=2, m=5, data=nearly).m == 5
+    # the report's unit_columns and block_orthonormal flags are written true
+    # on the strength of the 1e-8 bound: a first column whose squared norm is
+    # off by just under 1e-8 is accepted with its norm off by about 5e-9, and
+    # one off by just over 1e-8 is refused
+    for stretch in (1 + 0.999e-8, 1 - 0.999e-8):
+        stretched = frame.data.copy()
+        stretched[:, 0] *= np.sqrt(stretch)
+        accepted = BlockFrame(n=6, r=2, m=5, data=stretched)
+        col_dev = np.abs(np.linalg.norm(accepted.data, axis=0) - 1.0).max()
+        assert 4.9e-9 < col_dev < 5e-9
+        validation = coherence_report(accepted)[0]["validation"]
+        assert validation["unit_columns"] is True and validation["block_orthonormal"] is True
+    stretched[:, 0] = frame.data[:, 0] * np.sqrt(1 + 1.001e-8)
+    with pytest.raises(FrameError, match="not orthonormal"):
+        BlockFrame(n=6, r=2, m=5, data=stretched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1, 16), st.integers(-1, 8), st.integers(-1, 4))
+def test_check_nrm_accepts_only_two_or_more_blocks(n, r, m):
+    # r < n <= m*r gives m*r > r, so m >= 2: no measure or bound that takes
+    # a frame or a checked (n, r, m) needs its own m >= 2 test
+    try:
+        frame_module.check_nrm(n, r, m)
+    except FrameError:
+        return
+    assert m >= 2
 
 
 def test_validate_tight_residual_is_the_largest_entry():
@@ -623,8 +657,6 @@ def test_validate_tight_residual_is_the_largest_entry():
 def test_validate_random_frame():
     frame = random_frame(6, 2, 5, 13)
     rec = validate(frame)
-    assert rec.unit_columns
-    assert rec.block_orthonormal
     assert not rec.tight
     assert not rec.union_of_orthobases
     assert not rec.equi_isoclinic
