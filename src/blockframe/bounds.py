@@ -146,27 +146,17 @@ def _log_reg_inc_beta_lower(p, q, x):
 
 def reg_inc_beta(x, p, q):
     """Regularized incomplete beta function I_x(p, q)."""
-    if not (p > 0 and q > 0):
-        raise FrameError(f"reg_inc_beta needs p, q > 0, got p={p}, q={q}")
-    if not 0.0 <= x <= 1.0:
-        raise FrameError(f"reg_inc_beta needs x in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    if x < (p + 1.0) / (p + q + 2.0):
-        return math.exp(_log_reg_inc_beta_lower(p, q, x))
-    return 1.0 - math.exp(_log_reg_inc_beta_lower(q, p, 1.0 - x))
+    return math.exp(log_reg_inc_beta(x, p, q))
 
 
 def log_reg_inc_beta(x, p, q):
     """log I_x(p, q), safe when the result underflows a float."""
     if not (p > 0 and q > 0):
-        raise FrameError(f"log_reg_inc_beta needs p, q > 0, got p={p}, q={q}")
+        raise FrameError(f"incomplete beta needs p, q > 0, got p={p}, q={q}")
     if not 0.0 < x <= 1.0:
         if x == 0.0:
             return -math.inf
-        raise FrameError(f"log_reg_inc_beta needs x in [0, 1], got {x}")
+        raise FrameError(f"incomplete beta needs x in [0, 1], got {x}")
     if x == 1.0:
         return 0.0
     if x < (p + 1.0) / (p + q + 2.0):

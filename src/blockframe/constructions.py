@@ -305,7 +305,9 @@ def kerdock_set(k):
     whose polarization (computed here on the standard basis) is the matrix
     P_s.  Diagonals are zeroed: over GF(2) they only shift the linear term
     of the form, so the spanned bases are unchanged while the nonsingular-
-    difference check becomes exactly the flatness condition.
+    difference check becomes exactly the flatness condition.  The set is
+    therefore not checked here: kerdock_real verifies the flat union it spans
+    (verify_flat_union), which tests every difference once.
     """
     if k < 4 or k % 2 != 0:
         raise FrameError(f"need even k >= 4, got {k}")
@@ -337,8 +339,6 @@ def kerdock_set(k):
                 p[i, j] = bit
                 p[j, i] = bit
         mats.append(p)
-
-    validate_kerdock_set(mats, k)
     return mats
 
 
@@ -370,7 +370,8 @@ def kerdock_real(k, mats=None):
     of the bases pairwise, which is what puts the average column coherence
     at exactly 1/(m-1); cross-basis moduli are untouched by it.
 
-    A set given as mats is validated here; kerdock_set validates its own.
+    A set given as mats is validated here, before the bases are built;
+    kerdock_set's own set is checked by the flat-union verification alone.
     """
     # 2^k x 2^(2k-1) entries; the min spares a huge k a huge integer
     check_entries(2 ** (3 * min(k, 14) - 1), f"kerdock_real({k})")
@@ -428,8 +429,8 @@ def read_kerdock_set_file(path, k):
 def _lift(p, q):
     """Blocks p_i (x) q of a verified P and a unitary q; P is not verified again."""
     q = as_matrix(q)
-    if q.shape[0] != q.shape[1]:
-        raise FrameError(f"kron factor must be square, got {q.shape}")
+    if q.shape[0] != q.shape[1] or not q.size:
+        raise FrameError(f"kron factor must be square and nonempty, got {q.shape}")
     if gram_deviation(q) > _VERIFY_TOL:
         raise FrameError("kron factor is not unitary within 1e-10")
     r = q.shape[0]

@@ -36,8 +36,8 @@ _TIGHT_TOL = 1e-8
 _ISOCLINIC_TOL = 1e-6
 _CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
 _PRUNE_SLACK = 1e-10  # covers rounding in the certificates, the closed forms and eigvalsh
-_MAX_POWER = 32  # the last H^p whose ||H^p||_F prunes at r >= 4
-_NORMAL_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps  # see _prunes
+_MAX_POWER = 32  # the last q whose ||H^q||_F^2 prunes at r >= 4
+_NORMAL_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps  # see _floor
 
 
 def check_nrm(n, r, m):
@@ -170,13 +170,16 @@ def _gram_stack(g):
 
 
 def _cross_singular_values(c):
-    """Singular values of each cross-Gram in a (p, r, r) stack, r <= 3, smallest first.
+    """Singular values of each cross-Gram in a (p, r, r) stack, smallest first.
 
-    |c| at r = 1 and the closed forms at r = 2 and r = 3.
+    |c| at r = 1, the closed forms at r = 2 and r = 3, and eigvalsh of
+    H = C*C at r >= 4.
     """
     r = c.shape[-1]
     if r == 1:
         return np.abs(c[:, :, 0])
+    if r >= 4:
+        return gram_singular_values(np.matmul(c.conj().swapaxes(-1, -2), c))
     return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
 
 
@@ -187,10 +190,7 @@ def _exhaustive_sweep(frame):
     smin, smax = np.inf, 0.0
     for i0, g, keep in _pair_chunks(frame.data, frame.r):
         a, b = np.nonzero(keep)
-        if frame.r >= 4:  # the H that worst_case_coherence solves
-            sv = gram_singular_values(_gram_stack(g)[np.flatnonzero(keep)])
-        else:
-            sv = _cross_singular_values(_gather(g, a, b))
+        sv = _cross_singular_values(_gather(g, a, b))
         gram[a + i0, b + i0] = gram[b + i0, a + i0] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
@@ -212,13 +212,12 @@ def worst_case_coherence(frame):
 
     Each chunk of the pair sweep goes through one skeleton for every r
     (_chunk_max), which solves only the pairs that can hold the maximum.
-    best is the largest sigma_max solved so far, and a pair is dropped when
-    a certificate, an upper bound on a power of its sigma_max, is below that
-    power of best * (1 - 1e-10); _certificate lists them.  No certificate is
-    held against best where that power would leave the normal float64 range
-    (_prunes).  No pair is solved twice.  The closed forms are elementwise
-    and eigvalsh treats each matrix on its own, so the result equals the
-    exhaustive maximum bit for bit.
+    best is the largest sigma_max solved so far.  Each pair has certificates,
+    power sums at least sigma_max^e (_certificate lists them), and a pair is
+    dropped when one is below _floor(best, e), the one hold rule.  No pair
+    is solved twice.  The closed forms are elementwise and eigvalsh treats
+    each matrix on its own, so the result equals the exhaustive maximum bit
+    for bit.
     """
     best = 0.0
     for _, g, keep in _pair_chunks(frame.data, frame.r):
@@ -226,21 +225,33 @@ def worst_case_coherence(frame):
     return best
 
 
+def _floor(best, e):
+    """The one hold rule: a certificate u of sigma_max^e is held where u >= _floor(best, e).
+
+    That is (best (1 - 1e-10))^e, or 0.0 where the power is below the
+    normal float64 range with 52 bits to spare: a certificate sums entries
+    of size about sigma^e, and rounding there could take the pair that holds
+    the maximum under the floor, so nothing is held back.
+    """
+    floor = (best * (1.0 - _PRUNE_SLACK)) ** e
+    return floor if floor >= _NORMAL_MIN else 0.0
+
+
 def _chunk_max(g, keep, best):
     """best raised to the largest sigma_max of the pairs keep selects in an (I, r, J, r) chunk.
 
-    keep is an (I, J) mask.  The pairs whose certificates reach best are
-    kept, the one of largest certificate is solved, and the rest are held
-    against the raised best before they are solved.
+    keep is an (I, J) mask.  The pairs whose certificates u reach
+    _floor(best, e) are kept, the one of largest certificate is solved, and
+    the rest are held against the raised best before they are solved.
     """
     u, e, refine, solve = _certificate(g)
-    v, p = refine(np.flatnonzero(keep.ravel() & _held(u, best, e)), best)
+    v, p = refine(np.flatnonzero(keep.ravel() & (u >= _floor(best, e))), best)
     if not p.size:
         return best
     k = int(v.argmax())
     best = float(solve(p[k : k + 1]).max(initial=best))
     p = np.delete(p, k)
-    _, p = refine(p[_held(u[p], best, e)], best)
+    _, p = refine(p[u[p] >= _floor(best, e)], best)
     return float(solve(p).max(initial=best)) if p.size else best
 
 
@@ -253,14 +264,14 @@ def _certificate(g):
       r = 2, 3: u = ||C||_F^2 (e = 2), from strided sums of the squared
         chunk, and the closed forms solve the gathered C;
       r >= 4: u = ||H||_F^2 (e = 4), H = C*C from _gram_stack, refined by
-        the squared certificates of _square_and_prune, and eigvalsh solves H.
+        ||H^q||_F^2 (e = 4q) in _square_and_prune, and eigvalsh solves H.
     refine(p, best) gives the flat pairs p still held against best, with the
     certificate to rank them by; solve(p) gives their sigma_max.
     """
     r, n_j = g.shape[1], g.shape[2]
     if r >= 4:
         h = _gram_stack(g)
-        u = np.einsum("pij,pij->p", h.conj(), h).real
+        u = _power_sums(h)
         return u, 4, partial(_square_and_prune, h, u), lambda p: gram_singular_values(h[p])[:, -1]
     if r == 1:
         u, e = np.abs(g[:, 0, :, 0]).ravel(), 1
@@ -288,51 +299,30 @@ def _frobenius_squares(g):
     return rows
 
 
-def _held(u, best, e):
-    """Where u, at least sigma_max^e, reaches (best (1 - 1e-10))^e; everywhere if not _prunes."""
-    floor = best * (1.0 - _PRUNE_SLACK)
-    return u >= floor**e if _prunes(floor, e / 4) else np.ones(u.shape, dtype=bool)
+def _power_sums(g):
+    """||G||_F^2 = sum of sigma^(4q) >= sigma_max^(4q) of each G = H^q in a (p, r, r) stack."""
+    return np.einsum("pij,pij->p", g.conj(), g).real
 
 
 def _square_and_prune(h, u, p, best):
     """(v, p) for the rows p of a stack h of H = C*C whose squared certificates v reach best.
 
-    u_q = ||H^q||_F^(1/(2q)) is at least sigma_max and tighter for a larger
-    q.  H^2 is formed, then H^4, ... up to H^32, each for the rows the last
-    bound kept: always on to H^4, since u_2 is loose at large r, and then
-    while a squaring drops rows.  Where best cannot prune, v is u[p], u
-    being ||H||_F^2 of every row.
+    v = ||H^q||_F^2 certifies sigma_max^(4q), its root tighter for a larger
+    q.  H^2, H^4, ... up to H^32 are formed for the rows the last v kept,
+    while _floor(best, 8q) is nonzero: always on to H^4, since ||H^2||_F^2
+    is loose at large r, and then while a squaring drops rows.  Where best
+    cannot prune, v is u[p], u being ||H||_F^2 of every row.
     """
-    floor = best * (1.0 - _PRUNE_SLACK)
     v, g, power = u[p], h[p], 1
-    while p.size and power < _MAX_POWER and _prunes(floor, 2 * power):
+    while p.size and power < _MAX_POWER and _floor(best, 8 * power):
         g, power = np.matmul(g, g), 2 * power
-        v = _sigma_max_bound(g, power)
-        keep = v >= floor
+        v = _power_sums(g)
+        keep = v >= _floor(best, 4 * power)
         if not keep.all():
             p, g, v = p[keep], g[keep], v[keep]
         elif power > 2:
             break
     return v, p
-
-
-def _prunes(floor, power):
-    """Whether a certificate (sum of sigma^(4 power))^(1/(4 power)) may be held against floor.
-
-    The sum is formed from entries of size about sigma^(4 power); below the
-    normal float64 range, with 52 bits to spare, rounding could take a pair
-    that holds the maximum under floor, so no pair is dropped there.
-    """
-    return floor ** (4 * power) >= _NORMAL_MIN
-
-
-def _sigma_max_bound(g, power):
-    """||G||_F^(1/(2 power)) for each G = H^power in a (p, r, r) stack, H = C*C.
-
-    That is (sum of sigma^(4 power))^(1/(4 power)) over the singular values
-    sigma of C, so it is at least sigma_max, and tighter for a larger power.
-    """
-    return np.einsum("pij,pij->p", g.conj(), g).real ** (1 / (4 * power))
 
 
 def average_coherence(frame):

@@ -166,7 +166,7 @@ def orthonormalize(m):
     """
     m = as_matrix(m, stack=True)
     n, r = m.shape[-2:]
-    if r > n:
+    if n == 0 or r > n:
         raise FrameError(f"cannot orthonormalize {r} columns in dimension {n}")
     q, rr = np.linalg.qr(m)
     if np.any(np.abs(np.diagonal(rr, axis1=-2, axis2=-1)) < _RANK_TOL):

@@ -403,6 +403,8 @@ def test_kron_from_etf_rejects():
         kron_from_etf(g, H1)
     with pytest.raises(FrameError):
         kron_from_etf(steiner_pairs_etf(4), 2.0 * H1)  # factor not unitary
+    with pytest.raises(FrameError, match="square and nonempty"):
+        kron_from_etf(steiner_pairs_etf(4), np.zeros((0, 0)))
 
 
 def test_kron_from_flat_union_values():
@@ -527,7 +529,7 @@ _KERDOCK = {"verify_flat_union": 1, "validate_kerdock_set": 1}
         ("alltop", 5, {}, _FLAT),
         ("chirp", 5, {}, _FLAT),
         ("id-hadamard", 2, {}, _FLAT),
-        ("kerdock", 4, {}, _KERDOCK),
+        ("kerdock", 4, {}, _FLAT),
         ("kerdock", 4, {"set_file": "set.txt"}, _KERDOCK),
         ("external", "etf.bfm", {}, _ETF),
         ("external", "flat.bfm", {}, _FLAT),

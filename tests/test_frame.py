@@ -5,6 +5,8 @@ block pairs with per-pair numpy SVDs, no shared code with the vectorized
 implementation paths.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,41 +280,45 @@ def test_frobenius_certificate_bounds_sigma_max(r, cplx):
 def test_second_certificate_bounds_sigma_max(r):
     slack = frame_module._PRUNE_SLACK
     for kind, c in _certificate_stacks(r).items():
-        h = np.matmul(c.conj().swapaxes(1, 2), c)
         smax = np.linalg.svd(c, compute_uv=False)[:, 0]
-        g, power = h, 1
-        previous = frame_module._sigma_max_bound(g, power)
+        g, power = np.matmul(c.conj().swapaxes(1, 2), c), 1
+        previous = frame_module._power_sums(g) ** (1 / 4)
         while power < frame_module._MAX_POWER:
             g, power = np.matmul(g, g), 2 * power
-            bound = frame_module._sigma_max_bound(g, power)
+            u = frame_module._power_sums(g)
             # what the pruning rule relies on, with the slack it allows
-            assert np.all(bound >= smax * (1.0 - slack)), (kind, power)
+            assert np.all(u >= (smax * (1.0 - slack)) ** (4 * power)), (kind, power)
+            # the rooted bound tightens with q, up to the slack
+            bound = u ** (1 / (4 * power))
             assert np.all(bound <= previous * (1.0 + slack)), (kind, power)
             previous = bound
 
 
 def test_squared_certificate_underflow_is_never_held_against_best():
-    # sigma ~ 1e-3: sigma^128 underflows, so u_32 reads 0 below sigma_max
+    # sigma ~ 1e-3: sigma^128 underflows, so ||H^32||_F^2 reads 0 below sigma_max^128
+    slack = frame_module._PRUNE_SLACK
     c = 1e-3 * _certificate_stacks(4)["gaussian"]
     smax = np.linalg.svd(c, compute_uv=False)[:, 0]
-    floor = smax.min() * (1.0 - frame_module._PRUNE_SLACK)
     g, power = np.matmul(c.swapaxes(1, 2), c), 1
     held = []
     while power < frame_module._MAX_POWER:
         g, power = np.matmul(g, g), 2 * power
-        bound = frame_module._sigma_max_bound(g, power)
-        if frame_module._prunes(floor, power):
+        u = frame_module._power_sums(g)
+        floor = frame_module._floor(smax.min(), 4 * power)
+        if floor:
             held.append(power)
-            assert np.all(bound >= smax * (1.0 - frame_module._PRUNE_SLACK)), power
+            assert np.all(u >= (smax * (1.0 - slack)) ** (4 * power)), power
+        else:
+            assert floor == 0.0 and np.all(u >= floor), power  # nothing is held back
     assert held and held[-1] < frame_module._MAX_POWER
-    assert np.all(bound < smax)  # the bound the guard keeps out of the sweep
+    assert np.all(u ** (1 / 128) < smax)  # the bound the zero floor keeps out of the sweep
 
 
 def test_squaring_stops_before_the_certificate_underflows():
-    # s = 1e-3: pair 0 (s Q, isoclinic) has the largest u_2 and is solved
+    # s = 1e-3: pair 0 (s Q, isoclinic) has the largest ||H||_F^2 and is solved
     # first; fillers t_p Q drop out at p = 2, 4, 8, 16 and keep the squaring
     # going; the rank-one pair of sigma 1.05 s holds the maximum, and its
-    # u_32 = (1.05 s)^128 would underflow to 0
+    # ||H^32||_F^2 = (1.05 s)^128 would underflow to 0
     r, s = 4, 1e-3
     rng = np.random.default_rng(5)
     q = np.linalg.qr(rng.standard_normal((6, r, r)))[0]
@@ -386,7 +392,8 @@ def _solved_rows(monkeypatch, frame):
 
 
 def test_squaring_decides_at_r30(monkeypatch):
-    # (200, 30, 44): u and u_2 leave almost every pair; squaring on to u_32 leaves few
+    # (200, 30, 44): ||H||_F^2 and ||H^2||_F^2 leave almost every pair;
+    # squaring on to H^32 leaves few
     frame = random_frame(200, 30, 44, 0)
     pairs = frame.m * (frame.m - 1) // 2
     mu, rows = _solved_rows(monkeypatch, frame)
@@ -457,6 +464,37 @@ PINNED_MU = {
     (128, 2, 256): ["0x1.a629898ec475ep-2", "0x1.b402cfcf0a186p-2", "0x1.980a627cf1627p-2"],
     (128, 3, 256): ["0x1.df5d6c347730dp-2", "0x1.e4228d5c12e82p-2", "0x1.dce9e60882f1fp-2"],
 }
+
+
+# sha256 of validate(...).gram's bytes and cross_singular_spread.hex() of
+# random frames (seed 1, trial 0) at r >= 4, pinned from the sweep that took
+# H from the chunk's own view rather than from the gathered C
+PINNED_VALIDATE = {
+    (40, 4, 60, "real"): (
+        "1424f6d44e945e664cafc6d50ac7ef8cb86fbcf88f59691ae10a65993fd67609",
+        "0x1.74cd15801bd00p-1",
+    ),
+    (60, 10, 30, "real"): (
+        "acb9e8126421c5dac23825d2cdfd4bc2cddf0a8942f8f50c350fac57fa46b225",
+        "0x1.ad99b96efcf67p-1",
+    ),
+    (30, 4, 40, "complex"): (
+        "f3a26f586002969a59644620650451aeddafa693b8259871735253850649f4ae",
+        "0x1.92112eb7cedcep-1",
+    ),
+    (60, 10, 30, "complex"): (
+        "2e0ac672ea49c2c980414c66f37f0eeefb8a9e04b09ca1c462ff78313d4386bc",
+        "0x1.8c212cb6c5a0bp-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_VALIDATE), ids=str)
+def test_validate_map_and_spread_are_pinned(case):
+    n, r, m, field_tag = case
+    rec = validate(sample_block_frame(RandomFrameSpec(n, r, m, 1, field_tag), trial=0))
+    digest = hashlib.sha256(rec.gram.tobytes()).hexdigest()
+    assert (digest, rec.cross_singular_spread.hex()) == PINNED_VALIDATE[case]
 
 
 @pytest.mark.parametrize("shape", list(PINNED_MU))

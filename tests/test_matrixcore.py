@@ -311,6 +311,8 @@ def test_orthonormalize_rejects_rank_deficiency():
         orthonormalize(m)
     with pytest.raises(FrameError):
         orthonormalize(np.ones((2, 3)))  # more columns than rows
+    with pytest.raises(FrameError, match="cannot orthonormalize 0 columns in dimension 0"):
+        orthonormalize(np.zeros((0, 0)))  # no rows
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """README's Python examples run, and import only names the package re-exports."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import blockframe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+SUBMODULES = {info.name for info in pkgutil.iter_modules(blockframe.__path__)}
 
 
 def test_readme_imports_resolve():
@@ -29,3 +32,19 @@ def test_readme_imports_resolve():
 def test_readme_example_runs(index):
     # a signature change that leaves an example stale fails here
     exec(compile(BLOCKS[index], f"README.md python example {index}", "exec"), {})
+
+
+def test_readme_code_names_resolve():
+    # `frame._pair_chunks`, `blockframe.sampling`, ...: a deleted or renamed
+    # helper cannot leave README pointing at nothing
+    named = re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+    modules = [name for owner, name in named if owner == "blockframe"]
+    members = [(owner, name) for owner, name in named if owner in SUBMODULES]
+    assert members, "README names no blockframe submodule member"
+    assert sorted(set(modules) - SUBMODULES) == []
+    missing = [
+        f"{owner}.{name}"
+        for owner, name in members
+        if not hasattr(importlib.import_module(f"blockframe.{owner}"), name)
+    ]
+    assert missing == []

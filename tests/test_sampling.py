@@ -99,6 +99,11 @@ def test_sample_subspace_orthonormal_complex():
     assert np.abs(q.imag).max() > 0.0
 
 
+def test_sample_subspace_of_no_dimension_is_refused():
+    with pytest.raises(FrameError, match="cannot orthonormalize"):
+        sample_subspace(0, 0, substream_rng(0, 1))
+
+
 def test_sample_unitary():
     u = sample_subspace(5, 5, substream_rng(2, 0), field_tag="complex")
     assert u.shape == (5, 5)
