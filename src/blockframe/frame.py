@@ -170,16 +170,13 @@ def _gram_stack(g):
 
 
 def _cross_singular_values(c):
-    """Singular values of each cross-Gram in a (p, r, r) stack, smallest first.
+    """Singular values of each cross-Gram in a (p, r, r) stack, r <= 3, smallest first.
 
-    |c| at r = 1, the closed forms at r = 2 and r = 3, and eigvalsh of
-    H = C*C at r >= 4.
+    |c| at r = 1 and the closed forms at r = 2 and r = 3.
     """
     r = c.shape[-1]
     if r == 1:
         return np.abs(c[:, :, 0])
-    if r >= 4:
-        return gram_singular_values(np.matmul(c.conj().swapaxes(-1, -2), c))
     return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
 
 
@@ -190,7 +187,10 @@ def _exhaustive_sweep(frame):
     smin, smax = np.inf, 0.0
     for i0, g, keep in _pair_chunks(frame.data, frame.r):
         a, b = np.nonzero(keep)
-        sv = _cross_singular_values(_gather(g, a, b))
+        if frame.r >= 4:  # the H that worst_case_coherence solves
+            sv = gram_singular_values(_gram_stack(g)[np.flatnonzero(keep)])
+        else:
+            sv = _cross_singular_values(_gather(g, a, b))
         gram[a + i0, b + i0] = gram[b + i0, a + i0] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
