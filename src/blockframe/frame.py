@@ -13,8 +13,8 @@ and, for a plain matrix with unit-norm columns p_i, the column analogue of
 the average: 1/(m-1) * max_i | sum_{j != i} <p_i, p_j> |.
 """
 
+import operator
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -41,7 +41,11 @@ _NORMAL_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps  # see _floor
 
 
 def check_nrm(n, r, m):
-    """The one shape rule of a block frame: positive n, r, m with r < n <= m*r."""
+    """The one shape rule of a block frame: integers (numpy's too) with 0 < r < n <= m*r."""
+    try:
+        n, r, m = map(operator.index, (n, r, m))
+    except TypeError:
+        raise FrameError(f"n, r, m must be integers, got {n!r}, {r!r}, {m!r}") from None
     if n <= 0 or r <= 0 or m <= 0:
         raise FrameError("n, r, m must be positive")
     if not r < n:
@@ -123,22 +127,27 @@ def _pair_chunks(x, r):
     """Every block pair i < j once, a run of block rows at a time.
 
     x is n x (m*r) data, read as m blocks of r columns.  One gemm
-    A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Yields (i0, g, keep), g
-    being the gemm output as an (I, r, m - i0, r) view in x's own dtype:
+    A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Its product holds at
+    most 2^16 entries, and so does the conjugated row block A_I*, n*r*|I|
+    entries, of complex data (a real block's conj() is a view); a single
+    block row is the least a chunk takes.  Yields (i0, g, keep), g being
+    the gemm output as an (I, r, m - i0, r) view in x's own dtype:
     g[a, :, b, :] is the cross-Gram A_i* A_j of i = i0 + a and j = i0 + b.
     keep is the (I, m - i0) mask of the chunk's pairs, b > a; the others are
     the diagonal blocks A_i* A_i and pairs that an earlier chunk covers.
 
     Everything computed from a cross-Gram C, or from H = C*C, is
-    sign-invariant bit for bit.  Chunk shapes depend on (m, r) alone, and a
-    gemm of fixed shapes does the same operations on negated inputs, so
-    negating block k negates every C that involves it exactly and leaves H,
-    the squared entries behind ||C||_F and the pruning choices unchanged.
+    sign-invariant bit for bit.  Chunk shapes depend on (n, m, r) and the
+    field alone, and a gemm of fixed shapes does the same operations on
+    negated inputs, so negating block k negates every C that involves it
+    exactly and leaves H, the squared entries behind ||C||_F and the pruning
+    choices unchanged.
     """
-    m = x.shape[1] // r
+    n, m = x.shape[0], x.shape[1] // r
+    row_cap = _CHUNK_ENTRIES // (n * r) if np.iscomplexobj(x) else m
     i0 = 0
     while i0 < m - 1:
-        i1 = min(m - 1, i0 + max(1, _CHUNK_ENTRIES // (r * r * (m - i0))))
+        i1 = min(m - 1, i0 + max(1, min(row_cap, _CHUNK_ENTRIES // (r * r * (m - i0)))))
         g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
         keep = np.arange(m - i0) > np.arange(i1 - i0)[:, None]
         yield i0, g.reshape(i1 - i0, r, m - i0, r), keep
@@ -169,12 +178,18 @@ def _gram_stack(g):
     return np.matmul(v.conj().swapaxes(-1, -2), v).reshape(-1, r, r)
 
 
-def _cross_singular_values(c):
-    """Singular values of each cross-Gram in a (p, r, r) stack, r <= 3, smallest first.
+def _singular_values(g, a, b, h=None):
+    """Singular values, smallest first, of the cross-Grams of the pairs (a, b) of a chunk.
 
-    |c| at r = 1 and the closed forms at r = 2 and r = 3.
+    The sweep's one solver: |c| and the closed forms on the gathered C at
+    r <= 3, and eigvalsh of H = C*C at r >= 4, h = _gram_stack(g) formed
+    here unless the caller passes it; no H is formed from a gathered C.
     """
-    r = c.shape[-1]
+    r = g.shape[1]
+    if r >= 4:
+        h = _gram_stack(g) if h is None else h
+        return gram_singular_values(h[a * g.shape[2] + b])
+    c = _gather(g, a, b)
     if r == 1:
         return np.abs(c[:, :, 0])
     return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
@@ -187,10 +202,7 @@ def _exhaustive_sweep(frame):
     smin, smax = np.inf, 0.0
     for i0, g, keep in _pair_chunks(frame.data, frame.r):
         a, b = np.nonzero(keep)
-        if frame.r >= 4:  # the H that worst_case_coherence solves
-            sv = gram_singular_values(_gram_stack(g)[np.flatnonzero(keep)])
-        else:
-            sv = _cross_singular_values(_gather(g, a, b))
+        sv = _singular_values(g, a, b)
         gram[a + i0, b + i0] = gram[b + i0, a + i0] = sv[:, -1]
         smin = min(smin, float(sv[:, 0].min()))
         smax = max(smax, float(sv[:, -1].max()))
@@ -213,7 +225,7 @@ def worst_case_coherence(frame):
     Each chunk of the pair sweep goes through one skeleton for every r
     (_chunk_max), which solves only the pairs that can hold the maximum.
     best is the largest sigma_max solved so far.  Each pair has certificates,
-    power sums at least sigma_max^e (_certificate lists them), and a pair is
+    power sums at least sigma_max^e (_chunk_max reads them), and a pair is
     dropped when one is below _floor(best, e), the one hold rule.  No pair
     is solved twice.  The closed forms are elementwise and eigvalsh treats
     each matrix on its own, so the result equals the exhaustive maximum bit
@@ -240,49 +252,29 @@ def _floor(best, e):
 def _chunk_max(g, keep, best):
     """best raised to the largest sigma_max of the pairs keep selects in an (I, r, J, r) chunk.
 
-    keep is an (I, J) mask.  The pairs whose certificates u reach
-    _floor(best, e) are kept, the one of largest certificate is solved, and
-    the rest are held against the raised best before they are solved.
+    keep is an (I, J) mask, and pair (a, b) is flat a*J + b.  Its certificate
+    u of sigma_max^e is ||C||_F^2 (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at
+    r >= 4, which _square_and_prune refines; no C is gathered for it.  The
+    pairs whose u reach _floor(best, e) are kept, the one of largest
+    certificate is solved, and the rest are held against the raised best
+    before they are solved.
     """
-    u, e, refine, solve = _certificate(g)
-    v, p = refine(np.flatnonzero(keep.ravel() & (u >= _floor(best, e))), best)
+    r, n_j = g.shape[1], g.shape[2]
+    h = _gram_stack(g) if r >= 4 else None
+    u, e = (_frobenius_squares(g).ravel(), 2) if h is None else (_power_sums(h), 4)
+
+    def solve(p):
+        return _singular_values(g, *np.divmod(p, n_j), h)[:, -1]
+
+    v, p = _square_and_prune(h, u, np.flatnonzero(keep.ravel() & (u >= _floor(best, e))), best)
     if not p.size:
         return best
     k = int(v.argmax())
+    del v  # no certificate is held while the survivors' C and (a, b) are
     best = float(solve(p[k : k + 1]).max(initial=best))
     p = np.delete(p, k)
-    _, p = refine(p[u[p] >= _floor(best, e)], best)
+    p = _square_and_prune(h, u, p[u[p] >= _floor(best, e)], best)[1]
     return float(solve(p).max(initial=best)) if p.size else best
-
-
-def _certificate(g):
-    """Every pair's certificate in an (I, r, J, r) chunk, and the rules that refine and solve it.
-
-    Returns (u, e, refine, solve).  u is flat over the I*J pairs, row a*J + b
-    the pair (a, b), and at least its sigma_max^e; no C is gathered for it:
-      r = 1: u = |c| = sigma (e = 1), and solving reads u;
-      r = 2, 3: u = ||C||_F^2 (e = 2), from strided sums of the squared
-        chunk, and the closed forms solve the gathered C;
-      r >= 4: u = ||H||_F^2 (e = 4), H = C*C from _gram_stack, refined by
-        ||H^q||_F^2 (e = 4q) in _square_and_prune, and eigvalsh solves H.
-    refine(p, best) gives the flat pairs p still held against best, with the
-    certificate to rank them by; solve(p) gives their sigma_max.
-    """
-    r, n_j = g.shape[1], g.shape[2]
-    if r >= 4:
-        h = _gram_stack(g)
-        u = _power_sums(h)
-        return u, 4, partial(_square_and_prune, h, u), lambda p: gram_singular_values(h[p])[:, -1]
-    if r == 1:
-        u, e = np.abs(g[:, 0, :, 0]).ravel(), 1
-        solve = u.__getitem__
-    else:
-        u, e = _frobenius_squares(g).ravel(), 2
-
-        def solve(p):
-            return _cross_singular_values(_gather(g, *np.divmod(p, n_j)))[:, -1]
-
-    return u, e, lambda p, best: (u[p], p), solve
 
 
 def _frobenius_squares(g):
@@ -290,6 +282,8 @@ def _frobenius_squares(g):
     n_i, r, n_j, _ = g.shape
     x = g.reshape(n_i * r, n_j * r)
     sq = np.square(x) if x.dtype == np.float64 else np.square(x.real) + np.square(x.imag)
+    if r == 1:
+        return sq
     cols = sq[:, 0::r] + sq[:, 1::r]
     for k in range(2, r):
         cols += sq[:, k::r]
@@ -305,14 +299,17 @@ def _power_sums(g):
 
 
 def _square_and_prune(h, u, p, best):
-    """(v, p) for the rows p of a stack h of H = C*C whose squared certificates v reach best.
+    """(v, p) for the flat pairs p still held against best, v the certificate to rank them by.
 
+    With no h (r <= 3) that is (u[p], p).  With the stack h of H = C*C,
     v = ||H^q||_F^2 certifies sigma_max^(4q), its root tighter for a larger
     q.  H^2, H^4, ... up to H^32 are formed for the rows the last v kept,
     while _floor(best, 8q) is nonzero: always on to H^4, since ||H^2||_F^2
     is loose at large r, and then while a squaring drops rows.  Where best
     cannot prune, v is u[p], u being ||H||_F^2 of every row.
     """
+    if h is None:
+        return u[p], p
     v, g, power = u[p], h[p], 1
     while p.size and power < _MAX_POWER and _floor(best, 8 * power):
         g, power = np.matmul(g, g), 2 * power

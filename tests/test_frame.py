@@ -27,7 +27,12 @@ from blockframe import (
 )
 from blockframe.cli import coherence_report
 from blockframe.blockcs import SignalSpec
-from blockframe.bounds import max_equi_isoclinic, max_orthobases_blocks
+from blockframe.bounds import (
+    max_equi_isoclinic,
+    max_orthobases_blocks,
+    rankin_chordal_upper,
+    spectral_distance_upper,
+)
 from blockframe.constructions import build_frame, harmonic_qr_etf, kron_from_etf
 from blockframe.flipping import apply_block_signs
 from blockframe.io import read_bfm
@@ -200,6 +205,18 @@ def sweep_cases(draw):
     return random_frame(n, r, m, draw(st.integers(0, 2**32 - 1)), cplx), chunk
 
 
+def test_a_complex_chunk_caps_its_conjugated_row_block(monkeypatch):
+    # A_I* of complex data is a copy of n*r*|I| entries, capped as the
+    # product is; a real frame's is a view, and its chunks run longer
+    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", 400)
+    rows = {}
+    for cplx in (False, True):
+        frame = random_frame(30, 2, 40, 3, complex_blocks=cplx)
+        rows[cplx] = [len(g) for _, g, _ in frame_module._pair_chunks(frame.data, 2)]
+    assert max(rows[True]) == 400 // (30 * 2)
+    assert max(rows[False]) > max(rows[True])
+
+
 def _off_diagonal_max(g):
     return g[~np.eye(g.shape[0], dtype=bool)].max()
 
@@ -252,7 +269,7 @@ def _as_chunk(c):
     return np.ascontiguousarray(c.transpose(1, 0, 2))[None]
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_frobenius_certificate_bounds_sigma_max(r, cplx):
     rng = np.random.default_rng(2000 + r)
@@ -267,13 +284,64 @@ def test_frobenius_certificate_bounds_sigma_max(r, cplx):
         stacks["rank-1"] = np.concatenate([stacks["rank-1"], u * v / r])
     slack = frame_module._PRUNE_SLACK
     for kind, c in stacks.items():
-        frob = np.sqrt(frame_module._frobenius_squares(_as_chunk(c))[0])
-        smax = frame_module._cross_singular_values(c)[:, -1]
+        chunk = _as_chunk(c)
+        frob = np.sqrt(frame_module._frobenius_squares(chunk)[0])
+        smax = frame_module._singular_values(chunk, np.zeros(len(c), int), np.arange(len(c)))[:, -1]
         assert np.all(frob >= smax * (1.0 - slack)), kind
         assert np.all(frob >= np.linalg.svd(c, compute_uv=False)[:, 0] * (1.0 - slack)), kind
-        if kind == "rank-1":
+        if kind == "rank-1" or r == 1:
             # equal in exact arithmetic: only rounding, well inside the slack, separates them
             assert np.all(np.abs(frob - smax) <= 1e-14 * smax), kind
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_singular_values_of_a_chunk_against_svd(r, cplx):
+    # a chunk of a random frame's sweep: its cross-Grams have sigma <= 1
+    frame = random_frame(r + 7, r, 30, 70 + r, complex_blocks=cplx)
+    _, g, keep = next(frame_module._pair_chunks(frame.data, r))
+    a, b = np.nonzero(keep)
+    sv = frame_module._singular_values(g, a, b)
+    svd = np.linalg.svd(g[a, :, b, :], compute_uv=False)
+    assert len(sv) == len(a) > 0
+    assert np.abs(sv[:, -1] - svd[:, 0]).max() <= 1e-12
+    assert np.abs(sv[:, 0] - svd[:, -1]).max() <= 1e-10
+    if r >= 4:
+        # the caller's H, when it passes one, is the H formed inside
+        h = frame_module._gram_stack(g)
+        assert frame_module._singular_values(g, a, b, h).tobytes() == sv.tobytes()
+
+
+def test_the_sweep_solves_only_through_singular_values(monkeypatch):
+    # mu, the map and validate reach the gather, the closed forms and
+    # eigvalsh only through the one solver
+    solver = frame_module._singular_values
+    inside, calls = [], {}
+
+    def entered(*args):
+        inside.append(True)
+        try:
+            return solver(*args)
+        finally:
+            inside.pop()
+
+    def counted(name, fn):
+        def count(*args):
+            assert inside, f"{name} called outside _singular_values"
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return count
+
+    monkeypatch.setattr(frame_module, "_singular_values", entered)
+    names = ("_gather", "singular_values_2x2", "singular_values_3x3", "gram_singular_values")
+    for name in names:
+        monkeypatch.setattr(frame_module, name, counted(name, getattr(frame_module, name)))
+    for r in (1, 2, 3, 4):
+        frame = random_frame(r + 6, r, 12, 90 + r)
+        for measure in (worst_case_coherence, gram_map, validate):
+            measure(frame)
+    assert set(calls) == set(names)
 
 
 @pytest.mark.parametrize("r", [4, 10, 90])
@@ -590,6 +658,31 @@ def test_every_field_entry_point_refuses_an_unknown_tag_with_one_message(tmp_pat
         entry("rational", tmp_path)
     for tag in ("real", "complex"):
         entry(tag, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n, r, m: BlockFrame(n=n, r=r, m=m, data=_TWO_BASES),
+        lambda n, r, m: RandomFrameSpec(n=n, r=r, m=m, seed=0),
+        welch_coherence_lower,
+        rankin_chordal_upper,
+        spectral_distance_upper,
+    ],
+    ids=[
+        "BlockFrame",
+        "RandomFrameSpec",
+        "welch_coherence_lower",
+        "rankin_chordal_upper",
+        "spectral_distance_upper",
+    ],
+)
+def test_every_shape_entry_point_refuses_a_non_integer_with_one_message(entry):
+    for shape in [(4.5, 2, 3), (4, 2.0, 3), (4, 2, "3")]:
+        with pytest.raises(FrameError, match="n, r, m must be integers"):
+            entry(*shape)
+    entry(np.int64(4), np.int32(2), np.uint8(3))
+    entry(4, 2, 3)
 
 
 def test_block_views_and_from_blocks():

@@ -283,6 +283,7 @@ def test_bfm_header_checked_before_rows(tmp_path):
     path = tmp_path / "h.bfm"
     for header, reason in [
         ("n=0 r=1 m=2 field=real", "positive"),
+        ("n=2.5 r=1 m=3 field=real", "line"),  # a count must be an integer
         ("n=2 r=1 m=2 field=quaternion", "real or complex"),
         ("n=4096 r=2 m=20000 field=complex", "size guard"),  # 2^27+ entries, no body
     ]:

@@ -9,7 +9,7 @@ implementation.
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blockframe.matrixcore as matrixcore_module
@@ -230,18 +230,73 @@ def sigma_max_oracle(c):
         return float(mpmath.sqrt(max(top, 0)))
 
 
-# measured over 100,000 such matrices: at most 4 ulp where the closed form
-# holds and 5 where eigvalsh takes over; eigvalsh alone gave up to 6 ulp
+# measured over 100,000 such matrices: at most 4 ulp where the closed form holds
 _CLOSED_FORM_3X3_ULP = 5
+
+# Where eigvalsh takes over, sigma_max^2 is its largest root of the H that
+# singular_values_3x3 forms entry by entry.  With u = 2^-53, each entry sums
+# three products of C's entries within 3u (real) or (2 sqrt(2) + 2)u < 5u
+# (complex) of sum_k |c_ki| |c_kj| (Higham, 2nd ed., sections 3.1 and 3.6),
+# so ||dH||_2 <= 5u ||C||_F^2 <= 15u lambda_max.  eigvalsh is backward
+# stable, within p(n) u ||H||_2 of the exact roots (LAPACK Users' Guide,
+# 4.7), and p(3) = 3 is taken here.  By Weyl the root is within
+# 18u lambda_max, so sigma_max is within 9u sigma_max, 10u with the square
+# root's rounding.  One ulp of sigma_max exceeds u sigma_max, and the
+# oracle's own rounding adds half an ulp: 11 ulp.
+_FALLBACK_3X3_ULP = 11
+
+# a complex C with two equal top singular values (0.11237, 0.11237, 0.08807)
+# whose sigma_max eigvalsh gives 7 ulp from the 40-digit value
+_DOUBLE_TOP_3X3 = (
+    "0x1.3492fbcdd33ffp-4 -0x1.8366020d1037dp-5 0x1.89e80fa126d00p-5 0x1.e1e1bc9532397p-7 "
+    "-0x1.8cafa23cf2577p-7 0x1.259d79609c4ccp-5 -0x1.be8f75a3424a4p-5 -0x1.d7c3f7973a0b9p-9 "
+    "0x1.346e84e4124c5p-4 0x1.c2d313a9586b9p-5 -0x1.74854e1043248p-6 -0x1.e1c102de0f6f8p-7 "
+    "-0x1.42c0ed95b07b3p-5 0x1.ca5c41a35c75dp-8 -0x1.effe9917f8e03p-6 0x1.37b8462e72fb1p-6 "
+    "-0x1.2f8c6f575a8a2p-5 0x1.11e0847632fb0p-4"
+)
+
+
+def _double_top():
+    s = _DOUBLE_TOP_3X3
+    return np.array([float.fromhex(t) for t in s.split()]).view(np.complex128).reshape(1, 3, 3)
+
+
+def _top_fallback_rows(c):
+    """The rows of c whose sigma_max singular_values_3x3 takes from eigvalsh, and eigvalsh's values.
+
+    A spy in place of gram_singular_values hands back -(k + 1) as the k-th
+    H's largest value, so a row whose sigma_max reads -(k + 1) took it from
+    the k-th H.
+    """
+    solved = []
+
+    def marked(h):
+        solved.append(h)
+        ev = gram_singular_values(h)
+        ev[:, -1] = -1.0 - np.arange(len(h))
+        return ev
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrixcore_module, "gram_singular_values", marked)
+        smax = singular_values_3x3(c)[:, 1]
+    rows = np.flatnonzero(smax < 0)
+    k = (-1.0 - smax[rows]).astype(int)
+    return rows, gram_singular_values(solved[0])[k, -1] if rows.size else np.empty(0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(cross_gram_3x3_stacks())
+@example(_double_top())
 def test_singular_values_3x3_against_mpmath_and_svd(c):
     got = singular_values_3x3(c)
     want = np.array([sigma_max_oracle(x) for x in c])
     ulps = np.abs(got[:, 1] - want) / np.spacing(np.maximum(want, np.finfo(float).tiny))
-    assert ulps.max() <= _CLOSED_FORM_3X3_ULP
+    rows, eigen = _top_fallback_rows(c)
+    assert got[rows, 1].tobytes() == eigen.tobytes()
+    closed = np.ones(len(c), dtype=bool)
+    closed[rows] = False
+    assert ulps[closed].max(initial=0.0) <= _CLOSED_FORM_3X3_ULP
+    assert ulps[rows].max(initial=0.0) <= _FALLBACK_3X3_ULP
     svd_min = np.linalg.svd(c, compute_uv=False)[:, -1]
     big = svd_min >= 1e-3
     assert np.all(np.abs(got[big, 0] - svd_min[big]) <= 1e-12)
@@ -250,6 +305,7 @@ def test_singular_values_3x3_against_mpmath_and_svd(c):
 
 
 def test_singular_values_3x3_falls_back_where_top_roots_meet(monkeypatch):
+    assert _top_fallback_rows(_double_top())[0].tolist() == [0]
     rng = np.random.default_rng(1009)
     u, v = _orthogonal(rng, False), _orthogonal(rng, False)
     equal_top = u @ np.diag([0.5, 0.5, 0.1]) @ v.T
