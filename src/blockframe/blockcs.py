@@ -15,8 +15,15 @@ import numpy as np
 
 from .errors import FrameError
 from .flipping import flip, flipped_nu_bound
-from .frame import check_field
-from .sampling import RandomFrameSpec, parallel_map, sample_block_frame, substream_rng
+from .frame import check_count, check_field
+from .matrixcore import check_entries
+from .sampling import (
+    RandomFrameSpec,
+    keyed_rng,
+    parallel_map,
+    sample_block_frame,
+    substream_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,8 @@ class SignalSpec:
     field_tag: str = "real"
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.m:
+        check_count(self.k, "k")
+        if not self.k <= self.m:
             raise FrameError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
         if not 1.0 <= self.dynamic_range < np.inf:
             raise FrameError(
@@ -46,9 +54,29 @@ def gen_signal(spec, rng):
     else:
         phases = np.exp(2j * np.pi * rng.random(size=(spec.k, spec.r)))
     x = np.zeros(spec.m * spec.r, dtype=phases.dtype)
-    for idx, blk in enumerate(support):
-        x[blk * spec.r : (blk + 1) * spec.r] = mags[idx] * phases[idx]
+    x.reshape(spec.m, spec.r)[support] = mags * phases
     return x, support
+
+
+def _energies(c, r):
+    """||A_i* y||_2 per block from c = A* y, over c's last axis.
+
+    The arithmetic is np.linalg.norm(axis=-1)'s, so any stack of c gives
+    each block the bits one call on that c alone would.
+    """
+    c = c.reshape(*c.shape[:-1], c.shape[-1] // r, r)
+    return np.sqrt(np.add.reduce((c.conj() * c).real, axis=-1))
+
+
+def _ranks(energies):
+    """Each block's place in the order of decreasing energy, over the last
+    axis: one stable argsort of the negated energies, so equal energies
+    rank the lower block index first.  The k blocks of rank < k are the
+    ones thresholding keeps."""
+    order = np.argsort(-energies, axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(order.shape[-1]), axis=-1)
+    return ranks
 
 
 def one_step_group_threshold(frame, y, k):
@@ -60,9 +88,7 @@ def one_step_group_threshold(frame, y, k):
     if not 1 <= k <= frame.m:
         raise FrameError(f"need 1 <= k <= m, got k={k}")
     c = frame.data.conj().T @ np.asarray(y)
-    energies = np.linalg.norm(c.reshape(frame.m, frame.r), axis=1)
-    picked = np.argsort(-energies, kind="stable")[:k]
-    return np.sort(picked)
+    return np.flatnonzero(_ranks(_energies(c, frame.r)) < k)
 
 
 def ndp(true_support, est_support):
@@ -123,40 +149,70 @@ def run_ndp_experiment(
     first frame's shape, so curves differ only through the frames.  bits(dr)
     is the IEEE-754 bit pattern of dr, so distinct ranges never share draws,
     whatever the grid order.  With snr_db set, white Gaussian noise at that
-    SNR relative to the mean measurement power is added from a sibling
-    substream.  snr_db must be finite, and a trial whose noise takes the
-    measurements' ||y||^2 out of float64 is refused (for n = 8 and dynamic
-    range 10, from about -3060 dB down).  Trials parallelize over threads;
+    SNR relative to the mean measurement power is added from the sibling
+    substream (seed, k, bits(dr), trial, 1).  snr_db must be finite, and a
+    trial whose noise takes the measurements' ||y||^2 out of float64 is
+    refused (for n = 8 and dynamic range 10, from about -3060 dB down).
+
+    The keys of every signal come from one substream_keys call, and those
+    of the noise from one more; each trial draws from one Philox, re-keyed
+    per draw.  A trial scores each frame in arrays: the two products
+    y = A x and c = A* y per cell, as matrix-vector products (the bits of a
+    matrix-matrix product need not be theirs), then the energies of every
+    cell in one pass and one ranking (_ranks).  A cell's NDP is the share
+    of its true blocks ranked k or later.  Trials parallelize over threads;
     results are bit-identical either way.
     """
     if not frames:
         raise FrameError("no frames given")
-    if trials < 1:
-        raise FrameError(f"need at least one trial, got {trials}")
+    trials = check_count(trials, "trials")
     if snr_db is not None and not np.isfinite(snr_db):
         raise FrameError(f"snr_db must be finite, got {snr_db}")
-    cells = [(k, dr) for k in k_grid for dr in dr_grid]
+    cells = [(check_count(k, "k"), dr) for k in k_grid for dr in dr_grid]
+    # a signal of k blocks has at least k entries: a k that no signal can
+    # hold is refused here, before it is keyed as an int64
+    check_entries(max((k for k, _ in cells), default=0), "a signal of that many blocks")
+    check_entries(2 * len(cells) * trials, f"substream keys of {len(cells)} cells x {trials} trials")
+    ks = np.array([k for k, _ in cells], dtype=np.int64)
+    path = (
+        ks[:, None],
+        np.array([np.float64(dr).view(np.uint64) for _, dr in cells], np.uint64)[:, None],
+        np.arange(trials),
+    )
+    signal_keys = substream_keys(seed, path)
+    noise_keys = None if snr_db is None else substream_keys(seed, (*path, 1))
+    # block j of the concatenated supports belongs to cell cell_of[j]
+    cell_of = np.repeat(np.arange(len(cells)), ks)
 
     def one_trial(t):
-        built = [(label, obj(t) if callable(obj) else obj) for label, obj in frames]
-        shapes = [(frame.n, frame.r, frame.m) for _, frame in built]
-        for (label, _), shape in zip(built, shapes):
+        built = [obj(t) if callable(obj) else obj for _, obj in frames]
+        shapes = [(frame.n, frame.r, frame.m) for frame in built]
+        for (label, _), shape in zip(frames, shapes):
             if shape != shapes[0]:
                 raise FrameError(f"frame {label!r} has shape {shape}, expected {shapes[0]}")
         _, r, m = shapes[0]
-        scores = []
-        for k, dr in cells:
-            sig_spec = SignalSpec(m=m, r=r, k=k, dynamic_range=dr, field_tag=field_tag)
-            key = (k, int(np.float64(dr).view(np.uint64)), t)
-            x, supp = gen_signal(sig_spec, substream_rng(seed, *key))
-            row = []
-            for _, frame in built:
-                y = frame.data @ x
+        rng_at = keyed_rng()
+        xs, supports = [], [np.empty(0, np.intp)]  # concatenated below, even when empty
+        for j, (k, dr) in enumerate(cells):
+            spec = SignalSpec(m=m, r=r, k=k, dynamic_range=dr, field_tag=field_tag)
+            x, supp = gen_signal(spec, rng_at(signal_keys[j, t]))
+            xs.append(x)
+            supports.append(supp)
+        energies = []
+        for frame in built:
+            a, ah = frame.data, frame.data.conj().T
+            c = np.empty((len(xs), m * r), np.result_type(a, *xs))
+            for j, x in enumerate(xs):
+                y = a @ x
                 if snr_db is not None:
-                    y = _add_noise(y, snr_db, substream_rng(seed, *key, 1))
-                row.append(ndp(supp, one_step_group_threshold(frame, y, k)))
-            scores.append(row)
-        return scores
+                    y = _add_noise(y, snr_db, rng_at(noise_keys[j, t]))
+                c[j] = ah @ y
+            energies.append(_energies(c, r))
+        ranks = _ranks(np.stack(energies))
+        # a cell's misses are its true blocks ranked k or later
+        missed = ranks[:, cell_of, np.concatenate(supports)] >= ks[cell_of]
+        misses = np.add.reduceat(missed, np.cumsum(ks) - ks, axis=1)
+        return (misses / ks).T
 
     table = np.asarray(parallel_map(one_trial, range(trials), threads))
     results = []
@@ -196,8 +252,7 @@ def run_flipping_table(n, m, r_list, realizations, seed, norm_variant="spectral"
     (nu_before, nu_after, mu_before, mu_after) tuples.  Run t of the i-th r
     samples along the substream path (i, t), so rows never share draws.
     """
-    if realizations < 1:
-        raise FrameError(f"need at least one realization, got {realizations}")
+    realizations = check_count(realizations, "realizations")
     rows = []
     for ri, r in enumerate(r_list):
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=seed, field_tag="real")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, average_coherence, worst_case_coherence
+from .frame import BlockFrame, average_coherence, check_count, worst_case_coherence
 from .matrixcore import gram_singular_values
 
 _TIE_TOL = 1e-12
@@ -40,14 +40,12 @@ def apply_block_signs(frame, signs):
     signs = np.asarray(signs)
     if signs.shape != (frame.m,) or not np.all((signs.imag == 0) & (np.abs(signs) == 1)):
         raise FrameError("signs must be a vector of +-1, one per block")
-    scale = np.repeat(signs.real.astype(np.float64), frame.r)
-    return BlockFrame(n=frame.n, r=frame.r, m=frame.m, data=frame.data * scale[None, :])
+    return frame._signed(signs)
 
 
 def flipped_nu_bound(m):
     """(sqrt(m)+1)/(m-1): what the flipped frame's average coherence obeys."""
-    if m < 2:
-        raise FrameError("bound needs m >= 2")
+    m = check_count(m, "m", minimum=2)
     return float(np.sqrt(m) + 1.0) / (m - 1.0)
 
 

@@ -54,6 +54,17 @@ def check_nrm(n, r, m):
         raise FrameError(f"need n <= m*r, got n={n}, m*r={m * r}")
 
 
+def check_count(value, name, minimum=1):
+    """The one count rule: an integer (numpy's too) of at least minimum, returned as an int."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise FrameError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
 def check_field(tag):
     """The one field rule: a field tag is "real" or "complex"."""
     if tag not in ("real", "complex"):
@@ -70,6 +81,12 @@ class BlockFrame:
     field_tag is read off it.  The optional field_tag argument asks for a
     cast: "real" accepts complex input only when every imaginary part is
     zero, and "complex" widens real input.
+
+    One construction skips these checks: _signed, behind
+    flipping.apply_block_signs, which multiplies each block of a checked
+    frame by +1 or -1.  Negation is exact, so the signed frame's data is
+    finite and its A_i* A_i are the original's bit for bit; running the
+    checks again could only repeat their verdict.
     """
 
     n: int
@@ -109,6 +126,14 @@ class BlockFrame:
     def blocks3d(self):
         """All blocks as an (m, n, r) stack (a view when possible)."""
         return self.data.reshape(self.n, self.m, self.r).transpose(1, 0, 2)
+
+    def _signed(self, signs):
+        """This frame with block i times signs[i]; the caller holds signs to +-1."""
+        data = self.data * np.repeat(signs.real.astype(np.float64), self.r)[None, :]
+        signed = object.__new__(BlockFrame)
+        for name, value in (("n", self.n), ("r", self.r), ("m", self.m), ("data", data)):
+            object.__setattr__(signed, name, value)
+        return signed
 
     @classmethod
     def from_blocks(cls, blocks, field_tag=None):

@@ -3,17 +3,21 @@
 Randomness discipline: every sampled object gets its own counter-based
 substream, keyed by a path (seed, ..., block) through numpy's
 SeedSequence / Philox pair; experiments put their own indices (grid point,
-trial) in the path, never arithmetic on them.  Results are therefore bit-identical however trials are
-scheduled, including across thread counts, and any single trial can be
-regenerated in isolation.
+trial) in the path, never arithmetic on them.  Results are therefore
+bit-identical however trials are scheduled, including across thread
+counts, and any single trial can be regenerated in isolation.
 
-A frame's m block keys are derived in one pass: substream_keys mixes the
-shared (seed, *path) prefix once, as SeedSequence does, and the block index
-over an array.  sample_block_frame then re-keys one Philox per call before
-each block's draw, which gives the stream Philox(SeedSequence(...)) would,
+Keys are derived in one vectorized pass, never one SeedSequence per draw:
+substream_keys hashes many paths at once, exactly as SeedSequence does.
+sample_block_frame keys its m blocks with one call, and run_ndp_experiment
+every signal of the experiment with one call (and, with noise, every noise
+draw with one more).  Each consumer, a frame's draw or an experiment's
+trial, then holds one Philox (keyed_rng) and re-keys it to (key, counter 0)
+before each draw, which gives the stream Philox(SeedSequence(...)) would,
 since Philox is counter-based.
 """
 
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,21 +27,36 @@ import numpy as np
 from . import frame as frame_module
 from .bounds import solve_threshold
 from .errors import FrameError
-from .frame import BlockFrame, check_field, check_nrm, worst_case_coherence
+from .frame import BlockFrame, check_count, check_field, check_nrm, worst_case_coherence
 from .matrixcore import check_entries, orthonormalize
 
 
 def _substream_address(seed, path):
-    """(seed, path) as non-negative Python ints, or FrameError."""
+    """(seed, path) as a non-negative int and non-negative components, or
+    FrameError; a component is an int or an integer array, made uint64."""
     try:
-        seed, path = operator.index(seed), tuple(operator.index(p) for p in path)
+        seed = operator.index(seed)
+        path = tuple(_component(p) for p in path)
     except TypeError:
         raise FrameError(f"seed and substream path must be integers, got {seed!r}, {path!r}")
     if seed < 0:
         raise FrameError(f"seed must be non-negative, got {seed}")
-    if any(p < 0 for p in path):
-        raise FrameError("substream path components must be non-negative")
     return seed, path
+
+
+def _component(p):
+    """One path component: a non-negative int, or an integer array as uint64."""
+    if isinstance(p, np.ndarray) and p.ndim:
+        if p.dtype.kind not in "iu":
+            raise TypeError(f"not an integer array: {p.dtype}")
+        negative = p.dtype.kind == "i" and p.size and p.min() < 0
+        p = p.astype(np.uint64, copy=False)
+    else:
+        p = operator.index(p)
+        negative = p < 0
+    if negative:
+        raise FrameError("substream path components must be non-negative")
+    return p
 
 
 def substream_rng(seed, *path):
@@ -45,6 +64,27 @@ def substream_rng(seed, *path):
     seed, path = _substream_address(seed, path)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def keyed_rng():
+    """One Philox-backed Generator and at(key), which re-keys it to a substream.
+
+    at(key) sets the Philox key to key (a row of substream_keys) and its
+    counter to 0 and returns the Generator, which then draws what
+    Generator(Philox(SeedSequence(...))) would for that substream: Philox is
+    counter-based, so (key, counter 0) is its whole state.  The Generator
+    belongs to the one consumer that made it, never to two threads.
+    """
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+
+    def at(key):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        return rng
+
+    return at
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): pool of four
@@ -57,7 +97,11 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 def _hashmix(value, const, mult):
-    """One hashmix step: the mixed value and the next hash constant."""
+    """One hashmix step: the mixed value and the next hash constant.
+
+    It and _mix take Python ints, or uint32 arrays elementwise, whose
+    products wrap as the mask would; a (4, 1) column of successive
+    constants mixes one word into the four pool words at once."""
     nxt = (const * mult) & _M32
     value = ((value ^ const) * nxt) & _M32
     return value ^ (value >> 16), nxt
@@ -77,20 +121,45 @@ def _words(x):
     return words
 
 
-def substream_keys(seed, path, count):
-    """Philox keys of the substreams (seed, *path, i) for i < count.
+def _const_columns(const, mult, words):
+    """The hash constants from const on, one (4, 1) column per word: the
+    four successive constants that mix one word into the four pool words."""
+    seq = [const]
+    for _ in range(_POOL * words):
+        seq.append((seq[-1] * mult) & _M32)
+    return np.array(seq[:-1], dtype=np.uint32).reshape(words, _POOL, 1)
 
-    Row i of the (count, 2) uint64 result equals
-    SeedSequence(entropy=seed, spawn_key=(*path, i)).generate_state(2, np.uint64).
+
+_STATE_CONSTS = _const_columns(_INIT_B, _MULT_B, 1)[0]
+
+
+def substream_keys(seed, path, count=None):
+    """Philox keys of the substreams (seed, *path), many paths in one pass.
+
+    Each component of path is a non-negative int or an array of them (below
+    2^64); the components broadcast against each other to the rows of the
+    result, and count, if given, appends the index i < count as a last
+    component.  Each row of the (*shape, 2) uint64 result equals
+    SeedSequence(entropy=seed, spawn_key=row).generate_state(2, np.uint64),
+    so sample_block_frame keys its m blocks, and run_ndp_experiment all its
+    (k, bits(dr), trial) signals, with one call.
+
     The entropy words are the seed's, padded to the pool size, then the
-    path's; the block index (count <= 2^32, one word) is the last word, past
-    the pool, so the pool before it is mixed in is shared.  That pool is
-    mixed once in Python ints; only the index's mix and generate_state run
-    over an array.
+    path's, component by component.  The pool is mixed in Python ints up to
+    the first array component, as SeedSequence does, once for every row;
+    each later word is mixed into all four pool words at once, in uint32
+    arrays over the rows.  A component of one 32-bit word in some rows and
+    two in others would shift the words after it, so rows are keyed in
+    separate groups, one per pattern of word counts.
     """
+    if count is not None:
+        path = (*path, np.arange(count, dtype=np.uint64))
     seed, path = _substream_address(seed, path)
+    lead = next((j for j, p in enumerate(path) if isinstance(p, np.ndarray)), len(path))
+    arrays = [p for p in path[lead:] if isinstance(p, np.ndarray)]
+    shape = np.broadcast(*arrays).shape if arrays else ()
     head = _words(seed)
-    head += [0] * (_POOL - len(head)) + [w for p in path for w in _words(p)]
+    head += [0] * (_POOL - len(head)) + [w for p in path[:lead] for w in _words(p)]
     pool, const = [], _INIT_A
     for w in head[:_POOL]:
         v, const = _hashmix(w, const, _MULT_A)
@@ -100,16 +169,40 @@ def substream_keys(seed, path, count):
             if src != dst:
                 v, const = _hashmix(pool[src], const, _MULT_A)
                 pool[dst] = _mix(pool[dst], v)
-    index = np.arange(count, dtype=np.uint64)
-    for w in [*head[_POOL:], index]:
+    for w in head[_POOL:]:
         for dst in range(_POOL):
             v, const = _hashmix(w, const, _MULT_A)
             pool[dst] = _mix(pool[dst], v)
-    state, const = [], _INIT_B
-    for w in pool:
-        v, const = _hashmix(w, const, _MULT_B)
-        state.append(v)
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    rest = [
+        p if not isinstance(p, np.ndarray) else np.broadcast_to(p, shape).reshape(-1)
+        for p in path[lead:]
+    ]
+    # bit j set where the j-th remaining component takes two words
+    pattern = np.zeros(math.prod(shape), np.int64)
+    for j, col in enumerate(rest):
+        if isinstance(col, np.ndarray):
+            pattern |= (col > _M32).astype(np.int64) << j
+    uniform = pattern.size == 0 or pattern.min() == pattern.max()
+    groups = pattern[:1].tolist() if uniform else np.unique(pattern).tolist()
+    keys = np.empty((len(pattern), 2), np.uint64)
+    for group in groups:
+        rows = slice(None) if uniform else pattern == group
+        words = []
+        for j, col in enumerate(rest):
+            if not isinstance(col, np.ndarray):
+                words += _words(col)
+            elif group >> j & 1:
+                words += [col[rows].astype(np.uint32), (col[rows] >> 32).astype(np.uint32)]
+            else:
+                words.append(col[rows].astype(np.uint32))
+        mixed = pool
+        for w, consts in zip(words, _const_columns(const, _MULT_A, len(words))):
+            mixed = _mix(mixed, _hashmix(w, consts, _MULT_A)[0])
+        state = _hashmix(mixed, _STATE_CONSTS, _MULT_B)[0]
+        # the four state words, little-endian, are the two uint64 key words
+        keys[rows] = np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+    return keys.reshape(*shape, 2)
 
 
 def parallel_map(fn, items, threads):
@@ -172,21 +265,13 @@ def sample_block_frame(spec, *path, trial=None):
     n, r, m = spec.n, spec.r, spec.m
     check_entries(n * m * r, f"random frame of shape {n} x {m * r}")
     keys = substream_keys(spec.seed, path, m)
-    bitgen = np.random.Philox(key=keys[0])
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-
-    def block_rng(i):
-        fresh["state"]["key"] = keys[i]
-        bitgen.state = fresh
-        return rng
-
+    rng_at = keyed_rng()
     data = np.empty((n, m * r), np.complex128 if spec.field_tag == "complex" else np.float64)
     blocks = data.reshape(n, m, r).transpose(1, 0, 2)
     per_chunk = max(1, frame_module._CHUNK_ENTRIES // (n * r))
     for i0 in range(0, m, per_chunk):
         i1 = min(m, i0 + per_chunk)
-        draws = [_gaussian(n, r, block_rng(i), spec.field_tag) for i in range(i0, i1)]
+        draws = [_gaussian(n, r, rng_at(keys[i]), spec.field_tag) for i in range(i0, i1)]
         blocks[i0:i1] = orthonormalize(np.stack(draws))
     return BlockFrame(n=n, r=r, m=m, data=data)
 
@@ -201,6 +286,7 @@ class CurvePoint:
 
 def default_block_count(n, r, cap=400):
     """(n/r)^2 blocks, floored, capped; mirrors the deterministic recipes."""
+    n, r, cap = check_count(n, "n"), check_count(r, "r"), check_count(cap, "cap")
     return min(int((n / r) ** 2), cap)
 
 
@@ -211,8 +297,7 @@ def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, threads=1):
     per trial and the frame's worst-case coherence computed; the row records
     the mean and max over trials next to sqrt(a_hat(beta) * beta).
     """
-    if trials < 1:
-        raise FrameError(f"need at least one trial, got {trials}")
+    trials = check_count(trials, "trials")
     points = []
     for ri, r in enumerate(r_grid):
         if r < 1 or not 2 * r < n:

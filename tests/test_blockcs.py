@@ -11,7 +11,15 @@ from blockframe import (
     sample_block_frame,
     substream_rng,
 )
-from blockframe.blockcs import SignalSpec, gen_signal, ndp, one_step_group_threshold, run_flipping_table
+import blockframe.blockcs as blockcs
+from blockframe.blockcs import (
+    NDPResult,
+    SignalSpec,
+    gen_signal,
+    ndp,
+    one_step_group_threshold,
+    run_flipping_table,
+)
 from blockframe.constructions import id_hadamard_union
 from blockframe.frame import BlockFrame
 
@@ -207,6 +215,91 @@ def test_run_ndp_experiment_dynamic_ranges_draw_apart(monkeypatch):
     run_ndp_experiment([("f", f)], [3], [10.9, 10.0], trials=1, seed=0)
     assert dict(seen) == forward
     assert forward[10.0] != forward[10.9]
+
+
+def _ndp_oracle(frames, k_grid, dr_grid, trials, seed, field_tag="real", snr_db=None):
+    """The per-cell loop: one generator per substream, then each frame's
+    thresholding and set-based NDP, cell by cell.  threshold is
+    one_step_group_threshold as it was before it shared the experiment's
+    ranking, so the oracle shares no scoring code with what it checks."""
+
+    def threshold(frame, y, k):
+        c = frame.data.conj().T @ np.asarray(y)
+        energies = np.linalg.norm(c.reshape(frame.m, frame.r), axis=1)
+        return np.sort(np.argsort(-energies, kind="stable")[:k])
+
+    table = []
+    for t in range(trials):
+        built = [obj(t) if callable(obj) else obj for _, obj in frames]
+        r, m = built[0].r, built[0].m
+        scores = []
+        for k in k_grid:
+            for dr in dr_grid:
+                key = (k, int(np.float64(dr).view(np.uint64)), t)
+                spec = SignalSpec(m=m, r=r, k=k, dynamic_range=dr, field_tag=field_tag)
+                x, supp = gen_signal(spec, substream_rng(seed, *key))
+                row = []
+                for frame in built:
+                    y = frame.data @ x
+                    if snr_db is not None:
+                        y = blockcs._add_noise(y, snr_db, substream_rng(seed, *key, 1))
+                    row.append(ndp(supp, threshold(frame, y, k)))
+                scores.append(row)
+        table.append(scores)
+    table = np.asarray(table)
+    results = []
+    cells = [(k, dr) for k in k_grid for dr in dr_grid]
+    for cell, (k, dr) in enumerate(cells):
+        for col, (label, _) in enumerate(frames):
+            vals = table[:, cell, col]
+            stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if trials > 1 else 0.0
+            results.append(
+                NDPResult(label, int(k), float(dr), float(vals.mean()), stderr, trials)
+            )
+    return results
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9, 17])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("snr_db", [None, 20.0])
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+def test_run_ndp_experiment_matches_the_per_cell_loop(field_tag, snr_db, threads, trials):
+    # a real and a complex random frame redrawn per trial, and a fixed one;
+    # DR 10.0 and 10.9 share an integer part, k = 16 = m picks every block,
+    # and the seed takes two words
+    real = RandomFrameSpec(n=12, r=2, m=16, seed=5)
+    cplx = RandomFrameSpec(n=12, r=2, m=16, seed=6, field_tag="complex")
+    frames = [
+        ("fixed", sample_block_frame(real, 9)),
+        ("real", lambda t: sample_block_frame(real, trial=t)),
+        ("complex", lambda t: sample_block_frame(cplx, 1, t)),
+    ]
+    args = (frames, [1, 3, 16], [10.0, 10.9, 2.0**40 + 0.5], trials, 2**33 + 1)
+    want = _ndp_oracle(*args, field_tag=field_tag, snr_db=snr_db)
+    got = run_ndp_experiment(*args, field_tag=field_tag, snr_db=snr_db, threads=threads)
+    assert got == want
+
+
+def test_run_ndp_experiment_keys_every_signal_in_one_pass(monkeypatch):
+    # one substream_keys call for the signals, one more for the noise, and
+    # no SeedSequence at all
+    calls = []
+    keys = blockcs.substream_keys
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return keys(*args, **kwargs)
+
+    def no_seed_sequence(*args, **kwargs):
+        raise AssertionError("a SeedSequence was built")
+
+    monkeypatch.setattr(blockcs, "substream_keys", counting)
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+    frames = [("det", _det_frame())]
+    run_ndp_experiment(frames, [1, 2], [10.0, 100.0], trials=3, seed=0)
+    assert len(calls) == 1
+    run_ndp_experiment(frames, [1, 2], [10.0, 100.0], trials=3, seed=0, snr_db=20.0)
+    assert len(calls) == 3
 
 
 def test_run_ndp_experiment_needs_trials():

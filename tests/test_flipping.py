@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockframe.flipping as flipping
+import blockframe.frame as frame_module
 from blockframe import (
     FrameError,
     RandomFrameSpec,
@@ -211,6 +212,28 @@ def test_apply_block_signs():
         apply_block_signs(frame, np.array([1, 0, 1, 1, -1]))
     with pytest.raises(FrameError):
         apply_block_signs(frame, np.array([1, 2, 1, 1, -1]))
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+def test_apply_block_signs_runs_no_frame_checks(monkeypatch, field_tag):
+    # negation is exact, so the signed frame equals the checked construction
+    # bit for bit without the finiteness and orthonormality passes
+    frame = sample_block_frame(RandomFrameSpec(n=8, r=2, m=5, seed=1, field_tag=field_tag))
+    signs = np.array([1, -1, -1, 1, -1], dtype=np.int8)
+    scale = np.repeat(signs.astype(np.float64), 2)[None, :]
+    want = BlockFrame(n=8, r=2, m=5, data=frame.data * scale)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the signed frame was checked again")
+
+    monkeypatch.setattr(frame_module, "as_matrix", refused)
+    monkeypatch.setattr(frame_module, "gram_deviation", refused)
+    out = apply_block_signs(frame, signs)
+    assert isinstance(out, BlockFrame) and (out.n, out.r, out.m) == (8, 2, 5)
+    assert out.data.dtype == want.data.dtype and out.field_tag == field_tag
+    assert out.data.tobytes() == want.data.tobytes()
+    with pytest.raises(FrameError, match="signs must be a vector of"):
+        apply_block_signs(frame, np.array([1, -1, 1, 1, 0]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -26,7 +26,7 @@ from blockframe import (
     worst_case_coherence,
 )
 from blockframe.cli import coherence_report
-from blockframe.blockcs import SignalSpec
+from blockframe.blockcs import SignalSpec, run_flipping_table, run_ndp_experiment
 from blockframe.bounds import (
     max_equi_isoclinic,
     max_orthobases_blocks,
@@ -34,11 +34,13 @@ from blockframe.bounds import (
     spectral_distance_upper,
 )
 from blockframe.constructions import build_frame, harmonic_qr_etf, kron_from_etf
-from blockframe.flipping import apply_block_signs
+from blockframe.flipping import apply_block_signs, flipped_nu_bound
 from blockframe.io import read_bfm
 from blockframe.matrixcore import gram_singular_values, orthonormalize
 from blockframe.sampling import (
     RandomFrameSpec,
+    default_block_count,
+    empirical_mu_curve,
     sample_block_frame,
     sample_subspace,
     substream_rng,
@@ -683,6 +685,43 @@ def test_every_shape_entry_point_refuses_a_non_integer_with_one_message(entry):
             entry(*shape)
     entry(np.int64(4), np.int32(2), np.uint8(3))
     entry(4, 2, 3)
+
+
+_ONE_BLOCK = BlockFrame(n=2, r=1, m=2, data=np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, fits",
+    [
+        (flipped_nu_bound, 2),
+        (lambda v: default_block_count(v, 2), 1),
+        (lambda v: default_block_count(10, v), 1),
+        (lambda v: default_block_count(10, 3, cap=v), 1),
+        (lambda v: run_ndp_experiment([("f", _ONE_BLOCK)], [1], [10.0], v, 0), 1),
+        (lambda v: run_ndp_experiment([("f", _ONE_BLOCK)], [v], [10.0], 1, 0), 1),
+        (lambda v: empirical_mu_curve(8, [1], v, 0), 1),
+        (lambda v: SignalSpec(m=8, r=2, k=v), 1),
+        (lambda v: run_flipping_table(4, 4, [1], v, 0), 1),
+    ],
+    ids=[
+        "flipped_nu_bound",
+        "default_block_count-n",
+        "default_block_count-r",
+        "default_block_count-cap",
+        "run_ndp_experiment-trials",
+        "run_ndp_experiment-k",
+        "empirical_mu_curve-trials",
+        "SignalSpec-k",
+        "run_flipping_table-realizations",
+    ],
+)
+def test_every_count_is_an_integer_at_or_above_its_minimum(call, fits):
+    # one rule, one message: operator.index, then the minimum
+    for bad in [fits + 0.5, float(fits), "2", None, fits - 1, -3]:
+        with pytest.raises(FrameError, match=r"must be an integer >= \d+, got"):
+            call(bad)
+    call(fits)
+    call(np.int64(fits))
 
 
 def test_block_views_and_from_blocks():

@@ -68,6 +68,57 @@ def test_substream_keys_match_seed_sequence(seed, prefix, count):
         assert np.array_equal(keys[i], ss.generate_state(2, np.uint64))
 
 
+_EDGE_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]), _SEEDS)
+_EDGE_PARTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63 + 1]), _PATH_PARTS)
+
+
+@st.composite
+def _many_paths(draw):
+    """Rows of 1-4 components, each column an array or one shared int.
+
+    Array columns mix one- and two-word values, so rows fall into several
+    groups of word counts; a 2-d column broadcasts against a 1-d one.
+    """
+    rows = draw(st.integers(1, 12))
+    path, table = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            part = draw(_EDGE_PARTS)
+            path.append(part)
+            table.append([part] * rows)
+        else:
+            parts = draw(st.lists(_EDGE_PARTS, min_size=rows, max_size=rows))
+            path.append(np.array(parts, dtype=np.uint64))
+            table.append(parts)
+    return path, [tuple(col[i] for col in table) for i in range(rows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_EDGE_SEEDS, _many_paths())
+def test_substream_keys_of_many_paths_match_seed_sequence(seed, paths):
+    path, rows = paths
+    keys = substream_keys(seed, path)
+    if not any(isinstance(p, np.ndarray) for p in path):
+        keys, rows = keys[None], rows[:1]
+    assert keys.shape == (len(rows), 2) and keys.dtype == np.uint64
+    for key, row in zip(keys, rows):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=row)
+        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+
+def test_substream_keys_broadcast_their_components():
+    k = np.array([1, 2**40, 7])[:, None]
+    keys = substream_keys(9, (k, np.arange(4), 1))
+    assert keys.shape == (3, 4, 2)
+    for (a, b), key in np.ndenumerate(keys[..., 0]):
+        ss = np.random.SeedSequence(entropy=9, spawn_key=(int(k[a, 0]), b, 1))
+        assert key == ss.generate_state(2, np.uint64)[0]
+    with pytest.raises(FrameError, match="non-negative"):
+        substream_keys(9, (np.array([3, -1]),))
+    with pytest.raises(FrameError, match="must be integers"):
+        substream_keys(9, (np.array([0.5, 1.0]),))
+
+
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", None])
 def test_seed_is_a_non_negative_integer(seed):
     with pytest.raises(FrameError, match="seed"):
