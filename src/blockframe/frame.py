@@ -38,6 +38,10 @@ _CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
 _PRUNE_SLACK = 1e-10  # covers rounding in the certificates, the closed forms and eigvalsh
 _MAX_POWER = 32  # the last q whose ||H^q||_F^2 prunes at r >= 4
 _NORMAL_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps  # see _floor
+_SCREEN_COLUMNS = 256  # a screen tile is 256 // r blocks a side, at most 2^16 entries
+_SCREEN_MIN_CHUNKS = 20  # the screen's three thresholds; see _screens
+_SCREEN_MIN_ROWS = 128
+_SCREEN_MIN_DEPTH = 8
 
 
 def check_nrm(n, r, m):
@@ -148,36 +152,58 @@ class BlockFrame:
         return cls(n=n, r=r, m=len(blocks), data=data, field_tag=field_tag)
 
 
+def _chunk_runs(n, m, r, cplx):
+    """The (i0, i1) block-row runs of the pair sweep's chunks, in order.
+
+    One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Its product
+    holds at most 2^16 entries, and so does the conjugated row block A_I*,
+    n*r*|I| entries, of complex data (a real block's conj() is a view); a
+    single block row is the least a chunk takes.  The runs depend on
+    (n, m, r) and the field alone.
+    """
+    row_cap = _CHUNK_ENTRIES // (n * r) if cplx else m
+    i0 = 0
+    while i0 < m - 1:
+        i1 = min(m - 1, i0 + max(1, min(row_cap, _CHUNK_ENTRIES // (r * r * (m - i0)))))
+        yield i0, i1
+        i0 = i1
+
+
+def _chunk(x, r, i0, i1):
+    """(g, keep) of the run i0..i1-1: g = A_I* A[:, i0*r:] as an (I, r, m - i0, r) view.
+
+    g is in x's own dtype, and g[a, :, b, :] is the cross-Gram A_i* A_j of
+    i = i0 + a and j = i0 + b.  keep is the (I, m - i0) mask of the chunk's
+    pairs, b > a; the others are the diagonal blocks A_i* A_i and pairs
+    that an earlier chunk covers.
+    """
+    m = x.shape[1] // r
+    g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
+    keep = np.arange(m - i0) > np.arange(i1 - i0)[:, None]
+    return g.reshape(i1 - i0, r, m - i0, r), keep
+
+
 def _pair_chunks(x, r):
     """Every block pair i < j once, a run of block rows at a time.
 
-    x is n x (m*r) data, read as m blocks of r columns.  One gemm
-    A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Its product holds at
-    most 2^16 entries, and so does the conjugated row block A_I*, n*r*|I|
-    entries, of complex data (a real block's conj() is a view); a single
-    block row is the least a chunk takes.  Yields (i0, g, keep), g being
-    the gemm output as an (I, r, m - i0, r) view in x's own dtype:
-    g[a, :, b, :] is the cross-Gram A_i* A_j of i = i0 + a and j = i0 + b.
-    keep is the (I, m - i0) mask of the chunk's pairs, b > a; the others are
-    the diagonal blocks A_i* A_i and pairs that an earlier chunk covers.
+    x is n x (m*r) data, read as m blocks of r columns.  Yields (i0, g, keep)
+    of each run of _chunk_runs, as _chunk forms them.
 
     Everything computed from a cross-Gram C, or from H = C*C, is
     sign-invariant bit for bit.  Chunk shapes depend on (n, m, r) and the
     field alone, and a gemm of fixed shapes does the same operations on
     negated inputs, so negating block k negates every C that involves it
     exactly and leaves H, the squared entries behind ||C||_F and the pruning
-    choices unchanged.
+    choices unchanged.  The same holds for worst_case_coherence's float32
+    screen (_screen): negation is exact in float32 too, and its tile shapes
+    depend on (n, m, r) and the field alone, so sigma^, L, every chunk it
+    skips and every fallback are sign-invariant.
     """
     n, m = x.shape[0], x.shape[1] // r
-    row_cap = _CHUNK_ENTRIES // (n * r) if np.iscomplexobj(x) else m
-    i0 = 0
-    while i0 < m - 1:
-        i1 = min(m - 1, i0 + max(1, min(row_cap, _CHUNK_ENTRIES // (r * r * (m - i0)))))
-        g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
-        keep = np.arange(m - i0) > np.arange(i1 - i0)[:, None]
-        yield i0, g.reshape(i1 - i0, r, m - i0, r), keep
+    for i0, i1 in _chunk_runs(n, m, r, np.iscomplexobj(x)):
+        g, keep = _chunk(x, r, i0, i1)
+        yield i0, g, keep
         del g  # two products live at once only if the caller keeps one
-        i0 = i1
 
 
 def _gather(g, a, b):
@@ -255,10 +281,178 @@ def worst_case_coherence(frame):
     is solved twice.  The closed forms are elementwise and eigvalsh treats
     each matrix on its own, so the result equals the exhaustive maximum bit
     for bit.
+
+    Where _screens allows, most chunks are never formed in float64:
+
+    - Seed.  Chunk 0 is swept exactly.  Its maximum is attained, a lower
+      bound on mu.  If it solves more than one pair within 2 delta of that
+      maximum, the frame ties many pairs (a Kerdock or ETF lift), every tile
+      would survive the screen, and the other chunks are swept exactly.
+    - Screen (_screen).  Every pair outside chunk 0 is bounded from float32
+      products C~ in square tiles, sigma^ being the float64 solver's
+      sigma_max of C~.  L = max(seed, largest sigma^ - delta) <= mu.
+    - Exact pass.  The chunks that hold a pair with sigma^ >= L - 2 delta
+      are swept exactly, in order of decreasing sigma^, from the seed's
+      best.  They are _chunk_runs' chunks, in the gemm shapes of the
+      exhaustive sweep, so mu is the exhaustive maximum bit for bit, and
+      mu == max(gram_map) holds.
+    - Guard.  If the pair that attains mu lies outside chunk 0, its sigma^
+      must be within delta of mu; if not, the BLAS broke the bound, and
+      every chunk after chunk 0 is swept exactly.
+
+    delta (_screen_margin) bounds |sigma_max(C~) - sigma_max(C)|.  Let
+    u = 2^-24, and gamma_k = k u / (1 - k u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).  Every column
+    has ||x||^2 within _ORTHO_TOL of 1, since BlockFrame refuses blocks with
+    |A_i* A_i - I| above it, so |x|^T |y| <= ||x|| ||y|| <= 1 + _ORTHO_TOL.
+    Real data: casting to float32 moves each product x_k y_k by at most
+    (2u + u^2)|x_k y_k|, and an inner product of n terms, summed in any
+    order, FMA included, is within gamma_n |x~|^T |y~| of the exact one
+    (section 3.1).  So each entry of C~ is within
+    e = (gamma_n (1 + u)^2 + 2u + u^2)(1 + _ORTHO_TOL) of C's.  Complex
+    data (section 3.6): Re and Im of conj(x)^T y are each a real inner
+    product of 2n terms, and sum |x_k,re y_k,re| + |x_k,im y_k,im| <=
+    |x|^T |y|, so each part is within e with 2n for n, and the entry within
+    sqrt(2) e.  This assumes four real products per complex one, as cgemm
+    forms them, and not the 3M method.  Data below float32's normal range, and flush to
+    zero, move each input, product and sum by at most 2^-126, each error
+    grown at most twice by later roundings: 8 k 2^-126 more for k terms.
+    ||C - C~||_2 <= ||C - C~||_F <= r max|entry error|, and Weyl's
+    inequality moves sigma_max by at most that.  The float64 solver's own
+    rounding on C~ (about 1e-15 relative) is covered by the hold rule's
+    _PRUNE_SLACK.  A pair that attains mu has sigma^ >= mu - delta >= L -
+    delta, so its certificate holds in the screen, it is solved there, and
+    its chunk is swept.
+
+    The screen is sign-invariant, as _pair_chunks states.
     """
+    x, r = frame.data, frame.r
+    cplx = np.iscomplexobj(x)
+    runs = list(_chunk_runs(frame.n, frame.m, r, cplx))
     best = 0.0
-    for _, g, keep in _pair_chunks(frame.data, frame.r):
-        best = _chunk_max(g, keep, best)
+    if _screens(frame.n, r, len(runs)):
+        delta, seed = _screen_margin(frame.n, r, cplx), []
+        best = _chunk_max(*_chunk(x, r, *runs[0]), 0.0, solved=seed)
+        runs = runs[1:]
+        if sum(np.count_nonzero(s >= best - 2 * delta) for _, s in seed) == 1:
+            mu = _screened_max(x, r, runs, best, delta)
+            if mu is not None:
+                return mu
+    for run in runs:
+        best = _chunk_max(*_chunk(x, r, *run), best)
+    return best
+
+
+def _screens(n, r, chunks):
+    """Whether worst_case_coherence screens a frame of n rows, block width r and this many chunks.
+
+    The screen adds float32 products, a second pass of certificates and a
+    tile loop, and the seed and the exact pass still form some chunks in
+    float64.  It wins only where the float64 gemm is most of mu: at least
+    20 chunks, n >= 128 and n >= 8 r.  mu of a random frame (seed 1,
+    trial 0), one process, 1 BLAS thread, best of 9, exact sweep ->
+    screened, in ms:
+
+        real (200, 10, 200)   32.2 -> 26.8   screened
+        real (200, 10, 400)  151.1 -> 92.8   screened
+        real (128, 2, 2048)   87.2 -> 49.7   screened
+        real (128, 3, 512)    13.4 -> 12.6   screened (20 chunks)
+        cplx (200, 10, 200)   98.3 -> 89.7   screened
+        cplx (128, 4, 512)   105.7 -> 106.6  screened (the largest loss seen)
+        real (128, 1, 1024)    4.7 -> 4.8    10 chunks
+        real (128, 2, 512)     4.8 -> 4.8    10 chunks
+        cplx (128, 2, 512)    14.5 -> 16.7   10 chunks
+        real (64, 2, 512)      3.5 -> 4.0    n < 128
+        real (100, 5, 300)    16.5 -> 17.4   n < 128
+        cplx (100, 5, 300)    46.3 -> 50.8   n < 128
+        real (60, 10, 30)      1.7 -> 1.9    2 chunks, n < 8 r
+
+    (128, r, 256) at r = 1, 2, 3 has 1, 3 and 6 chunks, and (200, 30, 44)
+    and (200, 40, 25) have n < 8 r; those the screen was not measured to
+    lose at are left exact too, for a margin.
+    """
+    return chunks >= _SCREEN_MIN_CHUNKS and n >= max(_SCREEN_MIN_ROWS, _SCREEN_MIN_DEPTH * r)
+
+
+def _screen_margin(n, r, cplx):
+    """delta, the bound on |sigma_max(C~) - sigma_max(C)| that worst_case_coherence derives."""
+    u = 2.0**-24
+    k = 2 * n if cplx else n
+    gamma = k * u / (1 - k * u)
+    entry = (gamma * (1 + u) ** 2 + 2 * u + u * u) * (1 + _ORTHO_TOL) + 8 * k * 2.0**-126
+    return r * entry * (2**0.5 if cplx else 1.0)
+
+
+def _screen_tile(rows, cols, double):
+    """C~ = rows @ cols, formed in float32 (complex64) and cast, exactly, into the buffer double."""
+    double[...] = rows @ cols
+    return double
+
+
+def _screen(x, r, start, lower, delta):
+    """(L, pairs): the lower bound L and the (i, j, sigma^) of every pair the screen solved.
+
+    Covers the pairs i < j with i >= start, in square tiles of |I| = |J| =
+    _SCREEN_COLUMNS // r blocks (or one): each tile's C~ (_screen_tile) goes
+    through _chunk_max against L - 2 delta.  A row strip is cast to float32
+    once and each column tile once per tile, into buffers of one tile's
+    size, so no float32 copy of the whole frame is made.
+    """
+    n, m = x.shape[0], x.shape[1] // r
+    side = max(1, _SCREEN_COLUMNS // r)
+    w = side * r
+    single = np.complex64 if np.iscomplexobj(x) else np.float32
+    c64 = np.empty(w * w, np.result_type(x))
+    rows, cols = np.empty((2, n * w), single)
+    records = []
+    for t0 in range(start, m - 1, side):
+        t1 = min(m, t0 + side)
+        a = rows[: n * (t1 - t0) * r].reshape(n, -1)
+        a[...] = x[:, t0 * r : t1 * r]
+        a = np.conjugate(a, out=a).T if single is np.complex64 else a.T
+        for s0 in range(t0, m, side):
+            s1 = min(m, s0 + side)
+            b = cols[: n * (s1 - s0) * r].reshape(n, -1)
+            b[...] = x[:, s0 * r : s1 * r]
+            g = _screen_tile(a, b, c64[: a.shape[0] * b.shape[1]].reshape(a.shape[0], -1))
+            keep = np.arange(s0, s1) > np.arange(t0, t1)[:, None]
+            solved = []
+            lower = _chunk_max(g.reshape(t1 - t0, r, s1 - s0, r), keep, lower, delta, solved)
+            records.append((t0, s0, s1 - s0, solved))
+    return lower, _solved_pairs(records)
+
+
+def _solved_pairs(records):
+    """(i, j, sigma) arrays of the pairs that _chunk_max calls solved.
+
+    Each record is (i0, j0, J, solved) of one call on a block of rows from
+    i0 and columns from j0, J columns wide, solved its list of (p, sigma).
+    """
+    out = [(i0 + p // n_j, j0 + p % n_j, s) for i0, j0, n_j, solved in records for p, s in solved]
+    if not out:
+        return np.empty(0, int), np.empty(0, int), np.empty(0)
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _screened_max(x, r, runs, best, delta):
+    """mu from the seed's best, the screen and the exact pass; None where the guard fails."""
+    m = x.shape[1] // r
+    lower, (i, j, hat) = _screen(x, r, runs[0][0], best, delta)
+    held = np.flatnonzero(hat >= lower - 2 * delta)
+    held = held[np.argsort(-hat[held], kind="stable")]
+    chunk = np.searchsorted([i0 for i0, _ in runs], i[held], side="right") - 1
+    records = []
+    for c in chunk[np.sort(np.unique(chunk, return_index=True)[1])]:
+        i0, i1 = runs[c]
+        solved = []
+        best = _chunk_max(*_chunk(x, r, i0, i1), best, solved=solved)
+        records.append((i0, i0, m - i0, solved))
+    ei, ej, sigma = _solved_pairs(records)
+    top = np.flatnonzero(sigma == best)  # empty where chunk 0 attains mu
+    if top.size:
+        at = (i == ei[top[0]]) & (j == ej[top[0]])
+        if not at.any() or abs(hat[at][0] - best) > delta:
+            return None
     return best
 
 
@@ -274,32 +468,40 @@ def _floor(best, e):
     return floor if floor >= _NORMAL_MIN else 0.0
 
 
-def _chunk_max(g, keep, best):
+def _chunk_max(g, keep, best, delta=0.0, solved=None):
     """best raised to the largest sigma_max of the pairs keep selects in an (I, r, J, r) chunk.
 
     keep is an (I, J) mask, and pair (a, b) is flat a*J + b.  Its certificate
     u of sigma_max^e is ||C||_F^2 (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at
     r >= 4, which _square_and_prune refines; no C is gathered for it.  The
-    pairs whose u reach _floor(best, e) are kept, the one of largest
-    certificate is solved, and the rest are held against the raised best
-    before they are solved.
+    pairs whose u reach _floor(best - 2 delta, e) are kept, the one of
+    largest certificate is solved, and the rest are held against the raised
+    best before they are solved.  A solved sigma raises best to sigma -
+    delta: delta = 0 for an exact chunk, and the screen's margin for a
+    float32 tile, where best is the lower bound L.  solved, when given,
+    collects (p, sigma) of every solved pair.
     """
     r, n_j = g.shape[1], g.shape[2]
     h = _gram_stack(g) if r >= 4 else None
     u, e = (_frobenius_squares(g).ravel(), 2) if h is None else (_power_sums(h), 4)
 
     def solve(p):
-        return _singular_values(g, *np.divmod(p, n_j), h)[:, -1]
+        s = _singular_values(g, *np.divmod(p, n_j), h)[:, -1]
+        if solved is not None:
+            solved.append((p, s))
+        return s
 
-    v, p = _square_and_prune(h, u, np.flatnonzero(keep.ravel() & (u >= _floor(best, e))), best)
+    hold = max(best - 2 * delta, 0.0)
+    v, p = _square_and_prune(h, u, np.flatnonzero(keep.ravel() & (u >= _floor(hold, e))), hold)
     if not p.size:
         return best
     k = int(v.argmax())
     del v  # no certificate is held while the survivors' C and (a, b) are
-    best = float(solve(p[k : k + 1]).max(initial=best))
+    best = max(best, float(solve(p[k : k + 1])[0]) - delta)
     p = np.delete(p, k)
-    p = _square_and_prune(h, u, p[u[p] >= _floor(best, e)], best)[1]
-    return float(solve(p).max(initial=best)) if p.size else best
+    hold = max(best - 2 * delta, 0.0)
+    p = _square_and_prune(h, u, p[u[p] >= _floor(hold, e)], hold)[1]
+    return max(best, float(solve(p).max()) - delta) if p.size else best
 
 
 def _frobenius_squares(g):
@@ -366,13 +568,21 @@ def average_coherence(frame):
 
 
 def average_column_coherence(p):
-    """Column-level average coherence of a unit-norm-column matrix."""
+    """Column-level average coherence of a unit-norm-column matrix.
+
+    A column whose squared norm is further than 1e-8 from 1 is refused, the
+    tolerance BlockFrame holds each block's A_i* A_i to.
+    """
     p = as_matrix(p)
     m = p.shape[1]
     if m < 2:
         raise FrameError("average column coherence needs at least two columns")
+    squares = np.einsum("ij,ij->j", p.conj(), p)
+    dev = np.abs(squares.real - 1.0).max()
+    if not dev <= _ORTHO_TOL:
+        raise FrameError(f"columns do not have unit norm (max |p_j* p_j - 1| = {dev:.3g})")
     total = p.sum(axis=1)
-    cross = p.conj().T @ total - np.einsum("ij,ij->j", p.conj(), p)
+    cross = p.conj().T @ total - squares
     return float(np.abs(cross).max()) / (m - 1)
 
 

@@ -285,9 +285,12 @@ class CurvePoint:
 
 
 def default_block_count(n, r, cap=400):
-    """(n/r)^2 blocks, floored, capped; mirrors the deterministic recipes."""
+    """(n/r)^2 blocks, floored, capped; mirrors the deterministic recipes.
+
+    The floor is taken in integers, so no n overflows a float.
+    """
     n, r, cap = check_count(n, "n"), check_count(r, "r"), check_count(cap, "cap")
-    return min(int((n / r) ** 2), cap)
+    return min(n * n // (r * r), cap)
 
 
 def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, threads=1):

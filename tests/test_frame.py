@@ -166,6 +166,17 @@ def test_average_column_coherence_needs_two_columns():
         average_column_coherence(np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("scale", [0.0, 1 - 1e-7, 1 + 1e-7, 2.0])
+def test_average_column_coherence_needs_unit_columns(scale):
+    p = np.eye(3)[:, :2].copy()
+    p[:, 1] *= scale
+    with pytest.raises(FrameError, match="unit norm"):
+        average_column_coherence(p)
+    # within the tolerance BlockFrame holds blocks to, a column passes
+    p[:, 1] = np.eye(3)[:, 1] * (1 + 4e-9)
+    assert average_column_coherence(p) == 0.0
+
+
 # --- gram map ---------------------------------------------------------------
 
 
@@ -569,6 +580,185 @@ def test_mu_of_the_benchmark_frames_is_pinned(shape):
     spec = _benchmark_spec(*shape)
     got = [worst_case_coherence(sample_block_frame(spec, trial=t)).hex() for t in range(3)]
     assert got == PINNED_MU[shape]
+
+
+# --- the float32 screen of mu -----------------------------------------------
+
+
+def _unscreened_mu(frame):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frame_module, "_screens", lambda n, r, chunks: False)
+        return worst_case_coherence(frame)
+
+
+def _twin_frame(n, r, m, row, seed, cplx):
+    """Pairs (row, row + 1) and (h + row, h + row + 1), h = m // 2, tie at mu in exact arithmetic.
+
+    Block row + 1 is block row plus a small random part, so the pair lies far
+    above the others.  The second half is the first half with block i
+    replaced by W A_i Q_i, W a random n x n and Q_i a random r x r orthogonal
+    (or unitary) matrix, so C of (h + i, h + j) is Q_i* C_ij Q_j: its
+    singular values equal those of (i, j) in exact arithmetic, and the two
+    pairs of a tie sit h block rows, and so chunks, apart.
+    """
+    rng = np.random.default_rng(seed)
+    h = m // 2
+    g = rng.standard_normal((h, n, r))
+    if cplx:
+        g = g + 1j * rng.standard_normal((h, n, r))
+    g[row + 1] = g[row] + 0.3 * g[row + 1] / np.sqrt(n)
+    first = orthonormalize(g)
+    q = np.stack([random_unitary(r, rng, cplx) for _ in range(h)])
+    second = random_unitary(n, rng, cplx) @ first @ q
+    tag = "complex" if cplx else "real"
+    return BlockFrame.from_blocks(list(first) + list(second), field_tag=tag)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("row", [2, 30])
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_near_tied_pairs_in_two_chunks_keep_mu_exact(cplx, row, seed):
+    # (128, 2, 800) is screened (22 chunks); row 2 puts one twin in the
+    # seed's chunk 0, row 30 both twins outside it; the seeds give ties
+    # where either twin is the larger by a few ulp, and one exact tie
+    frame = _twin_frame(128, 2, 800, row, seed, cplx)
+    chunks = list(frame_module._chunk_runs(128, 800, 2, cplx))
+    assert frame_module._screens(128, 2, len(chunks))
+    g = gram_map(frame)
+    twins = g[row, row + 1], g[400 + row, 401 + row]
+    assert twins[0] == pytest.approx(twins[1], rel=1e-14)
+    mu = worst_case_coherence(frame)
+    assert mu == max(twins) == _off_diagonal_max(g) == _unscreened_mu(frame)
+
+
+@pytest.mark.parametrize("n, r, m", [(32, 2, 60), (128, 3, 44), (200, 10, 20), (512, 4, 128)])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_screen_margin_bounds_every_pair(n, r, m, cplx):
+    # sigma^ from the float32 product of every pair against the exact map
+    frame = random_frame(n, r, m, n + r, complex_blocks=cplx)
+    x, w = frame.data, m * r
+    single = np.complex64 if cplx else np.float32
+    rows, cols = x.astype(single).conj().T, x.astype(single)
+    c = frame_module._screen_tile(rows, cols, np.empty((w, w), x.dtype))
+    a, b = np.triu_indices(m, 1)
+    hat = frame_module._singular_values(c.reshape(m, r, m, r), a, b)[:, -1]
+    gap = np.abs(hat - gram_map(frame)[a, b]).max()
+    assert 0.0 < gap <= frame_module._screen_margin(n, r, cplx)
+
+
+def _formed_chunks(monkeypatch):
+    """The (i0, i1, g.shape) of every chunk formed in float64, in order."""
+    formed, chunk = [], frame_module._chunk
+
+    def spy(x, r, i0, i1):
+        g, keep = chunk(x, r, i0, i1)
+        formed.append((i0, i1, g.shape))
+        return g, keep
+
+    monkeypatch.setattr(frame_module, "_chunk", spy)
+    return formed
+
+
+def test_the_exact_pass_forms_only_the_sweeps_chunks(monkeypatch):
+    frame = sample_block_frame(_benchmark_spec(200, 10, 200), trial=0)
+    sweep = {(i0, i0 + len(g)): g.shape for i0, g, _ in frame_module._pair_chunks(frame.data, 10)}
+    formed = _formed_chunks(monkeypatch)
+    assert worst_case_coherence(frame).hex() == PINNED_MU[(200, 10, 200)][0]
+    assert all(sweep[i0, i1] == shape for i0, i1, shape in formed)
+    assert formed[0][0] == 0  # the seed
+    assert 1 < len(formed) <= 4 < len(sweep)
+
+
+def test_an_error_beyond_the_margin_trips_the_guard(monkeypatch):
+    # the float32 products lose the planted pair (30, 31), which holds mu,
+    # and overstate every other pair by 100 delta: the exact pass misses the
+    # pair's chunk, its best pair is 100 delta from its sigma^, and the
+    # guard sweeps every chunk
+    frame = _twin_frame(128, 2, 800, 30, 5, False)
+    exact = _unscreened_mu(frame)
+    delta = frame_module._screen_margin(128, 2, False)
+    tile = frame_module._screen_tile
+
+    def broken(rows, cols, double):
+        c = tile(rows, cols, double)
+        c[np.abs(c) > 0.7] = 0.0  # the planted pairs' entries, and the A_i* A_i
+        c *= 1 + 100 * delta
+        return c
+
+    monkeypatch.setattr(frame_module, "_screen_tile", broken)
+    formed = _formed_chunks(monkeypatch)
+    assert worst_case_coherence(frame) == exact
+    runs = list(frame_module._chunk_runs(128, 800, 2, False))
+    assert {(i0, i1) for i0, i1, _ in formed} == set(runs)
+
+
+def test_tied_frames_skip_the_screen(monkeypatch):
+    # kerdock(6) x H_1 is screened by shape (n = 128, 135 chunks), but its
+    # chunk 0 solves many pairs at mu = 1/8: every chunk is swept exactly
+    frame = build_frame("kerdock", 6, ("hadamard", 1))
+    runs = list(frame_module._chunk_runs(frame.n, frame.m, frame.r, False))
+    assert frame_module._screens(frame.n, frame.r, len(runs))
+    tiles, tile = [], frame_module._screen_tile
+
+    def spy(*args):
+        tiles.append(1)
+        return tile(*args)
+
+    monkeypatch.setattr(frame_module, "_screen_tile", spy)
+    assert worst_case_coherence(frame) == 0.125
+    assert tiles == []
+
+
+def test_the_screen_runs_where_the_gemm_is_most_of_mu(monkeypatch):
+    screened = []
+    screen = frame_module._screen
+
+    def spy(x, r, *args):
+        screened.append((x.shape[0], r, x.shape[1] // r))
+        return screen(x, r, *args)
+
+    monkeypatch.setattr(frame_module, "_screen", spy)
+    # few chunks, n < 8 r, n < 128; then the benchmark's mu frame
+    shapes = [(128, r, 256) for r in (1, 2, 3)] + [(200, 40, 25), (200, 30, 44), (100, 5, 300)]
+    for shape in shapes + [(200, 10, 200)]:
+        worst_case_coherence(sample_block_frame(_benchmark_spec(*shape), trial=0))
+    assert screened == [(200, 10, 200)]
+
+
+def test_the_screen_is_sign_invariant(monkeypatch):
+    frame = sample_block_frame(_benchmark_spec(200, 10, 200), trial=1)
+    signs = np.random.default_rng(3).choice([-1, 1], size=frame.m)
+    bounds, screen = [], frame_module._screen
+
+    def spy(*args):
+        out = screen(*args)
+        bounds.append((out[0], *(v.tobytes() for v in out[1])))
+        return out
+
+    monkeypatch.setattr(frame_module, "_screen", spy)
+    formed = _formed_chunks(monkeypatch)
+    mu = worst_case_coherence(frame)
+    first = list(formed)
+    assert worst_case_coherence(apply_block_signs(frame, signs)) == mu
+    assert formed[len(first) :] == first
+    assert bounds[0] == bounds[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases(), st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**32 - 1))
+def test_screened_mu_is_the_exhaustive_maximum(case, side, sign_seed):
+    # small frames with the screen forced on: tiles of 1 to 8 columns, and
+    # chunks of every size sweep_cases draws
+    frame, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+        mp.setattr(frame_module, "_SCREEN_COLUMNS", side)
+        mp.setattr(frame_module, "_screens", lambda n, r, chunks: chunks > 1)
+        mu = worst_case_coherence(frame)
+        signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)
+        mu_flipped = worst_case_coherence(apply_block_signs(frame, signs))
+        g = gram_map(frame)
+    assert mu == mu_flipped == _off_diagonal_max(g)
 
 
 # --- distances --------------------------------------------------------------

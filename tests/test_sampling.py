@@ -303,6 +303,16 @@ def test_default_block_count():
     assert default_block_count(40, 4, cap=50) == 50
 
 
+def test_default_block_count_floors_in_integers():
+    # no float (n/r)^2 to overflow
+    assert default_block_count(10**200, 1) == 400
+    assert default_block_count(10**200, 3, cap=10**300) == 10**300
+    # the integer floor equals the float one wherever the float is exact enough
+    for n in range(2, 300):
+        for r in range(1, n):
+            assert default_block_count(n, r, cap=10**6) == int((n / r) ** 2), (n, r)
+
+
 def test_empirical_mu_curve_smoke():
     pts = empirical_mu_curve(20, [3], trials=4, seed=3)
     assert len(pts) == 1
