@@ -13,7 +13,9 @@ and, for a plain matrix with unit-norm columns p_i, the column analogue of
 the average: 1/(m-1) * max_i | sum_{j != i} <p_i, p_j> |.
 """
 
+import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +44,11 @@ _SCREEN_COLUMNS = 256  # a screen tile is 256 // r blocks a side, at most 2^16 e
 _SCREEN_MIN_CHUNKS = 20  # the screen's three thresholds; see _screens
 _SCREEN_MIN_ROWS = 128
 _SCREEN_MIN_DEPTH = 8
+_SLICE_PAIRS = 1 << 11  # pairs the sweep solves at once at r <= 3; see _slice_pairs
+_SLICE_ENTRIES = 1 << 13  # entries of the H a slice gathers at r >= 4, and of a mask read at once
+_TIE_TOL = 1e-11  # seed pairs this close to its best, relatively, tie; see worst_case_coherence
+
+_workspaces = threading.local()
 
 
 def check_nrm(n, r, m):
@@ -152,6 +159,41 @@ class BlockFrame:
         return cls(n=n, r=r, m=len(blocks), data=data, field_tag=field_tag)
 
 
+def _workspace(name, shape, dtype):
+    """A view, of this shape and dtype, of the calling thread's buffer name.
+
+    The pair sweep writes every array that scales with a chunk into four
+    buffers through out=, so that a sweep faults in no memory that the last
+    one in the same thread already had.  By the stages of one chunk or
+    screen tile:
+
+      product       the chunk's product g (_chunk), or a tile's C~
+                    (_screen_tile); it lives until the next one
+      certificates  first what feeds the product and dies with it: complex
+                    data's A_I* (_chunk) or the float32 tile (_screen_tile);
+                    then what the chunk's certificates are read from, living
+                    as long as the product: the squares, which the
+                    certificates u overwrite (_frobenius_squares), or H at
+                    r >= 4 (_gram_stack)
+      scratch       what dies while those are formed: the column sums and
+                    imaginary squares, complex data's conjugated chunk
+                    behind H, or the screen's float32 column tile
+      strips        the screen's float32 row strip, reused across its row
+
+    Each holds what one chunk needs: at most 2^16 entries (or one block row,
+    when that is larger), and n 256 entries for the strip.  Each thread has
+    its own (threading.local); a buffer grows when a call asks for more than
+    it holds and is never freed.  A view holds only until the next call for
+    the same name in the same thread, so nothing the sweep returns or keeps
+    past the next chunk is one.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffers = _workspaces.__dict__
+    if name not in buffers or buffers[name].size < nbytes:
+        buffers[name] = np.empty(nbytes, np.uint8)
+    return buffers[name][:nbytes].view(dtype).reshape(shape)
+
+
 def _chunk_runs(n, m, r, cplx):
     """The (i0, i1) block-row runs of the pair sweep's chunks, in order.
 
@@ -175,10 +217,15 @@ def _chunk(x, r, i0, i1):
     g is in x's own dtype, and g[a, :, b, :] is the cross-Gram A_i* A_j of
     i = i0 + a and j = i0 + b.  keep is the (I, m - i0) mask of the chunk's
     pairs, b > a; the others are the diagonal blocks A_i* A_i and pairs
-    that an earlier chunk covers.
+    that an earlier chunk covers.  g and complex data's A_I* are views of
+    the workspace (_workspace), in the layouts numpy would allocate, so the
+    gemm is the one a fresh product makes.
     """
     m = x.shape[1] // r
-    g = x[:, i0 * r : i1 * r].conj().T @ x[:, i0 * r :]
+    rows, cols = x[:, i0 * r : i1 * r], x[:, i0 * r :]
+    if np.iscomplexobj(x):
+        rows = np.conjugate(rows, out=_workspace("certificates", rows.shape, x.dtype))
+    g = np.matmul(rows.T, cols, out=_workspace("product", (rows.shape[1], cols.shape[1]), x.dtype))
     keep = np.arange(m - i0) > np.arange(i1 - i0)[:, None]
     return g.reshape(i1 - i0, r, m - i0, r), keep
 
@@ -187,7 +234,9 @@ def _pair_chunks(x, r):
     """Every block pair i < j once, a run of block rows at a time.
 
     x is n x (m*r) data, read as m blocks of r columns.  Yields (i0, g, keep)
-    of each run of _chunk_runs, as _chunk forms them.
+    of each run of _chunk_runs, as _chunk forms them.  g lives in the
+    thread's workspace, which the next chunk of this or any other sweep in
+    the thread overwrites, so a caller keeps nothing that views it.
 
     Everything computed from a cross-Gram C, or from H = C*C, is
     sign-invariant bit for bit.  Chunk shapes depend on (n, m, r) and the
@@ -201,9 +250,7 @@ def _pair_chunks(x, r):
     """
     n, m = x.shape[0], x.shape[1] // r
     for i0, i1 in _chunk_runs(n, m, r, np.iscomplexobj(x)):
-        g, keep = _chunk(x, r, i0, i1)
-        yield i0, g, keep
-        del g  # two products live at once only if the caller keeps one
+        yield i0, *_chunk(x, r, i0, i1)
 
 
 def _gather(g, a, b):
@@ -214,19 +261,34 @@ def _gather(g, a, b):
     the same.
     """
     r = g.shape[1]
-    rows = g.view(np.dtype((np.void, r * g.itemsize)))
-    return rows[a, :, b, 0].view(g.dtype).reshape(len(a), r, r)
+    return _items(g, r)[a, :, b, 0].view(g.dtype).reshape(len(a), r, r)
+
+
+def _items(x, r):
+    """x with each run of r entries along its last axis viewed as one opaque item.
+
+    Copying such items moves each run as one block of bytes, which is faster
+    than numpy's entry-by-entry copy of a strided view whose inner loop is r
+    entries long; the bytes are the same.
+    """
+    return x.view(np.dtype((np.void, r * x.itemsize)))
 
 
 def _gram_stack(g):
     """H = C*C of every cross-Gram of an (I, r, J, r) chunk, as an (I*J, r, r) stack.
 
     Formed on the chunk's own (I, J, r, r) view, with no C copied out, and
-    bitwise the H of a gathered C; row a*J + b is the pair (a, b).
+    bitwise the H of a gathered C; row a*J + b is the pair (a, b).  H, and
+    complex data's conjugated chunk, are views of the workspace in the
+    layouts numpy would allocate; real data's conj() is the chunk itself, so
+    numpy forms each H by syrk as before.
     """
-    r = g.shape[1]
-    v = g.transpose(0, 2, 1, 3)
-    return np.matmul(v.conj().swapaxes(-1, -2), v).reshape(-1, r, r)
+    n_i, r, n_j, _ = g.shape
+    v = gh = g.transpose(0, 2, 1, 3)
+    if np.iscomplexobj(g):
+        gh = np.conjugate(g, out=_workspace("scratch", g.shape, g.dtype)).transpose(0, 2, 1, 3)
+    h = _workspace("certificates", (n_i, n_j, r, r), g.dtype)
+    return np.matmul(gh.swapaxes(-1, -2), v, out=h).reshape(-1, r, r)
 
 
 def _singular_values(g, a, b, h=None):
@@ -246,17 +308,51 @@ def _singular_values(g, a, b, h=None):
     return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
 
 
+def _slice_pairs(r):
+    """Pairs per slice: 2^11 at r <= 3, and as many as hold 2^13 entries of H at r >= 4.
+
+    The sweep gathers, solves and scatters pairs a slice at a time, so no
+    index, C, H or solver array grows with the chunk: at r = 2 a slice's C
+    is 64 KiB, and its index arrays 16 KiB each.  The closed forms cost a
+    fixed 30 to 130 us a call, so r <= 3 keeps 2^11 pairs a slice; eigvalsh
+    costs the same per matrix in any number.  Each pair is solved on its
+    own, so slices change no bit.
+    """
+    return _SLICE_PAIRS if r <= 3 else max(1, _SLICE_ENTRIES // (r * r))
+
+
+def _slices(p, step):
+    """p in consecutive views of at most step entries."""
+    return (p[s0 : s0 + step] for s0 in range(0, p.size, step))
+
+
+def _batches(mask, step):
+    """The flat indices where a flat mask is set, in order, in arrays of at most step.
+
+    The mask is read _SLICE_ENTRIES entries at a time, so no index array
+    holds more than that.
+    """
+    for q0 in range(0, mask.size, _SLICE_ENTRIES):
+        p = np.flatnonzero(mask[q0 : q0 + _SLICE_ENTRIES])
+        p += q0
+        yield from _slices(p, step)
+
+
 def _exhaustive_sweep(frame):
     """The Gram map and the extreme cross singular values, in one pass."""
     check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
+    r = frame.r
     gram = np.eye(frame.m)
     smin, smax = np.inf, 0.0
-    for i0, g, keep in _pair_chunks(frame.data, frame.r):
-        a, b = np.nonzero(keep)
-        sv = _singular_values(g, a, b)
-        gram[a + i0, b + i0] = gram[b + i0, a + i0] = sv[:, -1]
-        smin = min(smin, float(sv[:, 0].min()))
-        smax = max(smax, float(sv[:, -1].max()))
+    for i0, g, keep in _pair_chunks(frame.data, r):
+        h = _gram_stack(g) if r >= 4 else None
+        block = gram[i0:, i0:]
+        for p in _batches(keep.ravel(), _slice_pairs(r)):
+            a, b = np.divmod(p, g.shape[2])
+            sv = _singular_values(g, a, b, h)
+            block[a, b] = block[b, a] = sv[:, -1]
+            smin = min(smin, float(sv[:, 0].min()))
+            smax = max(smax, float(sv[:, -1].max()))
     return gram, smin, smax
 
 
@@ -285,9 +381,16 @@ def worst_case_coherence(frame):
     Where _screens allows, most chunks are never formed in float64:
 
     - Seed.  Chunk 0 is swept exactly.  Its maximum is attained, a lower
-      bound on mu.  If it solves more than one pair within 2 delta of that
-      maximum, the frame ties many pairs (a Kerdock or ETF lift), every tile
-      would survive the screen, and the other chunks are swept exactly.
+      bound on mu.  If it solves more than one pair within a relative 1e-11
+      (_TIE_TOL) of that maximum, the frame ties many pairs (a Kerdock or
+      ETF lift), every tile would survive the screen, and the other chunks
+      are swept exactly.  Pairs tied in exact arithmetic differ only by
+      rounding: on the lifts (none, hadamard:1 to 3, dft:2 and 3) of every
+      FAMILIES construction the largest spread of chunk 0's solved pairs
+      below its best was 3.2e-12 of it (harmonic p = 1019, r = 1, 14,316
+      ulp; the harmonic ETF's spread grows with p), while Kerdock and
+      id-hadamard lifts lie within 2 ulp.  Random pairs rarely come that
+      close, where 2 delta (1e-6 and up) takes in many.
     - Screen (_screen).  Every pair outside chunk 0 is bounded from float32
       products C~ in square tiles, sigma^ being the float64 solver's
       sigma_max of C~.  L = max(seed, largest sigma^ - delta) <= mu.
@@ -308,15 +411,19 @@ def worst_case_coherence(frame):
     Real data: casting to float32 moves each product x_k y_k by at most
     (2u + u^2)|x_k y_k|, and an inner product of n terms, summed in any
     order, FMA included, is within gamma_n |x~|^T |y~| of the exact one
-    (section 3.1).  So each entry of C~ is within
+    (section 3.1).  Nothing here depends on the order of summation, so the
+    bound holds as well for the symmetric product (syrk) that forms a
+    diagonal tile of a real frame as for the general one.  So each entry of
+    C~ is within
     e = (gamma_n (1 + u)^2 + 2u + u^2)(1 + _ORTHO_TOL) of C's.  Complex
     data (section 3.6): Re and Im of conj(x)^T y are each a real inner
     product of 2n terms, and sum |x_k,re y_k,re| + |x_k,im y_k,im| <=
     |x|^T |y|, so each part is within e with 2n for n, and the entry within
     sqrt(2) e.  This assumes four real products per complex one, as cgemm
-    forms them, and not the 3M method.  Data below float32's normal range, and flush to
-    zero, move each input, product and sum by at most 2^-126, each error
-    grown at most twice by later roundings: 8 k 2^-126 more for k terms.
+    forms them, and not the 3M method.  Data below float32's normal range,
+    and flush to zero, move each input, product and sum by at most 2^-126,
+    each error grown at most twice by later roundings: 8 k 2^-126 more for
+    k terms.
     ||C - C~||_2 <= ||C - C~||_F <= r max|entry error|, and Weyl's
     inequality moves sigma_max by at most that.  The float64 solver's own
     rounding on C~ (about 1e-15 relative) is covered by the hold rule's
@@ -334,7 +441,7 @@ def worst_case_coherence(frame):
         delta, seed = _screen_margin(frame.n, r, cplx), []
         best = _chunk_max(*_chunk(x, r, *runs[0]), 0.0, solved=seed)
         runs = runs[1:]
-        if sum(np.count_nonzero(s >= best - 2 * delta) for _, s in seed) == 1:
+        if sum(np.count_nonzero(s >= best * (1 - _TIE_TOL)) for _, s in seed) == 1:
             mu = _screened_max(x, r, runs, best, delta)
             if mu is not None:
                 return mu
@@ -384,8 +491,13 @@ def _screen_margin(n, r, cplx):
 
 
 def _screen_tile(rows, cols, double):
-    """C~ = rows @ cols, formed in float32 (complex64) and cast, exactly, into the buffer double."""
-    double[...] = rows @ cols
+    """C~ = rows @ cols, formed in float32 (complex64) and cast, exactly, into the buffer double.
+
+    The float32 product is a view of the workspace.  Where cols is rows.T,
+    numpy forms the product by syrk.
+    """
+    single = _workspace("certificates", double.shape, np.result_type(rows, cols))
+    double[...] = np.matmul(rows, cols, out=single)
     return double
 
 
@@ -395,26 +507,29 @@ def _screen(x, r, start, lower, delta):
     Covers the pairs i < j with i >= start, in square tiles of |I| = |J| =
     _SCREEN_COLUMNS // r blocks (or one): each tile's C~ (_screen_tile) goes
     through _chunk_max against L - 2 delta.  A row strip is cast to float32
-    once and each column tile once per tile, into buffers of one tile's
-    size, so no float32 copy of the whole frame is made.
+    once and each column tile once per tile, into the workspace's strips,
+    so no float32 copy of the whole frame is made.  A diagonal tile of a
+    real frame is the row strip times itself, one symmetric product; a
+    complex one takes the general product, the strip being conjugated.
     """
     n, m = x.shape[0], x.shape[1] // r
     side = max(1, _SCREEN_COLUMNS // r)
-    w = side * r
-    single = np.complex64 if np.iscomplexobj(x) else np.float32
-    c64 = np.empty(w * w, np.result_type(x))
-    rows, cols = np.empty((2, n * w), single)
+    cplx = np.iscomplexobj(x)
+    single = np.complex64 if cplx else np.float32
     records = []
     for t0 in range(start, m - 1, side):
         t1 = min(m, t0 + side)
-        a = rows[: n * (t1 - t0) * r].reshape(n, -1)
+        a = _workspace("strips", (n, (t1 - t0) * r), single)
         a[...] = x[:, t0 * r : t1 * r]
-        a = np.conjugate(a, out=a).T if single is np.complex64 else a.T
+        a = np.conjugate(a, out=a).T if cplx else a.T
         for s0 in range(t0, m, side):
             s1 = min(m, s0 + side)
-            b = cols[: n * (s1 - s0) * r].reshape(n, -1)
-            b[...] = x[:, s0 * r : s1 * r]
-            g = _screen_tile(a, b, c64[: a.shape[0] * b.shape[1]].reshape(a.shape[0], -1))
+            if s0 == t0 and not cplx:
+                b = a.T
+            else:
+                b = _workspace("scratch", (n, (s1 - s0) * r), single)
+                b[...] = x[:, s0 * r : s1 * r]
+            g = _screen_tile(a, b, _workspace("product", (a.shape[0], b.shape[1]), x.dtype))
             keep = np.arange(s0, s1) > np.arange(t0, t1)[:, None]
             solved = []
             lower = _chunk_max(g.reshape(t1 - t0, r, s1 - s0, r), keep, lower, delta, solved)
@@ -480,41 +595,78 @@ def _chunk_max(g, keep, best, delta=0.0, solved=None):
     delta: delta = 0 for an exact chunk, and the screen's margin for a
     float32 tile, where best is the lower bound L.  solved, when given,
     collects (p, sigma) of every solved pair.
+
+    No index array spans the chunk.  At r <= 3 the kept pairs are found a
+    run of the mask at a time (_batches), once for the first pair of largest
+    u and once for the rest.  At r >= 4 the squaring ladder ranks the kept
+    pairs together, at most 2^16 / r^2 of them.  Either way the rest are
+    solved a slice at a time (_slice_pairs).
     """
     r, n_j = g.shape[1], g.shape[2]
     h = _gram_stack(g) if r >= 4 else None
     u, e = (_frobenius_squares(g).ravel(), 2) if h is None else (_power_sums(h), 4)
+    keep = keep.ravel()
+
+    def held(best):
+        return keep & (u >= _floor(best, e))
 
     def solve(p):
         s = _singular_values(g, *np.divmod(p, n_j), h)[:, -1]
         if solved is not None:
             solved.append((p, s))
-        return s
+        return float(s.max())
 
     hold = max(best - 2 * delta, 0.0)
-    v, p = _square_and_prune(h, u, np.flatnonzero(keep.ravel() & (u >= _floor(hold, e))), hold)
-    if not p.size:
-        return best
-    k = int(v.argmax())
+    if h is None:
+        top, v_top = -1, -1.0
+        for p in _batches(held(hold), _SLICE_ENTRIES):
+            v = u[p]
+            k = int(v.argmax())
+            if v[k] > v_top:
+                top, v_top = int(p[k]), v[k]
+        if top < 0:
+            return best
+    else:
+        v, p = _square_and_prune(h, u, np.flatnonzero(held(hold)), hold)
+        if not p.size:
+            return best
+        k = int(v.argmax())
+        top, p = int(p[k]), np.delete(p, k)
     del v  # no certificate is held while the survivors' C and (a, b) are
-    best = max(best, float(solve(p[k : k + 1])[0]) - delta)
-    p = np.delete(p, k)
+    best = max(best, solve(np.array([top])) - delta)
     hold = max(best - 2 * delta, 0.0)
-    p = _square_and_prune(h, u, p[u[p] >= _floor(hold, e)], hold)[1]
-    return max(best, float(solve(p).max()) - delta) if p.size else best
+    step = _slice_pairs(r)
+    if h is None:
+        rest = held(hold)
+        rest[top] = False
+        rest = _batches(rest, step)
+    else:
+        rest = _slices(_square_and_prune(h, u, p[u[p] >= _floor(hold, e)], hold)[1], step)
+    for p in rest:
+        best = max(best, solve(p) - delta)
+    return best
 
 
 def _frobenius_squares(g):
-    """||C||_F^2 of every cross-Gram of an (I, r, J, r) chunk, as an (I, J) array."""
+    """||C||_F^2 of every cross-Gram of an (I, r, J, r) chunk, as an (I, J) array.
+
+    The squares, the column sums and the result are views of the workspace;
+    the result overwrites the squares once the column sums are formed.
+    """
     n_i, r, n_j, _ = g.shape
     x = g.reshape(n_i * r, n_j * r)
-    sq = np.square(x) if x.dtype == np.float64 else np.square(x.real) + np.square(x.imag)
+    sq = _workspace("certificates", x.shape, np.float64)
+    if np.iscomplexobj(x):
+        im = np.square(x.imag, out=_workspace("scratch", x.shape, np.float64))
+        np.add(np.square(x.real, out=sq), im, out=sq)
+    else:
+        np.square(x, out=sq)
     if r == 1:
         return sq
-    cols = sq[:, 0::r] + sq[:, 1::r]
+    cols = np.add(sq[:, 0::r], sq[:, 1::r], out=_workspace("scratch", (n_i * r, n_j), np.float64))
     for k in range(2, r):
         cols += sq[:, k::r]
-    rows = cols[0::r] + cols[1::r]
+    rows = np.add(cols[0::r], cols[1::r], out=_workspace("certificates", (n_i, n_j), np.float64))
     for k in range(2, r):
         rows += cols[k::r]
     return rows
@@ -560,11 +712,39 @@ def average_coherence(frame):
     """
     m, r = frame.m, frame.r
     blocks = frame.blocks3d()
-    total = blocks.sum(axis=0)
+    total = _block_sum(frame)
     bh_t = (frame.data.conj().T @ total).reshape(m, r, r)
     bh_b = np.matmul(blocks.conj().swapaxes(1, 2), blocks)
     s = batch_spectral_norms(bh_t - bh_b)
     return float(s.max()) / (m - 1)
+
+
+def _block_sum(frame):
+    """The sum of a frame's blocks, as blocks3d().sum(axis=0) forms it.
+
+    At r >= 2 that sum adds the blocks one after another, in order, with an
+    inner loop of r entries.  Here runs of blocks are moved into a
+    contiguous stack behind the running total instead, a run of at most
+    _CHUNK_ENTRIES entries at a time, each row of r entries as one item
+    (_items), and the stack is summed over its first axis: the same
+    additions in the same order, bit for bit, over loops n r entries long.
+    At r = 1 the view's sum is contiguous and pairwise, and is kept.
+    """
+    x, n, r = frame.data, frame.n, frame.r
+    if r == 1:
+        return frame.blocks3d().sum(axis=0)
+    step = min(frame.m, max(1, _CHUNK_ENTRIES // (n * r)))
+    stack = np.empty((step + 1, n, r), x.dtype)
+    rows, total = _items(stack, r)[..., 0], None
+    for i0 in range(0, frame.m, step):
+        part = _items(x[:, i0 * r : (i0 + step) * r], r)
+        rows[1 : 1 + part.shape[1]] = part.T
+        if total is None:
+            total = stack[1 : 1 + part.shape[1]].sum(axis=0)
+        else:
+            stack[0] = total
+            total = stack[: 1 + part.shape[1]].sum(axis=0)
+    return total
 
 
 def average_column_coherence(p):

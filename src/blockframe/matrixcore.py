@@ -80,6 +80,7 @@ def singular_values_2x2(c):
     h22 = (b.conj() * b).real + (d.conj() * d).real
     h12 = np.abs(a.conj() * b + c.conj() * d)
     smax = np.sqrt((h11 + h22) / 2 + np.hypot((h11 - h22) / 2, h12))
+    del h11, h22, h12  # the sweep solves many pairs at once; hold fewer arrays
     det = np.abs(a * d - b * c)
     smin = np.divide(det, smax, out=np.zeros_like(smax), where=smax > 0)
     return np.stack((np.minimum(smin, smax), smax), axis=-1)
@@ -183,7 +184,8 @@ def gram_deviation(stack):
     most 2^16 entries (or one matrix) at a time, so it is never copied whole;
     conj() copies nothing of a real one, which is taken in one pass.  Each
     X* X is its own product, so the result is the same bit for bit, and NaN
-    propagates as in one pass.
+    propagates as in one pass.  A real deviation is taken in place, so a
+    real slice allocates only its products.
     """
     x = np.asarray(stack)
     x = x[None] if x.ndim == 2 else x
@@ -192,7 +194,9 @@ def gram_deviation(stack):
     devs = []
     for i0 in range(0, len(x), step):
         s = x[i0 : i0 + step]
-        devs.append(np.abs(np.matmul(s.conj().swapaxes(-1, -2), s) - eye).max())
+        g = np.matmul(s.conj().swapaxes(-1, -2), s)
+        g -= eye
+        devs.append((np.abs(g, out=g) if g.dtype == np.float64 else np.abs(g)).max())
     return float(np.max(devs))
 
 

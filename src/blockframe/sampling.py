@@ -257,7 +257,8 @@ def sample_block_frame(spec, *path, trial=None):
     and one Philox, re-keyed to (key_i, counter 0) before each block, draws
     them all; it is never shared between calls, hence between threads.
     Chunks of at most _CHUNK_ENTRIES entries are orthonormalized as stacks,
-    bit for bit as sample_subspace does one block.
+    bit for bit as sample_subspace does one block, and each stack's rows of
+    r entries are moved into the frame as single items (frame._items).
     """
     if trial is not None:
         path += (trial,)
@@ -267,12 +268,13 @@ def sample_block_frame(spec, *path, trial=None):
     keys = substream_keys(spec.seed, path, m)
     rng_at = keyed_rng()
     data = np.empty((n, m * r), np.complex128 if spec.field_tag == "complex" else np.float64)
-    blocks = data.reshape(n, m, r).transpose(1, 0, 2)
+    rows = frame_module._items(data, r)
     per_chunk = max(1, frame_module._CHUNK_ENTRIES // (n * r))
     for i0 in range(0, m, per_chunk):
         i1 = min(m, i0 + per_chunk)
         draws = [_gaussian(n, r, rng_at(keys[i]), spec.field_tag) for i in range(i0, i1)]
-        blocks[i0:i1] = orthonormalize(np.stack(draws))
+        q = np.ascontiguousarray(orthonormalize(np.stack(draws)))
+        rows[:, i0:i1] = frame_module._items(q, r)[..., 0].T
     return BlockFrame(n=n, r=r, m=m, data=data)
 
 

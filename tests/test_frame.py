@@ -6,6 +6,7 @@ implementation paths.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from blockframe.sampling import (
     RandomFrameSpec,
     default_block_count,
     empirical_mu_curve,
+    parallel_map,
     sample_block_frame,
     sample_subspace,
     substream_rng,
@@ -582,6 +584,86 @@ def test_mu_of_the_benchmark_frames_is_pinned(shape):
     assert got == PINNED_MU[shape]
 
 
+# --- the sweep's workspace ----------------------------------------------------
+
+
+def _warm_peak(fn, frame):
+    """The most bytes that a second, warm call of fn holds allocated at once."""
+    fn(frame)
+    tracemalloc.start()
+    try:
+        fn(frame)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WORKSPACE_FRAMES = ["kerdock"] + [(128, r, 256) for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("case", WORKSPACE_FRAMES, ids=str)
+def test_a_warm_sweep_allocates_little(case):
+    # the chunk-sized arrays live in the workspace, and pairs are solved
+    # 2^11 at a time: mu peaked at 302 KiB, and validate at 305 KiB over its
+    # map at r <= 2 and 679 KiB at r = 3, where the closed form holds about
+    # 200 bytes a pair; mu took 1,369 to 1,627 KiB before the workspace
+    if case == "kerdock":
+        frame = _kerdock4()
+    else:
+        frame = sample_block_frame(_benchmark_spec(*case), trial=0)
+    assert _warm_peak(worst_case_coherence, frame) <= 384 << 10
+    assert _warm_peak(validate, frame) <= frame.m * frame.m * 8 + (768 << 10)
+
+
+def test_the_workspace_is_per_thread_and_grows_on_demand():
+    small = frame_module._workspace("product", (3, 4), np.float64)
+    again = frame_module._workspace("product", (12,), np.complex64)
+    assert np.shares_memory(small, again)
+    large = frame_module._workspace("product", (1 << 17,), np.float64)
+    assert large.nbytes == 1 << 20 and large.flags.c_contiguous
+    assert np.shares_memory(frame_module._workspace("product", (4,), np.float64), large)
+    [other] = parallel_map(lambda _: frame_module._workspace("product", (4,), np.float64), [0], 2)
+    assert not np.shares_memory(other, large)
+
+
+def test_nothing_the_sweep_returns_views_the_workspace():
+    frame = sample_block_frame(_benchmark_spec(128, 2, 256), trial=0)
+    rec = validate(frame)
+    x, r = frame.data, frame.r
+    solved = []
+    frame_module._chunk_max(*frame_module._chunk(x, r, 0, 1), 0.0, solved=solved)
+    arrays = [rec.gram] + [a for p, s in solved for a in (p, s)]
+    buffers = list(vars(frame_module._workspaces).values())
+    assert len(buffers) >= 3
+    assert not any(np.shares_memory(a, b) for a in arrays for b in buffers)
+
+
+def test_threads_sweep_different_frames_as_one_thread_does():
+    # each thread forms its chunks in its own workspace; the screened
+    # (200, 10, 200) frame puts the screen's strips and tiles in it too
+    frames = [_kerdock4(), sample_block_frame(_benchmark_spec(200, 10, 200), trial=0)]
+    frames += [sample_block_frame(_benchmark_spec(128, r, 256), trial=1) for r in (1, 2, 3)]
+    frames.append(random_frame(60, 4, 50, 7, complex_blocks=True))
+    jobs = [(fn, f) for f in frames for fn in (gram_map, worst_case_coherence)] * 2
+
+    def run(job):
+        return np.asarray(job[0](job[1])).tobytes()
+
+    assert parallel_map(run, jobs, 2) == [run(job) for job in jobs]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("entries", [64, 1 << 13, 1 << 16])
+def test_the_block_sum_is_the_strided_sum_bit_for_bit(monkeypatch, r, cplx, entries):
+    # runs of blocks behind the running total add in the order the strided
+    # view does, whatever the run length
+    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", entries)
+    frame = random_frame(30, r, 200, 10 + r, complex_blocks=cplx)
+    want = frame.blocks3d().sum(axis=0)
+    assert frame_module._block_sum(frame).tobytes() == want.tobytes()
+
+
 # --- the float32 screen of mu -----------------------------------------------
 
 
@@ -709,6 +791,47 @@ def test_tied_frames_skip_the_screen(monkeypatch):
     assert tiles == []
 
 
+def _near_tie_frame(gap, seed):
+    """(128, 2, 800) random, but for two pairs of chunk 0 near 1 that differ through gap.
+
+    A_1 is A_0 plus t N, and A_2, A_3 are W A_0 and W (A_0 + t (1 + gap) N),
+    W a random orthogonal matrix, so pairs (0, 1) and (2, 3) far outweigh
+    the others and differ only through t.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((800, 128, 2))
+    t, w = 0.3 / np.sqrt(128), random_unitary(128, rng, False)
+    a, noise = g[0], g[1].copy()
+    g[1], g[2], g[3] = a + t * noise, w @ a, w @ (a + t * (1 + gap) * noise)
+    return BlockFrame.from_blocks(list(orthonormalize(g)), field_tag="real")
+
+
+def test_only_ties_within_rounding_skip_the_screen(monkeypatch):
+    # chunk 0 solves both planted pairs, at 0.9997 and 6e-10 apart: well
+    # within 2 delta (3e-5), where a rule of 2 delta counted a tie, and far
+    # beyond rounding
+    frame = _near_tie_frame(1e-6, 4)
+    x, r = frame.data, frame.r
+    runs = list(frame_module._chunk_runs(frame.n, frame.m, r, False))
+    assert frame_module._screens(frame.n, r, len(runs))
+    seed = []
+    best = frame_module._chunk_max(*frame_module._chunk(x, r, *runs[0]), 0.0, solved=seed)
+    sigma = np.concatenate([s for _, s in seed])
+    delta = frame_module._screen_margin(frame.n, r, False)
+    assert np.count_nonzero(sigma >= best - 2 * delta) == 2
+    assert np.count_nonzero(sigma >= best * (1 - frame_module._TIE_TOL)) == 1
+    screened, screen = [], frame_module._screen
+
+    def spy(*args):
+        screened.append(1)
+        return screen(*args)
+
+    monkeypatch.setattr(frame_module, "_screen", spy)
+    mu = worst_case_coherence(frame)
+    assert screened == [1]
+    assert mu == best == _off_diagonal_max(gram_map(frame)) == _unscreened_mu(frame)
+
+
 def test_the_screen_runs_where_the_gemm_is_most_of_mu(monkeypatch):
     screened = []
     screen = frame_module._screen
@@ -723,6 +846,25 @@ def test_the_screen_runs_where_the_gemm_is_most_of_mu(monkeypatch):
     for shape in shapes + [(200, 10, 200)]:
         worst_case_coherence(sample_block_frame(_benchmark_spec(*shape), trial=0))
     assert screened == [(200, 10, 200)]
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_a_real_diagonal_tile_is_one_symmetric_product(monkeypatch, cplx):
+    # 8 of the 36 tiles at (200, 10, 200) are diagonal; a real one is the
+    # row strip times its own transpose, which numpy forms by syrk
+    spec = RandomFrameSpec(200, 10, 200, 1, "complex" if cplx else "real")
+    frame = sample_block_frame(spec, trial=0)
+    tiles, tile = [], frame_module._screen_tile
+
+    def spy(rows, cols, double):
+        tiles.append(np.shares_memory(rows, cols))
+        return tile(rows, cols, double)
+
+    monkeypatch.setattr(frame_module, "_screen_tile", spy)
+    mu = worst_case_coherence(frame)
+    assert len(tiles) == 36 and tiles.count(True) == (0 if cplx else 8)
+    if not cplx:
+        assert mu.hex() == PINNED_MU[(200, 10, 200)][0]
 
 
 def test_the_screen_is_sign_invariant(monkeypatch):
