@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import FrameError
 from .flipping import flip, flipped_nu_bound
-from .frame import check_count, check_field
-from .matrixcore import check_entries
+from .frame import check_field
+from .matrixcore import check_count, check_entries
 from .sampling import (
     RandomFrameSpec,
     keyed_rng,

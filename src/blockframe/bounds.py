@@ -198,11 +198,11 @@ def overlap_tail_bound(lam, n, r):
 class ThresholdSolution:
     """Root of the tail exponent at a given subspace fraction beta.
 
-    multiplier is the correctly rounded double closest to the true root a.
-    As beta -> 1/2 the root hugs 1/beta so closely (1 - a*beta can reach
-    e^{-10000}) that the rounded multiplier may coincide with 1/beta even
-    though the real-number root is strictly below it; log_gap = ln(1-a*beta)
-    keeps the exact location, and residual is the exponent evaluated there.
+    multiplier is the root a, within a few ulp.  As beta -> 1/2 the root
+    hugs 1/beta so closely (1 - a*beta can reach e^{-10000}) that the
+    rounded multiplier may coincide with 1/beta even though the real-number
+    root is strictly below it; log_gap = ln(1-a*beta) keeps the exact
+    location, and residual is the exponent evaluated there.
     """
 
     beta: float
@@ -211,54 +211,55 @@ class ThresholdSolution:
     log_gap: float
 
 
-def _exponent_of_log_gap(v, beta):
-    """psi(a, beta) in the variable v = ln(1 - a*beta).
+def _scaled_exponent(y, beta):
+    """psi(a, beta) / beta in the variable y = -ln(1 - a*beta) / beta, where it decreases.
 
-    psi(a, beta) = beta*ln(a) + (1-2*beta)/2 * ln(1-a*beta) - (1-beta)*ln(1-beta)
-    with ln(a) = ln(1 - e^v) - ln(beta), which has no cancellation for v << 0.
+    psi(a, beta) = beta*ln(a) + (1-2*beta)/2 * ln(1-a*beta) - (1-beta)*ln(1-beta).
+    With t = beta*y, a = y (1 - e^-t) / t, and ln((1 - e^-t) / t) is taken
+    as log(-expm1(-t) / t): no cancellation for small t, and exactly 0 where
+    expm1 returns -t, however far below the normal range t falls.
     """
-    u = math.exp(v)
+    t = beta * y
     return (
-        beta * (math.log1p(-u) - math.log(beta))
-        + 0.5 * (1.0 - 2.0 * beta) * v
-        - (1.0 - beta) * math.log1p(-beta)
+        math.log(y)
+        + math.log(-math.expm1(-t) / t)
+        - 0.5 * (1.0 - 2.0 * beta) * y
+        - (1.0 - beta) * math.log1p(-beta) / beta
     )
 
 
 def solve_threshold(beta):
     """Unique root of psi(., beta) on [2, 1/beta), located by bisection.
 
-    Bisection runs in v = ln(1 - a*beta), where psi is monotone increasing
-    and evaluates stably however close the root sits to 1/beta; the interval
-    is shrunk to ~1e-14 relative width, which pins the residual well below
-    1e-10 across the whole beta range.  The root times beta is the
-    asymptotic squared-coherence threshold; it tends to ~5.357 (the root of
-    a = 2(1+ln a)) as beta -> 0 and to 2 as beta -> 1/2.
+    Bisection runs in y = -ln(1 - a*beta) / beta, where psi / beta
+    decreases and evaluates stably however close the root sits to 1/beta
+    and however small beta is (y stays near a, where ln(1 - a*beta) falls
+    below the normal range), until the midpoint equals an end.  The root
+    times beta is the asymptotic squared-coherence threshold; it tends to
+    ~5.357 (the root of a = 2(1+ln a)) as beta -> 0 and to 2 as beta -> 1/2.
     """
     if not 0.0 < beta < 0.5:
         raise FrameError(f"need beta in (0, 1/2), got {beta}")
-    hi = math.log1p(-2.0 * beta)  # v at a = 2
-    f_hi = _exponent_of_log_gap(hi, beta)
-    if f_hi < 0.0:
+    lo = -math.log1p(-2.0 * beta) / beta  # y at a = 2
+    f_lo = _scaled_exponent(lo, beta)
+    if f_lo < 0.0:
         raise FrameError(f"exponent not positive at a=2 for beta={beta}")
-    if f_hi == 0.0:
-        return ThresholdSolution(beta=beta, multiplier=2.0, residual=0.0, log_gap=hi)
-    lo = hi - 1.0
-    while _exponent_of_log_gap(lo, beta) > 0.0:
-        lo = hi + 2.0 * (lo - hi)
-        if lo < -1e9:
+    if f_lo == 0.0:
+        return ThresholdSolution(beta=beta, multiplier=2.0, residual=0.0, log_gap=-beta * lo)
+    hi = lo + 1.0
+    while _scaled_exponent(hi, beta) > 0.0:
+        hi = lo + 2.0 * (hi - lo)
+        if beta * hi > 1e9:
             raise ConvergenceError(f"no sign change found for beta={beta}")
-    while hi - lo > 1e-14 * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        if _exponent_of_log_gap(mid, beta) > 0.0:
-            hi = mid
+    while (y := 0.5 * (lo + hi)) not in (lo, hi):
+        if _scaled_exponent(y, beta) > 0.0:
+            lo = y
         else:
-            lo = mid
-    v = 0.5 * (lo + hi)
-    a = min(-math.expm1(v) / beta, 1.0 / beta)
+            hi = y
+    t = beta * y
     return ThresholdSolution(
         beta=beta,
-        multiplier=a,
-        residual=_exponent_of_log_gap(v, beta),
-        log_gap=v,
+        multiplier=min(y * (-math.expm1(-t) / t), 1.0 / beta),
+        residual=beta * _scaled_exponent(y, beta),
+        log_gap=-t,
     )

@@ -14,8 +14,8 @@ Every P is verified exactly once (verify_etf / verify_flat_union), so a
 silent algebra mistake cannot leak a wrong frame: a builder verifies the P
 it returns, and kron_from_etf / kron_from_flat_union verify a P their
 caller supplies.  The lift itself (_lift) never verifies P again.  Both
-checks are one, _verify: it reads every cross modulus off the chunks of the
-pair pass that gives mu and the Gram map, copies no whole P and forms no
+checks are one, _verify: it reads every cross modulus off the tiles of the
+pair walk that gives mu and the Gram map, copies no whole P and forms no
 n x n product, and every builder checks P's entry count against the memory
 guard before it loops or allocates.  FAMILIES is the one list of
 families: build_frame(family, value, kron) builds one family's P from its
@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, _pair_chunks
+from .frame import BlockFrame, _tiles
 from .io import read_bfm
 from .matrixcore import (
     as_matrix,
+    check_count,
     check_entries,
     dft_matrix,
     gram_deviation,
@@ -70,18 +71,18 @@ def _verify(p, w, modulus):
     """P measured as a tight union of orthonormal runs of w columns at one modulus.
 
     group_dev is max |X* X - I| over the runs, and cross_min and cross_max
-    are the extremes of |<p_i, p_j>| across runs, read off each chunk of the
-    one pair pass (frame._pair_chunks) with the runs as blocks.  tight_dev
+    are the extremes of |<p_i, p_j>| across runs, read off each tile of the
+    one pair walk (frame._tiles) with the runs as blocks.  tight_dev
     is max |P P* - (m/n) I| (tight_deviation).  ok is each deviation below
     1e-10, tightness below 1e-10 max(1, m/n).  P is never copied whole, and
     no n x n product is made.
     """
     n, m = p.shape
     group_dev = gram_deviation(p.reshape(n, m // w, w).transpose(1, 0, 2))
-    # map holds no chunk while the pass makes the next one
-    lows, highs = zip(*map(_cross_moduli, _pair_chunks(p, w)))
-    cross_min, cross_max = min(lows), max(highs)
     tight_dev = tight_deviation(p)
+    # map holds no tile while the walk makes the next one
+    lows, highs = zip(*map(_cross_moduli, _tiles(p, w)))
+    cross_min, cross_max = min(lows), max(highs)
     ok = (
         max(group_dev, cross_max - modulus, modulus - cross_min) < _VERIFY_TOL
         and tight_dev < _VERIFY_TOL * max(1.0, m / n)
@@ -89,10 +90,10 @@ def _verify(p, w, modulus):
     return Verification(ok, modulus, group_dev, cross_min, cross_max, tight_dev)
 
 
-def _cross_moduli(chunk):
-    """The smallest and largest |<p_i, p_j>| over the pairs of a chunk of the pair pass."""
-    _, g, keep = chunk
-    mods, pairs = np.abs(g), keep[:, None, :, None]
+def _cross_moduli(tile):
+    """The smallest and largest |<p_i, p_j>| over the pairs of a tile of the pair walk."""
+    _, _, g, keep = tile
+    mods, pairs = np.abs(g), True if keep is None else keep[:, None, :, None]
     return float(mods.min(where=pairs, initial=np.inf)), float(mods.max(where=pairs, initial=0.0))
 
 
@@ -137,9 +138,8 @@ def steiner_pairs_etf(v):
     columns see the v-th roots of unity summed without the t=0 term, which
     lands on the same modulus.
     """
+    v = check_count(v, "v", minimum=3)
     check_entries(v * (v - 1) // 2 * v * v, f"steiner_pairs_etf({v})")
-    if v < 3:
-        raise FrameError(f"need v >= 3, got {v}")
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
     b = len(pairs)
     rows_of_point = [[] for _ in range(v)]
@@ -164,6 +164,7 @@ def harmonic_qr_etf(p_prime):
     difference set and the selected DFT rows, rescaled to unit columns, are
     equiangular with coherence sqrt(p+1)/(p-1).
     """
+    p_prime = check_count(p_prime, "p")
     check_entries((p_prime - 1) // 2 * p_prime, f"harmonic_qr_etf({p_prime})")
     if not is_prime(p_prime) or p_prime % 4 != 3:
         raise FrameError(f"need a prime p = 3 (mod 4), got {p_prime}")
@@ -204,6 +205,7 @@ def alltop_gabor(p_prime):
     that every column starts real-positive at t = 0; the frame's average
     column coherence then comes out at exactly 1/(p+1).
     """
+    p_prime = check_count(p_prime, "p")
     check_entries(p_prime**3, f"alltop_gabor({p_prime})")
     if not is_prime(p_prime) or p_prime < 5:
         raise FrameError(f"need a prime p >= 5, got {p_prime}")
@@ -218,6 +220,7 @@ def discrete_chirp(p_prime):
     Fixed chirp rate a gives an orthobasis; distinct rates meet at modulus
     1/sqrt(p) by the quadratic Gauss sum.
     """
+    p_prime = check_count(p_prime, "p")
     check_entries(p_prime**3, f"discrete_chirp({p_prime})")
     if not is_prime(p_prime) or p_prime < 3:
         raise FrameError(f"need an odd prime, got {p_prime}")
@@ -227,10 +230,9 @@ def discrete_chirp(p_prime):
 
 def id_hadamard_union(k):
     """The identity basis next to the scaled Sylvester-Hadamard basis."""
+    k = check_count(k, "k")
     # 2^k x 2^(k+1) entries; the min spares a huge k a huge integer
     check_entries(2 * 4 ** min(k, 14), f"id_hadamard_union({k})")
-    if k < 1:
-        raise FrameError(f"need k >= 1, got {k}")
     n = 1 << k
     h = hadamard_sylvester(k) / np.sqrt(n)
     p = np.concatenate([np.eye(n), h], axis=1)
@@ -373,6 +375,7 @@ def kerdock_real(k, mats=None):
     A set given as mats is validated here, before the bases are built;
     kerdock_set's own set is checked by the flat-union verification alone.
     """
+    k = check_count(k, "k")
     # 2^k x 2^(2k-1) entries; the min spares a huge k a huge integer
     check_entries(2 ** (3 * min(k, 14) - 1), f"kerdock_real({k})")
     if k < 4 or k % 2 != 0:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError
-from .frame import BlockFrame, average_coherence, check_count, worst_case_coherence
-from .matrixcore import gram_singular_values
+from .frame import BlockFrame, average_coherence, worst_case_coherence
+from .matrixcore import check_count, gram_singular_values
 
 _TIE_TOL = 1e-12
 

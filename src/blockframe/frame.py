@@ -36,15 +36,15 @@ from .matrixcore import (
 _ORTHO_TOL = 1e-8
 _TIGHT_TOL = 1e-8
 _ISOCLINIC_TOL = 1e-6
-_CHUNK_ENTRIES = 1 << 16  # entries of one chunk's Gram A_I* A[:, i0*r:]
+_CHUNK_ENTRIES = 1 << 16  # entries of a tile's product or complex row strip; see _side
 _PRUNE_SLACK = 1e-10  # covers rounding in the certificates, the closed forms and eigvalsh
 _MAX_POWER = 32  # the last q whose ||H^q||_F^2 prunes at r >= 4
 _NORMAL_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps  # see _floor
-_SCREEN_COLUMNS = 256  # a screen tile is 256 // r blocks a side, at most 2^16 entries
-_SCREEN_MIN_CHUNKS = 20  # the screen's three thresholds; see _screens
+_TILE_COLUMNS = 256  # a tile is 256 // r blocks a side, at most 2^16 entries; see _side
+_SCREEN_MIN_TILE_ROWS = 5  # the screen's three thresholds; see _screens
 _SCREEN_MIN_ROWS = 128
 _SCREEN_MIN_DEPTH = 8
-_SLICE_PAIRS = 1 << 11  # pairs the sweep solves at once at r <= 3; see _slice_pairs
+_SLICE_PAIRS = 1 << 11  # pairs solved at once at r <= 3; see _slice_pairs
 _SLICE_ENTRIES = 1 << 13  # entries of the H a slice gathers at r >= 4, and of a mask read at once
 _TIE_TOL = 1e-11  # seed pairs this close to its best, relatively, tie; see worst_case_coherence
 
@@ -63,17 +63,6 @@ def check_nrm(n, r, m):
         raise FrameError(f"need r < n, got r={r}, n={n}")
     if not n <= m * r:
         raise FrameError(f"need n <= m*r, got n={n}, m*r={m * r}")
-
-
-def check_count(value, name, minimum=1):
-    """The one count rule: an integer (numpy's too) of at least minimum, returned as an int."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < minimum:
-        raise FrameError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return count
 
 
 def check_field(tag):
@@ -162,30 +151,26 @@ class BlockFrame:
 def _workspace(name, shape, dtype):
     """A view, of this shape and dtype, of the calling thread's buffer name.
 
-    The pair sweep writes every array that scales with a chunk into four
+    The pair walk writes every array that scales with a tile into four
     buffers through out=, so that a sweep faults in no memory that the last
-    one in the same thread already had.  By the stages of one chunk or
-    screen tile:
+    one in the same thread already had.  By the stages of one tile:
 
-      product       the chunk's product g (_chunk), or a tile's C~
-                    (_screen_tile); it lives until the next one
-      certificates  first what feeds the product and dies with it: complex
-                    data's A_I* (_chunk) or the float32 tile (_screen_tile);
-                    then what the chunk's certificates are read from, living
-                    as long as the product: the squares, which the
-                    certificates u overwrite (_frobenius_squares), or H at
-                    r >= 4 (_gram_stack)
-      scratch       what dies while those are formed: the column sums and
-                    imaginary squares, complex data's conjugated chunk
-                    behind H, or the screen's float32 column tile
-      strips        the screen's float32 row strip, reused across its row
+      strips        the row strip A_T* where it is a copy (_tiles)
+      product       the tile's float64 product g (_tiles)
+      certificates  first the screen's float32 product, cast into g; then,
+                    as long as g lives, the squares that the certificates u
+                    overwrite (_frobenius_squares), or H at r >= 4
+                    (_gram_stack)
+      scratch       what dies while those are formed: the screen's float32
+                    column tile, the column sums and imaginary squares, or
+                    complex data's conjugated tile behind H
 
-    Each holds what one chunk needs: at most 2^16 entries (or one block row,
-    when that is larger), and n 256 entries for the strip.  Each thread has
-    its own (threading.local); a buffer grows when a call asks for more than
-    it holds and is never freed.  A view holds only until the next call for
-    the same name in the same thread, so nothing the sweep returns or keeps
-    past the next chunk is one.
+    Each holds what one tile needs: at most 2^16 entries (or one block's),
+    and n 256 entries for a real strip of the screen.  Each thread has its
+    own (threading.local); a buffer grows when a call asks for more than it
+    holds and is never freed.  A view holds only until the next call for the
+    same name in the same thread, so nothing the sweep returns or keeps past
+    the next tile is one.
     """
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buffers = _workspaces.__dict__
@@ -194,74 +179,100 @@ def _workspace(name, shape, dtype):
     return buffers[name][:nbytes].view(dtype).reshape(shape)
 
 
-def _chunk_runs(n, m, r, cplx):
-    """The (i0, i1) block-row runs of the pair sweep's chunks, in order.
+def _side(n, r, cplx):
+    """Blocks a side of the walk's square tiles: 256 // r, capped for complex data, at least 1.
 
-    One gemm A_I* A[:, i0*r:] covers the rows I = i0..i1-1.  Its product
-    holds at most 2^16 entries, and so does the conjugated row block A_I*,
-    n*r*|I| entries, of complex data (a real block's conj() is a view); a
-    single block row is the least a chunk takes.  The runs depend on
-    (n, m, r) and the field alone.
+    A tile's product then holds at most 2^16 entries.  Complex data's row
+    strip is a conjugated copy of n (side r) entries, so its side is capped
+    at 2^16 // (n r) as well; a real strip is a view.  The side depends on
+    (n, r) and the field alone.
     """
-    row_cap = _CHUNK_ENTRIES // (n * r) if cplx else m
-    i0 = 0
-    while i0 < m - 1:
-        i1 = min(m - 1, i0 + max(1, min(row_cap, _CHUNK_ENTRIES // (r * r * (m - i0)))))
-        yield i0, i1
-        i0 = i1
+    side = _TILE_COLUMNS // r
+    if cplx:
+        side = min(side, _CHUNK_ENTRIES // (n * r))
+    return max(1, side)
 
 
-def _chunk(x, r, i0, i1):
-    """(g, keep) of the run i0..i1-1: g = A_I* A[:, i0*r:] as an (I, r, m - i0, r) view.
+def _origins(m, side):
+    """The (t0, s0) of every tile of m blocks that holds a pair, tile row by tile row.
 
-    g is in x's own dtype, and g[a, :, b, :] is the cross-Gram A_i* A_j of
-    i = i0 + a and j = i0 + b.  keep is the (I, m - i0) mask of the chunk's
-    pairs, b > a; the others are the diagonal blocks A_i* A_i and pairs
-    that an earlier chunk covers.  g and complex data's A_I* are views of
-    the workspace (_workspace), in the layouts numpy would allocate, so the
-    gemm is the one a fresh product makes.
+    Those are s0 >= t0, and s0 > t0 where a side of one block leaves a
+    diagonal tile no pair.
     """
-    m = x.shape[1] // r
-    rows, cols = x[:, i0 * r : i1 * r], x[:, i0 * r :]
-    if np.iscomplexobj(x):
-        rows = np.conjugate(rows, out=_workspace("certificates", rows.shape, x.dtype))
-    g = np.matmul(rows.T, cols, out=_workspace("product", (rows.shape[1], cols.shape[1]), x.dtype))
-    keep = np.arange(m - i0) > np.arange(i1 - i0)[:, None]
-    return g.reshape(i1 - i0, r, m - i0, r), keep
+    return [(t0, s0) for t0 in range(0, m - 1, side) for s0 in range(t0 + (side == 1), m, side)]
 
 
-def _pair_chunks(x, r):
-    """Every block pair i < j once, a run of block rows at a time.
+def _tiles(x, r, origins=None, single=False):
+    """The pair walk: (t0, s0, g, keep) of the tiles at origins, every tile by default.
 
-    x is n x (m*r) data, read as m blocks of r columns.  Yields (i0, g, keep)
-    of each run of _chunk_runs, as _chunk forms them.  g lives in the
-    thread's workspace, which the next chunk of this or any other sweep in
-    the thread overwrites, so a caller keeps nothing that views it.
+    x is n x (m*r) data, read as m blocks of r columns, and origins are
+    (t0, s0) of _origins, the first blocks of the tile's rows T and columns
+    S.  g = A_T* A_S, as a float64 (complex128) (|T|, r, |S|, r) view:
+    g[a, :, b, :] is the cross-Gram A_i* A_j of i = t0 + a and j = s0 + b.
+    With single, the product is formed in float32 (complex64) and cast,
+    exactly, into g.  keep is None on a tile off the diagonal, all of whose
+    pairs have j > i, and the (|T|, |S|) mask b > a on a diagonal one.  This
+    is the package's only all-pairs loop.
+
+    The row strip A_T* is a view of real float64 data, and otherwise a cast
+    or conjugated copy, formed once for consecutive tiles of one row; a
+    column tile is a view, cast for single.  A diagonal tile leaves out its
+    last block row, which holds no pair, so it is a general product: in
+    float64, syrk (numpy's product of a real square A_T* A_T) took twice the
+    gemm's time on kerdock(4) x H_1.  The screen keeps a real diagonal tile
+    square, the strip times itself, where syrk is the faster (190 against
+    252 us at n = 200, r = 10).  g and the copies live in the thread's
+    workspace (_workspace), which the next tile of any walk in the thread
+    overwrites, so a caller keeps nothing that views them.
 
     Everything computed from a cross-Gram C, or from H = C*C, is
-    sign-invariant bit for bit.  Chunk shapes depend on (n, m, r) and the
-    field alone, and a gemm of fixed shapes does the same operations on
-    negated inputs, so negating block k negates every C that involves it
-    exactly and leaves H, the squared entries behind ||C||_F and the pruning
-    choices unchanged.  The same holds for worst_case_coherence's float32
-    screen (_screen): negation is exact in float32 too, and its tile shapes
-    depend on (n, m, r) and the field alone, so sigma^, L, every chunk it
-    skips and every fallback are sign-invariant.
+    sign-invariant bit for bit.  The tiles depend on (n, m, r) and the field
+    alone, and a product of fixed shapes does the same operations on negated
+    inputs, in float32 as in float64, negation being exact in both.  So
+    negating block k negates exactly every C that involves it, and leaves H,
+    the squared entries behind ||C||_F, the pruning choices, the screen's
+    sigma^ and L, the tiles it holds and every fallback unchanged.
     """
     n, m = x.shape[0], x.shape[1] // r
-    for i0, i1 in _chunk_runs(n, m, r, np.iscomplexobj(x)):
-        yield i0, *_chunk(x, r, i0, i1)
+    cplx = np.iscomplexobj(x)
+    side = _side(n, r, cplx)
+    dtype = (np.complex64 if cplx else np.float32) if single else x.dtype
+    strip = None
+    for t0, s0 in _origins(m, side) if origins is None else origins:
+        t1, s1 = min(m, t0 + side), min(m, s0 + side)
+        if strip != t0:
+            rows, strip = x[:, t0 * r : t1 * r], t0
+            if single or cplx:
+                rows = np.conjugate(rows, out=_workspace("strips", rows.shape, dtype))
+        a, b = rows, x[:, s0 * r : s1 * r]
+        if s0 == t0 and single and not cplx:
+            b = a
+        elif s0 == t0:
+            a = a[:, :-r]
+        if single and b is not a:
+            cast = _workspace("scratch", b.shape, dtype)
+            cast[...] = b
+            b = cast
+        g = _workspace("product", (a.shape[1], b.shape[1]), x.dtype)
+        if single:
+            g[...] = np.matmul(a.T, b, out=_workspace("certificates", g.shape, dtype))
+        else:
+            np.matmul(a.T, b, out=g)
+        n_i = a.shape[1] // r
+        keep = np.arange(s0, s1) > np.arange(t0, t0 + n_i)[:, None] if s0 == t0 else None
+        yield t0, s0, g.reshape(n_i, r, s1 - s0, r), keep
 
 
-def _gather(g, a, b):
-    """The (p, r, r) stack of cross-Grams g[a, :, b, :] of a chunk, C-contiguous.
+def _gather(g, *pairs):
+    """The (p, r, r) stack of the cross-Grams of an (I, r, J, r) tile's pairs, C-contiguous.
 
-    Each row of r entries is copied as one opaque item, which is faster than
-    numpy's entry-by-entry copy of a strided r x r subspace; the bytes are
-    the same.
+    pairs is (a, b), index arrays of the cross-Grams g[a, :, b, :], or one
+    (I, J) mask.  Each row of r entries is copied as one opaque item, which
+    is faster than numpy's entry-by-entry copy of a strided r x r subspace;
+    the bytes are the same.
     """
     r = g.shape[1]
-    return _items(g, r)[a, :, b, 0].view(g.dtype).reshape(len(a), r, r)
+    return _items(g, r)[..., 0].transpose(0, 2, 1)[pairs].view(g.dtype).reshape(-1, r, r)
 
 
 def _items(x, r):
@@ -275,13 +286,13 @@ def _items(x, r):
 
 
 def _gram_stack(g):
-    """H = C*C of every cross-Gram of an (I, r, J, r) chunk, as an (I*J, r, r) stack.
+    """H = C*C of every cross-Gram of an (I, r, J, r) tile, as an (I*J, r, r) stack.
 
-    Formed on the chunk's own (I, J, r, r) view, with no C copied out, and
+    Formed on the tile's own (I, J, r, r) view, with no C copied out, and
     bitwise the H of a gathered C; row a*J + b is the pair (a, b).  H, and
-    complex data's conjugated chunk, are views of the workspace in the
-    layouts numpy would allocate; real data's conj() is the chunk itself, so
-    numpy forms each H by syrk as before.
+    complex data's conjugated tile, are views of the workspace in the
+    layouts numpy would allocate; real data's conj() is the tile itself, so
+    numpy forms each H by syrk.
     """
     n_i, r, n_j, _ = g.shape
     v = gh = g.transpose(0, 2, 1, 3)
@@ -291,32 +302,31 @@ def _gram_stack(g):
     return np.matmul(gh.swapaxes(-1, -2), v, out=h).reshape(-1, r, r)
 
 
-def _singular_values(g, a, b, h=None):
-    """Singular values, smallest first, of the cross-Grams of the pairs (a, b) of a chunk.
+def _singular_values(stack):
+    """Singular values, smallest first, of each matrix behind a (..., r, r) stack.
 
-    The sweep's one solver: |c| and the closed forms on the gathered C at
-    r <= 3, and eigvalsh of H = C*C at r >= 4, h = _gram_stack(g) formed
-    here unless the caller passes it; no H is formed from a gathered C.
+    The sweep's one solver.  At r <= 3 the stack holds cross-Grams C, any
+    view of a tile: |c| and the closed forms, which are elementwise, so a
+    strided view gives a gathered stack's bits.  At r >= 4 it holds their
+    H = C*C (_gram_stack), solved by eigvalsh.
     """
-    r = g.shape[1]
+    r = stack.shape[-1]
     if r >= 4:
-        h = _gram_stack(g) if h is None else h
-        return gram_singular_values(h[a * g.shape[2] + b])
-    c = _gather(g, a, b)
+        return gram_singular_values(stack)
     if r == 1:
-        return np.abs(c[:, :, 0])
-    return singular_values_2x2(c) if r == 2 else singular_values_3x3(c)
+        return np.abs(stack[..., 0])
+    return singular_values_2x2(stack) if r == 2 else singular_values_3x3(stack)
 
 
 def _slice_pairs(r):
-    """Pairs per slice: 2^11 at r <= 3, and as many as hold 2^13 entries of H at r >= 4.
+    """Pairs solved at once: 2^11 at r <= 3, and as many as hold 2^13 entries of H at r >= 4.
 
-    The sweep gathers, solves and scatters pairs a slice at a time, so no
-    index, C, H or solver array grows with the chunk: at r = 2 a slice's C
-    is 64 KiB, and its index arrays 16 KiB each.  The closed forms cost a
-    fixed 30 to 130 us a call, so r <= 3 keeps 2^11 pairs a slice; eigvalsh
-    costs the same per matrix in any number.  Each pair is solved on its
-    own, so slices change no bit.
+    Neither sweep forms an index, C, H or solver array that grows with the
+    tile: the exhaustive sweep solves whole tile rows of at most this many
+    pairs, and _chunk_max gathers and solves its survivors this many at a
+    time.  The closed forms cost a fixed 30 to 130 us a call, so r <= 3
+    keeps 2^11 pairs a slice; eigvalsh costs the same per matrix in any
+    number.  Each pair is solved on its own, so slices change no bit.
     """
     return _SLICE_PAIRS if r <= 3 else max(1, _SLICE_ENTRIES // (r * r))
 
@@ -339,20 +349,30 @@ def _batches(mask, step):
 
 
 def _exhaustive_sweep(frame):
-    """The Gram map and the extreme cross singular values, in one pass."""
+    """The Gram map and the extreme cross singular values, in one pass.
+
+    Each tile is solved on its strided (I, J, r, r) view of C, or of
+    _gram_stack's H at r >= 4, in slabs of whole tile rows of at most
+    _slice_pairs(r) pairs, and the map and its mirror are written by
+    slicing; a diagonal tile gathers and writes its pairs j > i by keep.
+    """
     check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
     r = frame.r
     gram = np.eye(frame.m)
     smin, smax = np.inf, 0.0
-    for i0, g, keep in _pair_chunks(frame.data, r):
-        h = _gram_stack(g) if r >= 4 else None
-        block = gram[i0:, i0:]
-        for p in _batches(keep.ravel(), _slice_pairs(r)):
-            a, b = np.divmod(p, g.shape[2])
-            sv = _singular_values(g, a, b, h)
-            block[a, b] = block[b, a] = sv[:, -1]
-            smin = min(smin, float(sv[:, 0].min()))
-            smax = max(smax, float(sv[:, -1].max()))
+    for t0, s0, g, keep in _tiles(frame.data, r):
+        n_i, n_j = g.shape[0], g.shape[2]
+        c = g.transpose(0, 2, 1, 3) if r <= 3 else _gram_stack(g).reshape(n_i, n_j, r, r)
+        up, down = gram[t0 : t0 + n_i, s0 : s0 + n_j], gram[s0 : s0 + n_j, t0 : t0 + n_i].T
+        step = max(1, _slice_pairs(r) // n_j)
+        for a0 in range(0, n_i, step):
+            rows = slice(a0, a0 + step)
+            pairs = ... if keep is None else keep[rows]
+            gathered = keep is not None and r <= 3  # faster than a mask of the strided view
+            sv = _singular_values(_gather(g[rows], pairs) if gathered else c[rows][pairs])
+            up[rows][pairs] = down[rows][pairs] = sv[..., -1]
+            smin = min(smin, float(sv[..., 0].min()))
+            smax = max(smax, float(sv[..., -1].max()))
     return gram, smin, smax
 
 
@@ -369,39 +389,39 @@ def gram_map(frame):
 def worst_case_coherence(frame):
     """Largest cross-block spectral norm over all unordered block pairs.
 
-    Each chunk of the pair sweep goes through one skeleton for every r
-    (_chunk_max), which solves only the pairs that can hold the maximum.
-    best is the largest sigma_max solved so far.  Each pair has certificates,
-    power sums at least sigma_max^e (_chunk_max reads them), and a pair is
-    dropped when one is below _floor(best, e), the one hold rule.  No pair
-    is solved twice.  The closed forms are elementwise and eigvalsh treats
-    each matrix on its own, so the result equals the exhaustive maximum bit
-    for bit.
+    Each tile of the pair walk (_tiles) goes through one skeleton for every
+    r (_chunk_max), which solves only the pairs that can hold the maximum.
+    best is the largest sigma_max solved so far.  Each pair has
+    certificates, power sums at least sigma_max^e (_chunk_max reads them),
+    and a pair is dropped when one is below _floor(best, e), the one hold
+    rule.  No pair is solved twice.  The closed forms are elementwise and
+    eigvalsh treats each matrix on its own, and gram_map reads the same
+    float64 tile products, so the result equals the exhaustive maximum bit
+    for bit: mu == max(gram_map) holds by construction.
 
-    Where _screens allows, most chunks are never formed in float64:
+    Where _screens allows, most tiles are never formed in float64:
 
-    - Seed.  Chunk 0 is swept exactly.  Its maximum is attained, a lower
+    - Seed.  Tile (0, 0) is swept exactly.  Its maximum is attained, a lower
       bound on mu.  If it solves more than one pair within a relative 1e-11
       (_TIE_TOL) of that maximum, the frame ties many pairs (a Kerdock or
-      ETF lift), every tile would survive the screen, and the other chunks
+      ETF lift), every tile would survive the screen, and the other tiles
       are swept exactly.  Pairs tied in exact arithmetic differ only by
       rounding: on the lifts (none, hadamard:1 to 3, dft:2 and 3) of every
-      FAMILIES construction the largest spread of chunk 0's solved pairs
-      below its best was 3.2e-12 of it (harmonic p = 1019, r = 1, 14,316
-      ulp; the harmonic ETF's spread grows with p), while Kerdock and
-      id-hadamard lifts lie within 2 ulp.  Random pairs rarely come that
-      close, where 2 delta (1e-6 and up) takes in many.
-    - Screen (_screen).  Every pair outside chunk 0 is bounded from float32
-      products C~ in square tiles, sigma^ being the float64 solver's
-      sigma_max of C~.  L = max(seed, largest sigma^ - delta) <= mu.
-    - Exact pass.  The chunks that hold a pair with sigma^ >= L - 2 delta
-      are swept exactly, in order of decreasing sigma^, from the seed's
-      best.  They are _chunk_runs' chunks, in the gemm shapes of the
-      exhaustive sweep, so mu is the exhaustive maximum bit for bit, and
-      mu == max(gram_map) holds.
-    - Guard.  If the pair that attains mu lies outside chunk 0, its sigma^
-      must be within delta of mu; if not, the BLAS broke the bound, and
-      every chunk after chunk 0 is swept exactly.
+      FAMILIES construction of up to 3M entries, the largest spread of the
+      seed's solved pairs below its best was 6.3e-13 of it (harmonic
+      p = 503, r = 1, 4,032 ulp; the harmonic ETF's spread grows with p),
+      while Kerdock and id-hadamard lifts lie within 3 ulp.  Random pairs
+      rarely come that close, where 2 delta (1e-6 and up) takes in many.
+    - Screen.  Every other tile is formed in float32 (_tiles with single),
+      sigma^ being the float64 solver's sigma_max of its C~, and goes
+      through _chunk_max against L - 2 delta, where
+      L = max(seed, largest sigma^ - delta) <= mu.
+    - Exact pass.  The tiles that hold a pair with sigma^ >= L - 2 delta are
+      formed again in float64, in order of decreasing sigma^, from the
+      seed's best: the same tiles, and so the same bits, as gram_map's.
+    - Guard.  If the pair that attains mu lies outside the seed tile, its
+      sigma^ must be within delta of mu; if not, the BLAS broke the bound,
+      and every tile after the seed is swept exactly.
 
     delta (_screen_margin) bounds |sigma_max(C~) - sigma_max(C)|.  Let
     u = 2^-24, and gamma_k = k u / (1 - k u) (Higham, Accuracy and
@@ -429,56 +449,56 @@ def worst_case_coherence(frame):
     rounding on C~ (about 1e-15 relative) is covered by the hold rule's
     _PRUNE_SLACK.  A pair that attains mu has sigma^ >= mu - delta >= L -
     delta, so its certificate holds in the screen, it is solved there, and
-    its chunk is swept.
+    its tile is swept.
 
-    The screen is sign-invariant, as _pair_chunks states.
+    The screen is sign-invariant, as _tiles states.
     """
-    x, r = frame.data, frame.r
+    x, n, r = frame.data, frame.n, frame.r
     cplx = np.iscomplexobj(x)
-    runs = list(_chunk_runs(frame.n, frame.m, r, cplx))
+    side = _side(n, r, cplx)
+    origins = _origins(frame.m, side)
     best = 0.0
-    if _screens(frame.n, r, len(runs)):
-        delta, seed = _screen_margin(frame.n, r, cplx), []
-        best = _chunk_max(*_chunk(x, r, *runs[0]), 0.0, solved=seed)
-        runs = runs[1:]
-        if sum(np.count_nonzero(s >= best * (1 - _TIE_TOL)) for _, s in seed) == 1:
-            mu = _screened_max(x, r, runs, best, delta)
+    if _screens(n, r, origins[-1][0] // side + 1):
+        delta, seed = _screen_margin(n, r, cplx), []
+        best = _tiles_max(x, r, origins[:1], 0.0, records=seed)
+        origins = origins[1:]
+        if np.count_nonzero(_solved_pairs(seed)[2] >= best * (1 - _TIE_TOL)) == 1:
+            mu = _screened_max(x, r, side, origins, best, delta)
             if mu is not None:
                 return mu
-    for run in runs:
-        best = _chunk_max(*_chunk(x, r, *run), best)
-    return best
+    return _tiles_max(x, r, origins, best)
 
 
-def _screens(n, r, chunks):
-    """Whether worst_case_coherence screens a frame of n rows, block width r and this many chunks.
+def _screens(n, r, tile_rows):
+    """Whether worst_case_coherence screens n rows of block width r in this many tile rows.
 
-    The screen adds float32 products, a second pass of certificates and a
-    tile loop, and the seed and the exact pass still form some chunks in
-    float64.  It wins only where the float64 gemm is most of mu: at least
-    20 chunks, n >= 128 and n >= 8 r.  mu of a random frame (seed 1,
-    trial 0), one process, 1 BLAS thread, best of 9, exact sweep ->
+    The screen adds float32 products and a second pass of certificates, and
+    the seed and the exact pass still form some tiles in float64.  It wins
+    only where the float64 gemm is most of mu: at least 5 tile rows,
+    n >= 128 and n >= 8 r.  mu of a random frame (seed 1, trial 0), one
+    process, 1 BLAS thread, best of 9 in each of two runs, exact sweep ->
     screened, in ms:
 
-        real (200, 10, 200)   32.2 -> 26.8   screened
-        real (200, 10, 400)  151.1 -> 92.8   screened
-        real (128, 2, 2048)   87.2 -> 49.7   screened
-        real (128, 3, 512)    13.4 -> 12.6   screened (20 chunks)
-        cplx (200, 10, 200)   98.3 -> 89.7   screened
-        cplx (128, 4, 512)   105.7 -> 106.6  screened (the largest loss seen)
-        real (128, 1, 1024)    4.7 -> 4.8    10 chunks
-        real (128, 2, 512)     4.8 -> 4.8    10 chunks
-        cplx (128, 2, 512)    14.5 -> 16.7   10 chunks
-        real (64, 2, 512)      3.5 -> 4.0    n < 128
-        real (100, 5, 300)    16.5 -> 17.4   n < 128
-        cplx (100, 5, 300)    46.3 -> 50.8   n < 128
-        real (60, 10, 30)      1.7 -> 1.9    2 chunks, n < 8 r
+        real (200, 10, 200)   33.5 -> 27.8   screened (8 tile rows)
+        real (200, 10, 400)  118.9 -> 92.5   screened
+        real (128, 2, 2048)   68.1 -> 48.6   screened
+        real (128, 3, 512)    14.0 -> 12.3   screened (7 tile rows)
+        cplx (200, 10, 200)   98.1 -> 89.3   screened
+        cplx (128, 4, 512)   108.0 -> 103.8  screened
+        real (128, 1, 1024)    5.4 -> 5.0    4 tile rows
+        real (128, 2, 512)     5.2 -> 5.1    4 tile rows
+        cplx (128, 2, 512)    15.5 -> 15.8   4 tile rows
+        real (64, 2, 512)      3.6 -> 4.2    n < 128
+        real (100, 5, 300)    16.9 -> 16.9   n < 128
+        cplx (100, 5, 300)    49.7 -> 50.3   n < 128
+        real (60, 10, 30)      0.9 -> 1.1    2 tile rows, n < 8 r
 
-    (128, r, 256) at r = 1, 2, 3 has 1, 3 and 6 chunks, and (200, 30, 44)
-    and (200, 40, 25) have n < 8 r; those the screen was not measured to
-    lose at are left exact too, for a margin.
+    At 4 tile rows the gain is within the runs' spread, or a loss, so 5
+    keeps those exact.  (128, r, 256) at r = 1, 2, 3 has 1, 2 and 3 tile
+    rows, and (200, 30, 44) and (200, 40, 25) have n < 8 r; those the screen
+    was not measured to lose at are left exact too, for a margin.
     """
-    return chunks >= _SCREEN_MIN_CHUNKS and n >= max(_SCREEN_MIN_ROWS, _SCREEN_MIN_DEPTH * r)
+    return tile_rows >= _SCREEN_MIN_TILE_ROWS and n >= max(_SCREEN_MIN_ROWS, _SCREEN_MIN_DEPTH * r)
 
 
 def _screen_margin(n, r, cplx):
@@ -490,80 +510,40 @@ def _screen_margin(n, r, cplx):
     return r * entry * (2**0.5 if cplx else 1.0)
 
 
-def _screen_tile(rows, cols, double):
-    """C~ = rows @ cols, formed in float32 (complex64) and cast, exactly, into the buffer double.
+def _tiles_max(x, r, origins, best, delta=0.0, single=False, records=None):
+    """best raised through the tiles at origins, each by _chunk_max.
 
-    The float32 product is a view of the workspace.  Where cols is rows.T,
-    numpy forms the product by syrk.
+    records, when given, collects (t0, s0, J, solved) of each tile, J its
+    column count and solved the (p, sigma) of every pair solved there.
     """
-    single = _workspace("certificates", double.shape, np.result_type(rows, cols))
-    double[...] = np.matmul(rows, cols, out=single)
-    return double
-
-
-def _screen(x, r, start, lower, delta):
-    """(L, pairs): the lower bound L and the (i, j, sigma^) of every pair the screen solved.
-
-    Covers the pairs i < j with i >= start, in square tiles of |I| = |J| =
-    _SCREEN_COLUMNS // r blocks (or one): each tile's C~ (_screen_tile) goes
-    through _chunk_max against L - 2 delta.  A row strip is cast to float32
-    once and each column tile once per tile, into the workspace's strips,
-    so no float32 copy of the whole frame is made.  A diagonal tile of a
-    real frame is the row strip times itself, one symmetric product; a
-    complex one takes the general product, the strip being conjugated.
-    """
-    n, m = x.shape[0], x.shape[1] // r
-    side = max(1, _SCREEN_COLUMNS // r)
-    cplx = np.iscomplexobj(x)
-    single = np.complex64 if cplx else np.float32
-    records = []
-    for t0 in range(start, m - 1, side):
-        t1 = min(m, t0 + side)
-        a = _workspace("strips", (n, (t1 - t0) * r), single)
-        a[...] = x[:, t0 * r : t1 * r]
-        a = np.conjugate(a, out=a).T if cplx else a.T
-        for s0 in range(t0, m, side):
-            s1 = min(m, s0 + side)
-            if s0 == t0 and not cplx:
-                b = a.T
-            else:
-                b = _workspace("scratch", (n, (s1 - s0) * r), single)
-                b[...] = x[:, s0 * r : s1 * r]
-            g = _screen_tile(a, b, _workspace("product", (a.shape[0], b.shape[1]), x.dtype))
-            keep = np.arange(s0, s1) > np.arange(t0, t1)[:, None]
-            solved = []
-            lower = _chunk_max(g.reshape(t1 - t0, r, s1 - s0, r), keep, lower, delta, solved)
-            records.append((t0, s0, s1 - s0, solved))
-    return lower, _solved_pairs(records)
+    for t0, s0, g, keep in _tiles(x, r, origins, single):
+        solved = None if records is None else []
+        best = _chunk_max(g, keep, best, delta, solved)
+        if records is not None:
+            records.append((t0, s0, g.shape[2], solved))
+    return best
 
 
 def _solved_pairs(records):
-    """(i, j, sigma) arrays of the pairs that _chunk_max calls solved.
-
-    Each record is (i0, j0, J, solved) of one call on a block of rows from
-    i0 and columns from j0, J columns wide, solved its list of (p, sigma).
-    """
-    out = [(i0 + p // n_j, j0 + p % n_j, s) for i0, j0, n_j, solved in records for p, s in solved]
+    """(i, j, sigma) arrays of the pairs that _tiles_max records."""
+    out = [(t0 + p // n_j, s0 + p % n_j, s) for t0, s0, n_j, solved in records for p, s in solved]
     if not out:
         return np.empty(0, int), np.empty(0, int), np.empty(0)
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
-def _screened_max(x, r, runs, best, delta):
-    """mu from the seed's best, the screen and the exact pass; None where the guard fails."""
-    m = x.shape[1] // r
-    lower, (i, j, hat) = _screen(x, r, runs[0][0], best, delta)
+def _screened_max(x, r, side, origins, best, delta):
+    """mu from the seed's best, the screen of origins and the exact pass; None on a failed guard."""
+    screened = []
+    lower = _tiles_max(x, r, origins, best, delta, single=True, records=screened)
+    i, j, hat = _solved_pairs(screened)
     held = np.flatnonzero(hat >= lower - 2 * delta)
     held = held[np.argsort(-hat[held], kind="stable")]
-    chunk = np.searchsorted([i0 for i0, _ in runs], i[held], side="right") - 1
-    records = []
-    for c in chunk[np.sort(np.unique(chunk, return_index=True)[1])]:
-        i0, i1 = runs[c]
-        solved = []
-        best = _chunk_max(*_chunk(x, r, i0, i1), best, solved=solved)
-        records.append((i0, i0, m - i0, solved))
-    ei, ej, sigma = _solved_pairs(records)
-    top = np.flatnonzero(sigma == best)  # empty where chunk 0 attains mu
+    corners = np.stack([i[held], j[held]], axis=1) // side * side
+    exact = []
+    best = _tiles_max(x, r, list(dict.fromkeys(map(tuple, corners.tolist()))), best, records=exact)
+    ei, ej, sigma = _solved_pairs(exact)
+    top = np.flatnonzero(sigma == best)  # empty where the seed attains mu
     if top.size:
         at = (i == ei[top[0]]) & (j == ej[top[0]])
         if not at.any() or abs(hat[at][0] - best) > delta:
@@ -584,34 +564,35 @@ def _floor(best, e):
 
 
 def _chunk_max(g, keep, best, delta=0.0, solved=None):
-    """best raised to the largest sigma_max of the pairs keep selects in an (I, r, J, r) chunk.
+    """best raised to the largest sigma_max of the pairs of an (I, r, J, r) tile.
 
-    keep is an (I, J) mask, and pair (a, b) is flat a*J + b.  Its certificate
-    u of sigma_max^e is ||C||_F^2 (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at
-    r >= 4, which _square_and_prune refines; no C is gathered for it.  The
-    pairs whose u reach _floor(best - 2 delta, e) are kept, the one of
-    largest certificate is solved, and the rest are held against the raised
-    best before they are solved.  A solved sigma raises best to sigma -
-    delta: delta = 0 for an exact chunk, and the screen's margin for a
-    float32 tile, where best is the lower bound L.  solved, when given,
-    collects (p, sigma) of every solved pair.
+    keep, an (I, J) mask, selects the pairs where it is given, and pair
+    (a, b) is flat a*J + b.  Its certificate u of sigma_max^e is ||C||_F^2
+    (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at r >= 4, which
+    _square_and_prune refines; no C is gathered for it.  The pairs whose u
+    reach _floor(best - 2 delta, e) are kept, the one of largest certificate
+    is solved, and the rest are held against the raised best before they
+    are solved.  A solved sigma raises best to sigma - delta: delta = 0 for
+    an exact tile, and the screen's margin for a float32 one, where best is
+    the lower bound L.  solved, when given, collects (p, sigma) of every
+    solved pair.
 
-    No index array spans the chunk.  At r <= 3 the kept pairs are found a
+    No index array spans the tile.  At r <= 3 the kept pairs are found a
     run of the mask at a time (_batches), once for the first pair of largest
     u and once for the rest.  At r >= 4 the squaring ladder ranks the kept
     pairs together, at most 2^16 / r^2 of them.  Either way the rest are
-    solved a slice at a time (_slice_pairs).
+    gathered and solved a slice at a time (_slice_pairs).
     """
     r, n_j = g.shape[1], g.shape[2]
     h = _gram_stack(g) if r >= 4 else None
     u, e = (_frobenius_squares(g).ravel(), 2) if h is None else (_power_sums(h), 4)
-    keep = keep.ravel()
+    keep = True if keep is None else keep.ravel()
 
     def held(best):
         return keep & (u >= _floor(best, e))
 
     def solve(p):
-        s = _singular_values(g, *np.divmod(p, n_j), h)[:, -1]
+        s = _singular_values(_gather(g, *np.divmod(p, n_j)) if h is None else h[p])[:, -1]
         if solved is not None:
             solved.append((p, s))
         return float(s.max())
@@ -648,7 +629,7 @@ def _chunk_max(g, keep, best, delta=0.0, solved=None):
 
 
 def _frobenius_squares(g):
-    """||C||_F^2 of every cross-Gram of an (I, r, J, r) chunk, as an (I, J) array.
+    """||C||_F^2 of every cross-Gram of an (I, r, J, r) tile, as an (I, J) array.
 
     The squares, the column sums and the result are views of the workspace;
     the result overwrites the squares once the column sums are formed.
@@ -680,15 +661,13 @@ def _power_sums(g):
 def _square_and_prune(h, u, p, best):
     """(v, p) for the flat pairs p still held against best, v the certificate to rank them by.
 
-    With no h (r <= 3) that is (u[p], p).  With the stack h of H = C*C,
-    v = ||H^q||_F^2 certifies sigma_max^(4q), its root tighter for a larger
-    q.  H^2, H^4, ... up to H^32 are formed for the rows the last v kept,
-    while _floor(best, 8q) is nonzero: always on to H^4, since ||H^2||_F^2
-    is loose at large r, and then while a squaring drops rows.  Where best
-    cannot prune, v is u[p], u being ||H||_F^2 of every row.
+    h is the stack of H = C*C, and v = ||H^q||_F^2 certifies
+    sigma_max^(4q), its root tighter for a larger q.  H^2, H^4, ... up to
+    H^32 are formed for the rows the last v kept, while _floor(best, 8q) is
+    nonzero: always on to H^4, since ||H^2||_F^2 is loose at large r, and
+    then while a squaring drops rows.  Where best cannot prune, v is u[p],
+    u being ||H||_F^2 of every row.
     """
-    if h is None:
-        return u[p], p
     v, g, power = u[p], h[p], 1
     while p.size and power < _MAX_POWER and _floor(best, 8 * power):
         g, power = np.matmul(g, g), 2 * power

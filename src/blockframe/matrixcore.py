@@ -5,6 +5,8 @@ complex128.  The kernels are written once for both; conj() is the identity
 on real input, so real data never pays for complex arithmetic.
 """
 
+import operator
+
 import numpy as np
 
 from .errors import FrameError
@@ -40,6 +42,17 @@ def check_entries(count, what):
         raise FrameError(f"{what} is above the 2^27-entry size guard")
 
 
+def check_count(value, name, minimum=1):
+    """The one count rule: an integer (numpy's too) of at least minimum, returned as an int."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise FrameError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return count
+
+
 def spectral_norm(m):
     """Largest singular value of m."""
     m = as_matrix(m)
@@ -65,7 +78,7 @@ def gram_singular_values(h):
 
 
 def singular_values_2x2(c):
-    """Both singular values (ascending) of each C = [[a, b], [c, d]] in a (p, 2, 2) stack.
+    """Both singular values (ascending) of each C = [[a, b], [c, d]] in a (..., 2, 2) stack.
 
     Closed form from C's entries, without forming H = C*C or solving it:
     sigma_max^2 = (h11 + h22)/2 + hypot((h11 - h22)/2, |h12|) with
@@ -73,9 +86,9 @@ def singular_values_2x2(c):
     and sigma_min = |ad - bc| / sigma_max (0 when sigma_max = 0), which
     avoids the cancellation in the smaller root of H.  Every product pairs
     two entries of C, so negating C leaves the result unchanged bit for bit,
-    as with gram_singular_values.
+    as with gram_singular_values.  It is elementwise: a view gives a copy's bits.
     """
-    a, b, c, d = c[:, 0, 0], c[:, 0, 1], c[:, 1, 0], c[:, 1, 1]
+    a, b, c, d = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
     h11 = (a.conj() * a).real + (c.conj() * c).real
     h22 = (b.conj() * b).real + (d.conj() * d).real
     h12 = np.abs(a.conj() * b + c.conj() * d)
@@ -87,7 +100,7 @@ def singular_values_2x2(c):
 
 
 def singular_values_3x3(c):
-    """Smallest and largest singular value of each C in a (p, 3, 3) stack.
+    """Smallest and largest singular value of each C in a (..., 3, 3) stack.
 
     The six distinct entries of H = C*C are formed from C's columns
     elementwise over the stack, as in singular_values_2x2, and the roots of
@@ -107,13 +120,13 @@ def singular_values_3x3(c):
     stays within a few ulp of the exact value and sigma_min within a few
     eps lambda_max of it, as eigvalsh's do.
     Every product pairs two entries of C, so negating C leaves the result
-    unchanged bit for bit, the fallback choice included.
+    unchanged bit for bit, the fallback choice included; a view gives a copy's bits.
     """
-    col = [c[:, :, k] for k in range(3)]
+    col = [c[..., :, k] for k in range(3)]
 
     def h(i, j):
         e = col[i].conj() * col[j]
-        return e[:, 0] + e[:, 1] + e[:, 2]
+        return e[..., 0] + e[..., 1] + e[..., 2]
 
     h00, h11, h22 = h(0, 0).real, h(1, 1).real, h(2, 2).real
     h01, h02, h12 = h(0, 1), h(0, 2), h(1, 2)
@@ -131,14 +144,14 @@ def singular_values_3x3(c):
     top = q + p > span * np.sin(np.pi / 3 - phi)
     bottom = q + p > span * np.sin(phi)
     sv = np.sqrt(np.maximum(np.stack((lam_min, lam_max), axis=-1), 0.0))
-    fall = np.flatnonzero(top | bottom)
-    if fall.size:
+    fall = np.nonzero(top | bottom)
+    if fall[0].size:
         rows = ((h00, h01, h02), (h01.conj(), h11, h12), (h02.conj(), h12.conj(), h22))
         hf = np.stack([np.stack([x[fall] for x in row], axis=-1) for row in rows], axis=-2)
-        ev = gram_singular_values(hf)
-        sv[fall, 0] = np.where(bottom[fall], ev[:, 0], sv[fall, 0])
-        sv[fall, 1] = np.where(top[fall], ev[:, -1], sv[fall, 1])
-    sv[:, 0] = np.minimum(sv[:, 0], sv[:, 1])
+        ev, low, high = gram_singular_values(hf), sv[..., 0], sv[..., 1]
+        low[fall] = np.where(bottom[fall], ev[:, 0], low[fall])
+        high[fall] = np.where(top[fall], ev[:, -1], high[fall])
+    sv[..., 0] = np.minimum(sv[..., 0], sv[..., 1])
     return sv
 
 
@@ -180,16 +193,17 @@ def orthonormalize(m):
 def gram_deviation(stack):
     """max |X* X - I| over every X in an (n, r) matrix or (p, ..., n, r) stack.
 
-    The one orthonormality test.  A complex stack is conjugated a slice of at
-    most 2^16 entries (or one matrix) at a time, so it is never copied whole;
-    conj() copies nothing of a real one, which is taken in one pass.  Each
+    The one orthonormality test.  The stack is taken a slice at a time, of
+    at most 2^16 entries of operands and products together (or one
+    matrix), so a complex stack is never conjugated whole and no stack's
+    products are formed at once; conj() copies nothing of a real one.  Each
     X* X is its own product, so the result is the same bit for bit, and NaN
     propagates as in one pass.  A real deviation is taken in place, so a
     real slice allocates only its products.
     """
     x = np.asarray(stack)
     x = x[None] if x.ndim == 2 else x
-    step = max(1, _SLICE_ENTRIES // x[0].size if np.iscomplexobj(x) else len(x))
+    step = max(1, _SLICE_ENTRIES // (x[0].size + x.shape[-1] ** 2))
     eye = np.eye(x.shape[-1])
     devs = []
     for i0 in range(0, len(x), step):
@@ -243,8 +257,7 @@ def hadamard_sylvester(k):
     Row x, column a holds (-1)^<bits(x), bits(a)>.  The size guard caps k
     at 13 (4^k entries), and it is checked before anything is allocated.
     """
-    if k < 0:
-        raise FrameError(f"hadamard order must be >= 0, got {k}")
+    k = check_count(k, "hadamard order k", minimum=0)
     # 4^k entries; the min spares a huge k a huge integer, 4^14 already fails
     check_entries(4 ** min(k, 14), f"hadamard matrix of order 2^{k}")
     h = np.array([[1.0]])

@@ -27,8 +27,8 @@ import numpy as np
 from . import frame as frame_module
 from .bounds import solve_threshold
 from .errors import FrameError
-from .frame import BlockFrame, check_count, check_field, check_nrm, worst_case_coherence
-from .matrixcore import check_entries, orthonormalize
+from .frame import BlockFrame, check_field, check_nrm, worst_case_coherence
+from .matrixcore import check_count, check_entries, orthonormalize
 
 
 def _substream_address(seed, path):

@@ -312,6 +312,32 @@ def test_solve_threshold_small_beta_limit():
     assert abs(sol.multiplier - 5.357) < 0.01
 
 
+def _mp_threshold_root(beta):
+    """The root a of psi(., beta) / beta in 50-digit arithmetic, beta taken exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        b = mp.mpf(beta)
+
+        def scaled(a):
+            return mp.log(a) + (1 - 2 * b) / (2 * b) * mp.log1p(-a * b) - (1 - b) / b * mp.log1p(-b)
+
+        top = min(mp.mpf(6), (1 - mp.mpf(10) ** -30) / b)
+        return float(mp.findroot(scaled, (mp.mpf(2), top), solver="anderson"))
+
+
+@pytest.mark.parametrize(
+    "beta", [1e-4, 1e-8, 1e-13, 1e-16, 1e-17, 1e-100, 1e-300, 5e-324, 0.05, 0.25, 0.45]
+)
+def test_solve_threshold_against_an_mpmath_root(beta):
+    # the bisection keeps its precision as beta -> 0, down to the least
+    # subnormal, where the log gap ln(1 - a beta) itself cannot place the
+    # root; 2.7 ulp was the worst seen over 370 betas from 1e-19 to 0.45
+    root = _mp_threshold_root(beta)
+    sol = solve_threshold(beta)
+    assert abs(sol.multiplier - root) <= 4 * np.spacing(root)
+    assert abs(sol.residual) <= 1e-15 * beta
+
+
 def test_solve_threshold_near_half():
     sol = solve_threshold(0.4999)
     assert 2.0 <= sol.multiplier < 2.05

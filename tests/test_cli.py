@@ -214,6 +214,14 @@ def test_threshold_single_beta(capsys):
     assert abs(resid) < 1e-10
 
 
+@pytest.mark.parametrize("beta", ["1e-17", "5e-324"])
+def test_threshold_of_a_vanishing_beta_exits_0(capsys, beta):
+    # the limit of the multiplier as beta -> 0 is the root of a = 2 (1 + ln a)
+    assert main(["threshold", "--beta", beta]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert float(row.split(",")[1]) == pytest.approx(5.356693980033321, rel=1e-15)
+
+
 def test_threshold_grid_csv(tmp_path):
     out = tmp_path / "t"
     assert main(["threshold", "--grid", "0.1:0.4:4", "--out-dir", str(out)]) == 0

@@ -41,6 +41,25 @@ from blockframe.frame import BlockFrame
 H1 = hadamard_sylvester(1) / math.sqrt(2.0)
 
 
+@pytest.mark.parametrize(
+    "builder, value",
+    [
+        (steiner_pairs_etf, 3.5),
+        (harmonic_qr_etf, 7.0),
+        (kerdock_real, 4.0),
+        (id_hadamard_union, 1.5),
+        (hadamard_sylvester, 2.5),
+        (alltop_gabor, 5.0),
+        (discrete_chirp, 5.0),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_every_builder_refuses_a_non_integer_count(builder, value):
+    # whole-valued floats included: the count rule takes integers only
+    with pytest.raises(FrameError, match="must be an integer"):
+        builder(value)
+
+
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 

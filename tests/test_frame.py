@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockframe.constructions as constructions_module
 import blockframe.frame as frame_module
 from blockframe import (
     BlockFrame,
@@ -34,7 +35,14 @@ from blockframe.bounds import (
     rankin_chordal_upper,
     spectral_distance_upper,
 )
-from blockframe.constructions import build_frame, harmonic_qr_etf, kron_from_etf
+from blockframe.constructions import (
+    build_frame,
+    harmonic_qr_etf,
+    id_hadamard_union,
+    kron_from_etf,
+    verify_etf,
+    verify_flat_union,
+)
 from blockframe.flipping import apply_block_signs, flipped_nu_bound
 from blockframe.io import read_bfm
 from blockframe.matrixcore import gram_singular_values, orthonormalize
@@ -206,30 +214,44 @@ def test_gram_map_symmetric_unit_diagonal():
             )
 
 
-# --- the chunked pair sweep -------------------------------------------------
+# --- the tiled pair walk ----------------------------------------------------
 
 
 @st.composite
 def sweep_cases(draw):
-    """A random frame and a chunk size; small chunks force many partial chunks."""
+    """A random frame and a tile side in blocks; small sides force many partial tiles."""
     r = draw(st.sampled_from([1, 2, 3, 4, 5, 10]))
     m = draw(st.integers(2, 24))
     n = draw(st.integers(r + 1, min(m * r, r + 12)))
     cplx = draw(st.booleans())
-    chunk = draw(st.sampled_from([1, r * r * 3 + 1, 700, 1 << 16]))
-    return random_frame(n, r, m, draw(st.integers(0, 2**32 - 1)), cplx), chunk
+    side = draw(st.sampled_from([1, 2, 5, 256]))
+    return random_frame(n, r, m, draw(st.integers(0, 2**32 - 1)), cplx), side
 
 
-def test_a_complex_chunk_caps_its_conjugated_row_block(monkeypatch):
-    # A_I* of complex data is a copy of n*r*|I| entries, capped as the
-    # product is; a real frame's is a view, and its chunks run longer
+def _tile_pairs(t0, s0, g, keep):
+    """(i, j) arrays of the pairs of a tile of the walk."""
+    a, b = np.nonzero(np.ones((g.shape[0], g.shape[2]), bool) if keep is None else keep)
+    return t0 + a, s0 + b
+
+
+def _tile_sigma(g, keep):
+    """sigma_max of every pair of a tile, through the sweep's gather or H and its solver."""
+    a, b = _tile_pairs(0, 0, g, keep)
+    if g.shape[1] >= 4:
+        return frame_module._singular_values(frame_module._gram_stack(g)[a * g.shape[2] + b])[:, -1]
+    return frame_module._singular_values(frame_module._gather(g, a, b))[:, -1]
+
+
+def test_a_complex_tile_caps_its_conjugated_row_strip(monkeypatch):
+    # A_T* of complex data is a copy of n*r*|T| entries, capped as the
+    # product is; a real frame's is a view, and its tiles run wider
     monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", 400)
-    rows = {}
+    widths = {}
     for cplx in (False, True):
         frame = random_frame(30, 2, 40, 3, complex_blocks=cplx)
-        rows[cplx] = [len(g) for _, g, _ in frame_module._pair_chunks(frame.data, 2)]
-    assert max(rows[True]) == 400 // (30 * 2)
-    assert max(rows[False]) > max(rows[True])
+        widths[cplx] = [g.shape[2] for _, _, g, _ in frame_module._tiles(frame.data, 2)]
+    assert max(widths[True]) == 400 // (30 * 2)
+    assert max(widths[False]) > max(widths[True])
 
 
 def _off_diagonal_max(g):
@@ -239,10 +261,10 @@ def _off_diagonal_max(g):
 @settings(max_examples=60, deadline=None)
 @given(sweep_cases(), st.integers(0, 2**32 - 1))
 def test_pair_sweep_properties(case, sign_seed):
-    frame, chunk = case
+    frame, side = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
-        chunks = [(i0, keep) for i0, _, keep in frame_module._pair_chunks(frame.data, frame.r)]
+        mp.setattr(frame_module, "_TILE_COLUMNS", side * frame.r)
+        pairs = [_tile_pairs(*tile) for tile in frame_module._tiles(frame.data, frame.r)]
         mu = worst_case_coherence(frame)
         g = gram_map(frame)
         signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)
@@ -251,7 +273,7 @@ def test_pair_sweep_properties(case, sign_seed):
         g_flipped = gram_map(flipped)
 
     # every unordered pair exactly once
-    pairs = [(i0 + a, i0 + b) for i0, keep in chunks for a, b in zip(*np.nonzero(keep))]
+    pairs = [(i, j) for tile in pairs for i, j in zip(*tile)]
     assert sorted(pairs) == list(zip(*np.triu_indices(frame.m, 1)))
     # pruning never changes the maximum, by even one ulp
     assert mu == _off_diagonal_max(g)
@@ -280,7 +302,7 @@ def _certificate_stacks(r):
 
 
 def _as_chunk(c):
-    """A (p, r, r) stack laid out as a (1, r, p, r) chunk of the pair sweep."""
+    """A (p, r, r) stack laid out as a (1, r, p, r) tile of the pair walk."""
     return np.ascontiguousarray(c.transpose(1, 0, 2))[None]
 
 
@@ -299,9 +321,8 @@ def test_frobenius_certificate_bounds_sigma_max(r, cplx):
         stacks["rank-1"] = np.concatenate([stacks["rank-1"], u * v / r])
     slack = frame_module._PRUNE_SLACK
     for kind, c in stacks.items():
-        chunk = _as_chunk(c)
-        frob = np.sqrt(frame_module._frobenius_squares(chunk)[0])
-        smax = frame_module._singular_values(chunk, np.zeros(len(c), int), np.arange(len(c)))[:, -1]
+        frob = np.sqrt(frame_module._frobenius_squares(_as_chunk(c))[0])
+        smax = frame_module._singular_values(c)[:, -1]
         assert np.all(frob >= smax * (1.0 - slack)), kind
         assert np.all(frob >= np.linalg.svd(c, compute_uv=False)[:, 0] * (1.0 - slack)), kind
         if kind == "rank-1" or r == 1:
@@ -312,24 +333,31 @@ def test_frobenius_certificate_bounds_sigma_max(r, cplx):
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_singular_values_of_a_chunk_against_svd(r, cplx):
-    # a chunk of a random frame's sweep: its cross-Grams have sigma <= 1
+    # the first tile of a random frame's walk: its cross-Grams have sigma <= 1
     frame = random_frame(r + 7, r, 30, 70 + r, complex_blocks=cplx)
-    _, g, keep = next(frame_module._pair_chunks(frame.data, r))
+    _, _, g, keep = next(frame_module._tiles(frame.data, r))
     a, b = np.nonzero(keep)
-    sv = frame_module._singular_values(g, a, b)
-    svd = np.linalg.svd(g[a, :, b, :], compute_uv=False)
+    c = frame_module._gather(g, a, b)
+    assert c.tobytes() == g[a, :, b, :].tobytes()
+    if r >= 4:
+        # H formed on the tile's own view is the H of the gathered C, bit for bit
+        h = frame_module._gram_stack(g)[a * g.shape[2] + b]
+        assert h.tobytes() == np.matmul(c.conj().swapaxes(1, 2), c).tobytes()
+        sv = frame_module._singular_values(h)
+    else:
+        sv = frame_module._singular_values(c)
+        # the exhaustive sweep solves the strided view, the same bits
+        view = frame_module._singular_values(g.transpose(0, 2, 1, 3))
+        assert view[a, b].tobytes() == sv.tobytes()
+    svd = np.linalg.svd(c, compute_uv=False)
     assert len(sv) == len(a) > 0
     assert np.abs(sv[:, -1] - svd[:, 0]).max() <= 1e-12
     assert np.abs(sv[:, 0] - svd[:, -1]).max() <= 1e-10
-    if r >= 4:
-        # the caller's H, when it passes one, is the H formed inside
-        h = frame_module._gram_stack(g)
-        assert frame_module._singular_values(g, a, b, h).tobytes() == sv.tobytes()
 
 
 def test_the_sweep_solves_only_through_singular_values(monkeypatch):
-    # mu, the map and validate reach the gather, the closed forms and
-    # eigvalsh only through the one solver
+    # mu, the map and validate reach the closed forms and eigvalsh only
+    # through the one solver
     solver = frame_module._singular_values
     inside, calls = [], {}
 
@@ -349,7 +377,7 @@ def test_the_sweep_solves_only_through_singular_values(monkeypatch):
         return count
 
     monkeypatch.setattr(frame_module, "_singular_values", entered)
-    names = ("_gather", "singular_values_2x2", "singular_values_3x3", "gram_singular_values")
+    names = ("singular_values_2x2", "singular_values_3x3", "gram_singular_values")
     for name in names:
         monkeypatch.setattr(frame_module, name, counted(name, getattr(frame_module, name)))
     for r in (1, 2, 3, 4):
@@ -421,13 +449,14 @@ def _orthogonal_first_block_frame(r, seed):
     return BlockFrame.from_blocks([first, *others], field_tag="real")
 
 
-@pytest.mark.parametrize("chunk", [1, 200, 1 << 16])
+@pytest.mark.parametrize("columns", [1, 200, 1 << 16])
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_first_block_orthogonal_to_every_other_block(monkeypatch, r, chunk):
-    # block 0's cross-Grams are exactly 0, so a chunk may open with best = 0:
-    # only pairs j > i may then pass the certificate, never a block with itself
+def test_first_block_orthogonal_to_every_other_block(monkeypatch, r, columns):
+    # block 0's cross-Grams are exactly 0, so a tile may open with best = 0:
+    # only pairs j > i may then pass the certificate, never a block with
+    # itself; tiles of one block, of a few, and one tile
     frame = _orthogonal_first_block_frame(r, 40 + r)
-    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(frame_module, "_TILE_COLUMNS", columns)
     mu = worst_case_coherence(frame)
     g = gram_map(frame)
     assert np.all(g[0, 1:] == 0.0)
@@ -485,13 +514,13 @@ def test_squaring_decides_at_r30(monkeypatch):
     assert rows2 > 0.9 * pairs
 
 
-@pytest.mark.parametrize("chunk", [1, 200, 1 << 16])
-def test_no_pair_is_eigen_solved_twice(monkeypatch, chunk):
+@pytest.mark.parametrize("columns", [1, 200, 1 << 16])
+def test_no_pair_is_eigen_solved_twice(monkeypatch, columns):
     # every cross-Gram of a Kronecker frame ETF x I_r is c I_r with one c, and
     # every cross-basis pair of kerdock(4) x H_1 has sigma = 1/4, so the
-    # certificates prune none of those and each chunk solves all of them,
+    # certificates prune none of those and each tile solves all of them,
     # its first-solved pair included, once
-    monkeypatch.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
+    monkeypatch.setattr(frame_module, "_TILE_COLUMNS", columns)
     etf = harmonic_qr_etf(7)
     for frame in [kron_from_etf(etf, np.eye(r)) for r in (2, 3, 4)] + [_kerdock4()]:
         mu, rows = _solved_rows(monkeypatch, frame)
@@ -507,7 +536,7 @@ def test_frobenius_certificate_prunes_random_frames(monkeypatch):
 
 
 def test_r10_mu_gathers_no_pair_and_squares_few(monkeypatch):
-    # H is formed on each chunk's own view, and ||H||_F drops most pairs
+    # H is formed on each tile's own view, and ||H||_F drops most pairs
     # before any is copied out or squared: over the benchmark's three
     # (200, 10, 200) frames, 1.6% to 5.3% of the pairs of a frame are squared
     frames = [sample_block_frame(_benchmark_spec(200, 10, 200), trial=t) for t in range(3)]
@@ -548,22 +577,24 @@ PINNED_MU = {
 
 # sha256 of validate(...).gram's bytes and cross_singular_spread.hex() of
 # random frames (seed 1, trial 0) at r >= 4, where the sweep solves the H
-# that _gram_stack forms on the chunk's own view
+# that _gram_stack forms on the tile's own view; the (60, 10, 30) pins moved
+# with the tile shapes, each moved entry within 4 ulp of a float64 SVD
+# (CHANGES.md lists them)
 PINNED_VALIDATE = {
     (40, 4, 60, "real"): (
         "1424f6d44e945e664cafc6d50ac7ef8cb86fbcf88f59691ae10a65993fd67609",
         "0x1.74cd15801bd00p-1",
     ),
     (60, 10, 30, "real"): (
-        "acb9e8126421c5dac23825d2cdfd4bc2cddf0a8942f8f50c350fac57fa46b225",
-        "0x1.ad99b96efcf67p-1",
+        "e77f8fb95dbc47872dd3436b6951d161bfe63e5afbca11f31010d1c9371b2edd",
+        "0x1.ad99b96efcf66p-1",
     ),
     (30, 4, 40, "complex"): (
         "f3a26f586002969a59644620650451aeddafa693b8259871735253850649f4ae",
         "0x1.92112eb7cedcep-1",
     ),
     (60, 10, 30, "complex"): (
-        "2e0ac672ea49c2c980414c66f37f0eeefb8a9e04b09ca1c462ff78313d4386bc",
+        "4fb474763134ca7070dd0b02ca4ab49fed3faaf1b712921c27b07cce6d6cefc8",
         "0x1.8c212cb6c5a0bp-1",
     ),
 }
@@ -603,9 +634,9 @@ WORKSPACE_FRAMES = ["kerdock"] + [(128, r, 256) for r in (1, 2, 3)]
 
 @pytest.mark.parametrize("case", WORKSPACE_FRAMES, ids=str)
 def test_a_warm_sweep_allocates_little(case):
-    # the chunk-sized arrays live in the workspace, and pairs are solved
-    # 2^11 at a time: mu peaked at 302 KiB, and validate at 305 KiB over its
-    # map at r <= 2 and 679 KiB at r = 3, where the closed form holds about
+    # the tile-sized arrays live in the workspace, and pairs are solved
+    # 2^11 at a time: mu peaked at 302 KiB, and validate at 201 KiB over its
+    # map at r <= 2 and 480 KiB at r = 3, where the closed form holds about
     # 200 bytes a pair; mu took 1,369 to 1,627 KiB before the workspace
     if case == "kerdock":
         frame = _kerdock4()
@@ -629,9 +660,9 @@ def test_the_workspace_is_per_thread_and_grows_on_demand():
 def test_nothing_the_sweep_returns_views_the_workspace():
     frame = sample_block_frame(_benchmark_spec(128, 2, 256), trial=0)
     rec = validate(frame)
-    x, r = frame.data, frame.r
     solved = []
-    frame_module._chunk_max(*frame_module._chunk(x, r, 0, 1), 0.0, solved=solved)
+    _, _, g, keep = next(frame_module._tiles(frame.data, frame.r))
+    frame_module._chunk_max(g, keep, 0.0, solved=solved)
     arrays = [rec.gram] + [a for p, s in solved for a in (p, s)]
     buffers = list(vars(frame_module._workspaces).values())
     assert len(buffers) >= 3
@@ -639,7 +670,7 @@ def test_nothing_the_sweep_returns_views_the_workspace():
 
 
 def test_threads_sweep_different_frames_as_one_thread_does():
-    # each thread forms its chunks in its own workspace; the screened
+    # each thread forms its tiles in its own workspace; the screened
     # (200, 10, 200) frame puts the screen's strips and tiles in it too
     frames = [_kerdock4(), sample_block_frame(_benchmark_spec(200, 10, 200), trial=0)]
     frames += [sample_block_frame(_benchmark_spec(128, r, 256), trial=1) for r in (1, 2, 3)]
@@ -669,8 +700,32 @@ def test_the_block_sum_is_the_strided_sum_bit_for_bit(monkeypatch, r, cplx, entr
 
 def _unscreened_mu(frame):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frame_module, "_screens", lambda n, r, chunks: False)
+        mp.setattr(frame_module, "_screens", lambda n, r, tile_rows: False)
         return worst_case_coherence(frame)
+
+
+def _tile_rows(frame):
+    """The rows of tiles in a frame's walk."""
+    side = frame_module._side(frame.n, frame.r, np.iscomplexobj(frame.data))
+    return len({t0 for t0, _ in frame_module._origins(frame.m, side)})
+
+
+def _tile_spy(monkeypatch, alter=None):
+    """The (t0, s0, g.shape, single) of every tile the walk forms, in order.
+
+    alter, when given, edits each float32 tile's g before the sweep sees it.
+    """
+    formed, tiles = [], frame_module._tiles
+
+    def spy(x, r, origins=None, single=False):
+        for t0, s0, g, keep in tiles(x, r, origins, single):
+            if single and alter is not None:
+                alter(g)
+            formed.append((t0, s0, g.shape, single))
+            yield t0, s0, g, keep
+
+    monkeypatch.setattr(frame_module, "_tiles", spy)
+    return formed
 
 
 def _twin_frame(n, r, m, row, seed, cplx):
@@ -681,7 +736,7 @@ def _twin_frame(n, r, m, row, seed, cplx):
     replaced by W A_i Q_i, W a random n x n and Q_i a random r x r orthogonal
     (or unitary) matrix, so C of (h + i, h + j) is Q_i* C_ij Q_j: its
     singular values equal those of (i, j) in exact arithmetic, and the two
-    pairs of a tie sit h block rows, and so chunks, apart.
+    pairs of a tie sit h block rows, and so tiles, apart.
     """
     rng = np.random.default_rng(seed)
     h = m // 2
@@ -697,15 +752,15 @@ def _twin_frame(n, r, m, row, seed, cplx):
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("row", [2, 30])
+@pytest.mark.parametrize("row", [2, 30, 130])
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_near_tied_pairs_in_two_chunks_keep_mu_exact(cplx, row, seed):
-    # (128, 2, 800) is screened (22 chunks); row 2 puts one twin in the
-    # seed's chunk 0, row 30 both twins outside it; the seeds give ties
-    # where either twin is the larger by a few ulp, and one exact tie
+    # (128, 2, 800) is screened (7 tile rows of 128 blocks); rows 2 and 30
+    # put one twin in the seed's tile (0, 0), row 130 both twins in tiles
+    # of their own outside it; the seeds give ties where either twin is the
+    # larger by a few ulp, and one exact tie
     frame = _twin_frame(128, 2, 800, row, seed, cplx)
-    chunks = list(frame_module._chunk_runs(128, 800, 2, cplx))
-    assert frame_module._screens(128, 2, len(chunks))
+    assert frame_module._screens(128, 2, _tile_rows(frame))
     g = gram_map(frame)
     twins = g[row, row + 1], g[400 + row, 401 + row]
     assert twins[0] == pytest.approx(twins[1], rel=1e-14)
@@ -716,83 +771,95 @@ def test_near_tied_pairs_in_two_chunks_keep_mu_exact(cplx, row, seed):
 @pytest.mark.parametrize("n, r, m", [(32, 2, 60), (128, 3, 44), (200, 10, 20), (512, 4, 128)])
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 def test_screen_margin_bounds_every_pair(n, r, m, cplx):
-    # sigma^ from the float32 product of every pair against the exact map
+    # sigma^ of every pair from the float32 tiles against the exact map
     frame = random_frame(n, r, m, n + r, complex_blocks=cplx)
-    x, w = frame.data, m * r
-    single = np.complex64 if cplx else np.float32
-    rows, cols = x.astype(single).conj().T, x.astype(single)
-    c = frame_module._screen_tile(rows, cols, np.empty((w, w), x.dtype))
-    a, b = np.triu_indices(m, 1)
-    hat = frame_module._singular_values(c.reshape(m, r, m, r), a, b)[:, -1]
-    gap = np.abs(hat - gram_map(frame)[a, b]).max()
-    assert 0.0 < gap <= frame_module._screen_margin(n, r, cplx)
+    exact, gaps = gram_map(frame), []
+    for t0, s0, g, keep in frame_module._tiles(frame.data, r, single=True):
+        i, j = _tile_pairs(t0, s0, g, keep)
+        gaps.append(np.abs(_tile_sigma(g, keep) - exact[i, j]).max())
+    assert 0.0 < max(gaps) <= frame_module._screen_margin(n, r, cplx)
 
 
-def _formed_chunks(monkeypatch):
-    """The (i0, i1, g.shape) of every chunk formed in float64, in order."""
-    formed, chunk = [], frame_module._chunk
+def test_every_cross_gram_product_comes_from_the_tile_former(monkeypatch):
+    # every 2-d product that mu (screened or not), gram_map, validate and the
+    # two construction checks form, in float64, float32 and complex, is
+    # formed while the one tile former runs; the exact pass of a screened mu
+    # re-forms the walk's own tiles, from the seed's
+    screened = sample_block_frame(_benchmark_spec(200, 10, 200), trial=0)
+    frames = [_kerdock4(), random_frame(20, 2, 30, 5), random_frame(30, 4, 20, 6, True)]
+    etf, union = harmonic_qr_etf(19), id_hadamard_union(3)
+    tiles, inside, formed, products = frame_module._tiles, [], [], []
+    sweep = {(t0, s0): g.shape for t0, s0, g, _ in tiles(screened.data, 10)}
 
-    def spy(x, r, i0, i1):
-        g, keep = chunk(x, r, i0, i1)
-        formed.append((i0, i1, g.shape))
-        return g, keep
+    def walk(x, r, origins=None, single=False):
+        tile = tiles(x, r, origins, single)
+        while True:
+            inside.append(True)
+            try:
+                t0, s0, g, keep = next(tile)
+            except StopIteration:
+                return
+            finally:
+                inside.pop()
+            formed.append((t0, s0, g.shape, single))
+            yield t0, s0, g, keep
 
-    monkeypatch.setattr(frame_module, "_chunk", spy)
-    return formed
+    matmul = np.matmul
 
+    def product(a, b, *args, **kwargs):
+        if np.ndim(a) == 2 == np.ndim(b):
+            assert inside, "a cross-Gram product formed outside the tile former"
+            products.append(np.result_type(a, b))
+        return matmul(a, b, *args, **kwargs)
 
-def test_the_exact_pass_forms_only_the_sweeps_chunks(monkeypatch):
-    frame = sample_block_frame(_benchmark_spec(200, 10, 200), trial=0)
-    sweep = {(i0, i0 + len(g)): g.shape for i0, g, _ in frame_module._pair_chunks(frame.data, 10)}
-    formed = _formed_chunks(monkeypatch)
-    assert worst_case_coherence(frame).hex() == PINNED_MU[(200, 10, 200)][0]
-    assert all(sweep[i0, i1] == shape for i0, i1, shape in formed)
-    assert formed[0][0] == 0  # the seed
-    assert 1 < len(formed) <= 4 < len(sweep)
+    monkeypatch.setattr(np, "matmul", product)
+    monkeypatch.setattr(frame_module, "_tiles", walk)
+    monkeypatch.setattr(constructions_module, "_tiles", walk)
+    for frame in frames:
+        for measure in (worst_case_coherence, gram_map, validate):
+            measure(frame)
+    assert verify_etf(etf).ok and verify_flat_union(union).ok
+    formed.clear()
+    assert worst_case_coherence(screened).hex() == PINNED_MU[(200, 10, 200)][0]
+    assert set(products) == set(map(np.dtype, (np.float64, np.float32, np.complex128)))
+    exact = [(t0, s0, shape) for t0, s0, shape, single in formed if not single]
+    assert all(sweep[t0, s0] == shape for t0, s0, shape in exact)
+    assert exact[0][:2] == (0, 0)  # the seed
+    assert 1 < len(exact) <= 4 < len(sweep)
 
 
 def test_an_error_beyond_the_margin_trips_the_guard(monkeypatch):
-    # the float32 products lose the planted pair (30, 31), which holds mu,
-    # and overstate every other pair by 100 delta: the exact pass misses the
-    # pair's chunk, its best pair is 100 delta from its sigma^, and the
-    # guard sweeps every chunk
-    frame = _twin_frame(128, 2, 800, 30, 5, False)
+    # the float32 tiles lose the planted pairs (130, 131) and (530, 531),
+    # which hold mu, and overstate every other pair by 100 delta: the exact
+    # pass misses the pairs' tiles, its best pair is 100 delta from its
+    # sigma^, and the guard sweeps every tile.  The guard can see the loss
+    # only where that best pair lies outside the seed's tile, as here.
+    frame = _twin_frame(128, 2, 800, 130, 5, False)
     exact = _unscreened_mu(frame)
     delta = frame_module._screen_margin(128, 2, False)
-    tile = frame_module._screen_tile
 
-    def broken(rows, cols, double):
-        c = tile(rows, cols, double)
-        c[np.abs(c) > 0.7] = 0.0  # the planted pairs' entries, and the A_i* A_i
-        c *= 1 + 100 * delta
-        return c
+    def broken(g):
+        g[np.abs(g) > 0.7] = 0.0  # the planted pairs' entries, and the A_i* A_i
+        g *= 1 + 100 * delta
 
-    monkeypatch.setattr(frame_module, "_screen_tile", broken)
-    formed = _formed_chunks(monkeypatch)
+    formed = _tile_spy(monkeypatch, broken)
     assert worst_case_coherence(frame) == exact
-    runs = list(frame_module._chunk_runs(128, 800, 2, False))
-    assert {(i0, i1) for i0, i1, _ in formed} == set(runs)
+    origins = frame_module._origins(800, 128)
+    assert {(t0, s0) for t0, s0, _, single in formed if not single} == set(origins)
 
 
 def test_tied_frames_skip_the_screen(monkeypatch):
-    # kerdock(6) x H_1 is screened by shape (n = 128, 135 chunks), but its
-    # chunk 0 solves many pairs at mu = 1/8: every chunk is swept exactly
+    # kerdock(6) x H_1 is screened by shape (n = 128, 16 tile rows), but its
+    # seed tile solves many pairs at mu = 1/8: every tile is swept exactly
     frame = build_frame("kerdock", 6, ("hadamard", 1))
-    runs = list(frame_module._chunk_runs(frame.n, frame.m, frame.r, False))
-    assert frame_module._screens(frame.n, frame.r, len(runs))
-    tiles, tile = [], frame_module._screen_tile
-
-    def spy(*args):
-        tiles.append(1)
-        return tile(*args)
-
-    monkeypatch.setattr(frame_module, "_screen_tile", spy)
+    assert frame_module._screens(frame.n, frame.r, _tile_rows(frame))
+    formed = _tile_spy(monkeypatch)
     assert worst_case_coherence(frame) == 0.125
-    assert tiles == []
+    assert formed and not any(single for *_, single in formed)
 
 
 def _near_tie_frame(gap, seed):
-    """(128, 2, 800) random, but for two pairs of chunk 0 near 1 that differ through gap.
+    """(128, 2, 800) random, but for two pairs of the seed tile near 1 that differ through gap.
 
     A_1 is A_0 plus t N, and A_2, A_3 are W A_0 and W (A_0 + t (1 + gap) N),
     W a random orthogonal matrix, so pairs (0, 1) and (2, 3) far outweigh
@@ -807,41 +874,35 @@ def _near_tie_frame(gap, seed):
 
 
 def test_only_ties_within_rounding_skip_the_screen(monkeypatch):
-    # chunk 0 solves both planted pairs, at 0.9997 and 6e-10 apart: well
-    # within 2 delta (3e-5), where a rule of 2 delta counted a tie, and far
-    # beyond rounding
+    # the seed tile solves both planted pairs, at 0.9997 and 6e-10 apart:
+    # well within 2 delta (3e-5), where a rule of 2 delta counted a tie, and
+    # far beyond rounding
     frame = _near_tie_frame(1e-6, 4)
     x, r = frame.data, frame.r
-    runs = list(frame_module._chunk_runs(frame.n, frame.m, r, False))
-    assert frame_module._screens(frame.n, r, len(runs))
+    assert frame_module._screens(frame.n, r, _tile_rows(frame))
     seed = []
-    best = frame_module._chunk_max(*frame_module._chunk(x, r, *runs[0]), 0.0, solved=seed)
+    _, _, g, keep = next(frame_module._tiles(x, r, [(0, 0)]))
+    best = frame_module._chunk_max(g, keep, 0.0, solved=seed)
     sigma = np.concatenate([s for _, s in seed])
     delta = frame_module._screen_margin(frame.n, r, False)
     assert np.count_nonzero(sigma >= best - 2 * delta) == 2
     assert np.count_nonzero(sigma >= best * (1 - frame_module._TIE_TOL)) == 1
-    screened, screen = [], frame_module._screen
-
-    def spy(*args):
-        screened.append(1)
-        return screen(*args)
-
-    monkeypatch.setattr(frame_module, "_screen", spy)
+    formed = _tile_spy(monkeypatch)
     mu = worst_case_coherence(frame)
-    assert screened == [1]
+    assert any(single for *_, single in formed)
     assert mu == best == _off_diagonal_max(gram_map(frame)) == _unscreened_mu(frame)
 
 
 def test_the_screen_runs_where_the_gemm_is_most_of_mu(monkeypatch):
-    screened = []
-    screen = frame_module._screen
+    screened, tiles = [], frame_module._tiles
 
-    def spy(x, r, *args):
-        screened.append((x.shape[0], r, x.shape[1] // r))
-        return screen(x, r, *args)
+    def spy(x, r, origins=None, single=False):
+        if single:
+            screened.append((x.shape[0], r, x.shape[1] // r))
+        return tiles(x, r, origins, single)
 
-    monkeypatch.setattr(frame_module, "_screen", spy)
-    # few chunks, n < 8 r, n < 128; then the benchmark's mu frame
+    monkeypatch.setattr(frame_module, "_tiles", spy)
+    # few tile rows, n < 8 r, n < 128; then the benchmark's mu frame
     shapes = [(128, r, 256) for r in (1, 2, 3)] + [(200, 40, 25), (200, 30, 44), (100, 5, 300)]
     for shape in shapes + [(200, 10, 200)]:
         worst_case_coherence(sample_block_frame(_benchmark_spec(*shape), trial=0))
@@ -850,19 +911,21 @@ def test_the_screen_runs_where_the_gemm_is_most_of_mu(monkeypatch):
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 def test_a_real_diagonal_tile_is_one_symmetric_product(monkeypatch, cplx):
-    # 8 of the 36 tiles at (200, 10, 200) are diagonal; a real one is the
-    # row strip times its own transpose, which numpy forms by syrk
+    # (200, 10, 200) has 8 tile rows of 25 blocks, 36 tiles: the seed's is
+    # float64, and 7 of the 35 screened are diagonal; a real one is the row
+    # strip times its own transpose, which numpy forms by syrk
     spec = RandomFrameSpec(200, 10, 200, 1, "complex" if cplx else "real")
     frame = sample_block_frame(spec, trial=0)
-    tiles, tile = [], frame_module._screen_tile
+    products, matmul = [], np.matmul
 
-    def spy(rows, cols, double):
-        tiles.append(np.shares_memory(rows, cols))
-        return tile(rows, cols, double)
+    def spy(a, b, *args, **kwargs):
+        if np.result_type(a, b) in (np.float32, np.complex64):
+            products.append(np.shares_memory(a, b))
+        return matmul(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(frame_module, "_screen_tile", spy)
+    monkeypatch.setattr(np, "matmul", spy)
     mu = worst_case_coherence(frame)
-    assert len(tiles) == 36 and tiles.count(True) == (0 if cplx else 8)
+    assert len(products) == 35 and products.count(True) == (0 if cplx else 7)
     if not cplx:
         assert mu.hex() == PINNED_MU[(200, 10, 200)][0]
 
@@ -870,32 +933,32 @@ def test_a_real_diagonal_tile_is_one_symmetric_product(monkeypatch, cplx):
 def test_the_screen_is_sign_invariant(monkeypatch):
     frame = sample_block_frame(_benchmark_spec(200, 10, 200), trial=1)
     signs = np.random.default_rng(3).choice([-1, 1], size=frame.m)
-    bounds, screen = [], frame_module._screen
+    passes, tiles_max = [], frame_module._tiles_max
 
-    def spy(*args):
-        out = screen(*args)
-        bounds.append((out[0], *(v.tobytes() for v in out[1])))
+    def spy(x, r, origins, best, delta=0.0, single=False, records=None):
+        out = tiles_max(x, r, origins, best, delta, single, records)
+        pairs = frame_module._solved_pairs(records or [])
+        passes.append((single, out, *(v.tobytes() for v in pairs)))
         return out
 
-    monkeypatch.setattr(frame_module, "_screen", spy)
-    formed = _formed_chunks(monkeypatch)
+    monkeypatch.setattr(frame_module, "_tiles_max", spy)
+    formed = _tile_spy(monkeypatch)
     mu = worst_case_coherence(frame)
-    first = list(formed)
+    first, runs = list(formed), len(passes)
     assert worst_case_coherence(apply_block_signs(frame, signs)) == mu
     assert formed[len(first) :] == first
-    assert bounds[0] == bounds[1]
+    assert passes[runs:] == passes[:runs]
+    assert any(single for single, *_ in passes)
 
 
 @settings(max_examples=40, deadline=None)
 @given(sweep_cases(), st.sampled_from([1, 2, 4, 8]), st.integers(0, 2**32 - 1))
 def test_screened_mu_is_the_exhaustive_maximum(case, side, sign_seed):
-    # small frames with the screen forced on: tiles of 1 to 8 columns, and
-    # chunks of every size sweep_cases draws
-    frame, chunk = case
+    # small frames with the screen forced on, in tiles of 1 to 8 blocks a side
+    frame, _ = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frame_module, "_CHUNK_ENTRIES", chunk)
-        mp.setattr(frame_module, "_SCREEN_COLUMNS", side)
-        mp.setattr(frame_module, "_screens", lambda n, r, chunks: chunks > 1)
+        mp.setattr(frame_module, "_TILE_COLUMNS", side * frame.r)
+        mp.setattr(frame_module, "_screens", lambda n, r, tile_rows: tile_rows > 1)
         mu = worst_case_coherence(frame)
         signs = np.random.default_rng(sign_seed).choice([-1, 1], size=frame.m)
         mu_flipped = worst_case_coherence(apply_block_signs(frame, signs))

@@ -325,6 +325,37 @@ def test_singular_values_3x3_falls_back_where_top_roots_meet(monkeypatch):
     assert abs(got[0, 1] - 0.9) <= 2 * np.spacing(0.9)
 
 
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_strided_tile_view_gives_the_gathered_stacks_bits(monkeypatch, r, cplx):
+    # the closed forms take any (..., r, r) stack: an (I, J, r, r) view of
+    # an (I, r, J, r) tile gives the bits of its gathered (p, r, r) copy; at
+    # r = 3 the planted double roots send rows through the eigvalsh fallback
+    rng = np.random.default_rng(1010 + r)
+    tile = rng.standard_normal((4, r, 5, r)) + (1j * rng.standard_normal((4, r, 5, r)) if cplx else 0)
+    tile /= 2 * np.sqrt(r)
+    if r == 3:
+        u, v = _orthogonal(rng, cplx), _orthogonal(rng, cplx)
+        tile[1, :, 2, :] = u @ np.diag([0.5, 0.5, 0.1]) @ v.conj().T  # top roots meet
+        tile[3, :, 0, :] = u @ np.diag([0.7, 0.2, 0.2]) @ v.conj().T  # bottom roots meet
+    view = tile.transpose(0, 2, 1, 3)
+    gathered = np.ascontiguousarray(view).reshape(-1, r, r)
+    solve = singular_values_2x2 if r == 2 else singular_values_3x3
+    fallback = []
+
+    def spy(h):
+        fallback.append(len(h))
+        return gram_singular_values(h)
+
+    monkeypatch.setattr(matrixcore_module, "gram_singular_values", spy)
+    got = solve(view)
+    assert got.shape == (4, 5, 2)
+    assert got.reshape(-1, 2).tobytes() == solve(gathered).tobytes()
+    # one eigvalsh call for the view and one for the copy, on the same rows
+    assert len(fallback) == (0 if r == 2 else 2)
+    assert r == 2 or fallback[0] == fallback[1] >= 2
+
+
 def test_kronecker_norm_multiplicative():
     rng = np.random.default_rng(1006)
     a = rng.standard_normal((3, 4))
@@ -424,19 +455,20 @@ def test_gram_deviation():
 
 
 def test_gram_deviation_in_slices_equals_the_one_pass_value(monkeypatch):
-    # a complex stack in slices of one matrix, of 3 matrices with a short
-    # last one, and in one slice
+    # a real and a complex stack in slices of one matrix, of 3 matrices
+    # with a short last one (3 x (12 + 4) entries), and in one slice
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((10, 6, 2)) + 1j * rng.standard_normal((10, 6, 2))
-    view = x.transpose(1, 0, 2).reshape(6, 20).reshape(6, 10, 2).transpose(1, 0, 2)
-    one_pass = float(np.abs(np.matmul(x.conj().swapaxes(1, 2), x) - np.eye(2)).max())
-    nan = x.copy()
-    nan[7, 0, 0] = np.nan
-    for size in (1, 36, 1 << 16):
-        monkeypatch.setattr(matrixcore_module, "_SLICE_ENTRIES", size)
-        assert gram_deviation(x) == one_pass
-        assert gram_deviation(view) == one_pass
-        assert np.isnan(gram_deviation(nan))
+    real = rng.standard_normal((10, 6, 2))
+    for x in (real, real + 1j * rng.standard_normal((10, 6, 2))):
+        view = x.transpose(1, 0, 2).reshape(6, 20).reshape(6, 10, 2).transpose(1, 0, 2)
+        one_pass = float(np.abs(np.matmul(x.conj().swapaxes(1, 2), x) - np.eye(2)).max())
+        nan = x.copy()
+        nan[7, 0, 0] = np.nan
+        for size in (1, 48, 1 << 16):
+            monkeypatch.setattr(matrixcore_module, "_SLICE_ENTRIES", size)
+            assert gram_deviation(x) == one_pass
+            assert gram_deviation(view) == one_pass
+            assert np.isnan(gram_deviation(nan))
 
 
 @pytest.mark.parametrize("cplx", [False, True])

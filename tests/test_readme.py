@@ -35,7 +35,7 @@ def test_readme_example_runs(index):
 
 
 def test_readme_code_names_resolve():
-    # `frame._pair_chunks`, `blockframe.sampling`, ...: a deleted or renamed
+    # `frame._tiles`, `blockframe.sampling`, ...: a deleted or renamed
     # helper cannot leave README pointing at nothing
     named = re.findall(r"`(\w+)\.(\w+)`", README.read_text())
     modules = [name for owner, name in named if owner == "blockframe"]
