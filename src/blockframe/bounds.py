@@ -85,9 +85,9 @@ def etf_max_blocks(n, r):
 
 
 def log_gamma(p):
-    """Natural log of Gamma(p) for p > 0."""
-    if not p > 0:
-        raise FrameError(f"log_gamma needs p > 0, got {p}")
+    """Natural log of Gamma(p) for finite p > 0."""
+    if not 0 < p < math.inf:
+        raise FrameError(f"log_gamma needs finite p > 0, got {p}")
     return math.lgamma(p)
 
 
@@ -151,8 +151,8 @@ def reg_inc_beta(x, p, q):
 
 def log_reg_inc_beta(x, p, q):
     """log I_x(p, q), safe when the result underflows a float."""
-    if not (p > 0 and q > 0):
-        raise FrameError(f"incomplete beta needs p, q > 0, got p={p}, q={q}")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise FrameError(f"incomplete beta needs finite p, q > 0, got p={p}, q={q}")
     if not 0.0 < x <= 1.0:
         if x == 0.0:
             return -math.inf

@@ -46,7 +46,7 @@ def apply_block_signs(frame, signs):
 def flipped_nu_bound(m):
     """(sqrt(m)+1)/(m-1): what the flipped frame's average coherence obeys."""
     m = check_count(m, "m", minimum=2)
-    return float(np.sqrt(m) + 1.0) / (m - 1.0)
+    return (math.sqrt(m) + 1.0) / (m - 1.0)
 
 
 def _root(x):

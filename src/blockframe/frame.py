@@ -45,7 +45,7 @@ _SCREEN_MIN_TILE_ROWS = 5  # the screen's three thresholds; see _screens
 _SCREEN_MIN_ROWS = 128
 _SCREEN_MIN_DEPTH = 8
 _SLICE_PAIRS = 1 << 11  # pairs solved at once at r <= 3; see _slice_pairs
-_SLICE_ENTRIES = 1 << 13  # entries of the H a slice gathers at r >= 4, and of a mask read at once
+_SLICE_ENTRIES = 1 << 13  # entries of the H a slice gathers at r >= 4
 _TIE_TOL = 1e-11  # seed pairs this close to its best, relatively, tie; see worst_case_coherence
 
 _workspaces = threading.local()
@@ -118,7 +118,11 @@ class BlockFrame:
         return "complex" if np.iscomplexobj(self.data) else "real"
 
     def block(self, i):
-        """The i-th n x r block (a view, not a copy)."""
+        """The i-th n x r block (a view, not a copy); i is an integer, numpy's too."""
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise FrameError(f"block index must be an integer, got {i!r}") from None
         if not 0 <= i < self.m:
             raise FrameError(f"block index {i} out of range for m={self.m}")
         return self.data[:, i * self.r : (i + 1) * self.r]
@@ -321,40 +325,27 @@ def _singular_values(stack):
 def _slice_pairs(r):
     """Pairs solved at once: 2^11 at r <= 3, and as many as hold 2^13 entries of H at r >= 4.
 
-    Neither sweep forms an index, C, H or solver array that grows with the
-    tile: the exhaustive sweep solves whole tile rows of at most this many
-    pairs, and _chunk_max gathers and solves its survivors this many at a
-    time.  The closed forms cost a fixed 30 to 130 us a call, so r <= 3
-    keeps 2^11 pairs a slice; eigvalsh costs the same per matrix in any
-    number.  Each pair is solved on its own, so slices change no bit.
+    Neither sweep forms a C, H or solver array that grows with the tile:
+    the exhaustive sweep solves slabs of whole tile rows that start within
+    one run of this many pairs, and _chunk_max gathers and solves its
+    survivors this many at a time.  The closed forms cost a fixed 30 to
+    130 us a call, so r <= 3 keeps 2^11 pairs a slice; eigvalsh costs the
+    same per matrix in any number.  Each pair is solved on its own, so
+    slices change no bit.
     """
     return _SLICE_PAIRS if r <= 3 else max(1, _SLICE_ENTRIES // (r * r))
-
-
-def _slices(p, step):
-    """p in consecutive views of at most step entries."""
-    return (p[s0 : s0 + step] for s0 in range(0, p.size, step))
-
-
-def _batches(mask, step):
-    """The flat indices where a flat mask is set, in order, in arrays of at most step.
-
-    The mask is read _SLICE_ENTRIES entries at a time, so no index array
-    holds more than that.
-    """
-    for q0 in range(0, mask.size, _SLICE_ENTRIES):
-        p = np.flatnonzero(mask[q0 : q0 + _SLICE_ENTRIES])
-        p += q0
-        yield from _slices(p, step)
 
 
 def _exhaustive_sweep(frame):
     """The Gram map and the extreme cross singular values, in one pass.
 
     Each tile is solved on its strided (I, J, r, r) view of C, or of
-    _gram_stack's H at r >= 4, in slabs of whole tile rows of at most
-    _slice_pairs(r) pairs, and the map and its mirror are written by
-    slicing; a diagonal tile gathers and writes its pairs j > i by keep.
+    _gram_stack's H at r >= 4, in slabs of whole tile rows, and the map and
+    its mirror are written by slicing; a diagonal tile gathers and writes
+    its pairs j > i by keep.  A slab holds the rows whose first pair falls
+    in one run of _slice_pairs(r) of the tile's pairs, counted from the row
+    sums of keep, so a diagonal tile's triangle takes as few slabs as a
+    full tile of as many pairs.
     """
     check_entries(frame.m * frame.m, f"gram map of {frame.m} blocks")
     r = frame.r
@@ -364,9 +355,11 @@ def _exhaustive_sweep(frame):
         n_i, n_j = g.shape[0], g.shape[2]
         c = g.transpose(0, 2, 1, 3) if r <= 3 else _gram_stack(g).reshape(n_i, n_j, r, r)
         up, down = gram[t0 : t0 + n_i, s0 : s0 + n_j], gram[s0 : s0 + n_j, t0 : t0 + n_i].T
-        step = max(1, _slice_pairs(r) // n_j)
-        for a0 in range(0, n_i, step):
-            rows = slice(a0, a0 + step)
+        counts = np.full(n_i, n_j) if keep is None else np.count_nonzero(keep, axis=1)
+        starts = np.cumsum(counts) - counts
+        cuts = np.flatnonzero(np.diff(starts // _slice_pairs(r), prepend=-1)).tolist()
+        for a0, a1 in zip(cuts, cuts[1:] + [n_i]):
+            rows = slice(a0, a1)
             pairs = ... if keep is None else keep[rows]
             gathered = keep is not None and r <= 3  # faster than a mask of the strided view
             sv = _singular_values(_gather(g[rows], pairs) if gathered else c[rows][pairs])
@@ -568,28 +561,23 @@ def _chunk_max(g, keep, best, delta=0.0, solved=None):
 
     keep, an (I, J) mask, selects the pairs where it is given, and pair
     (a, b) is flat a*J + b.  Its certificate u of sigma_max^e is ||C||_F^2
-    (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at r >= 4, which
-    _square_and_prune refines; no C is gathered for it.  The pairs whose u
-    reach _floor(best - 2 delta, e) are kept, the one of largest certificate
-    is solved, and the rest are held against the raised best before they
-    are solved.  A solved sigma raises best to sigma - delta: delta = 0 for
-    an exact tile, and the screen's margin for a float32 one, where best is
-    the lower bound L.  solved, when given, collects (p, sigma) of every
-    solved pair.
+    (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at r >= 4, and -1 where keep is
+    False; no C is gathered for it.  The pair of largest u is solved first,
+    if it is held against _floor(best - 2 delta, e), and then every other
+    pair held against the raised best, after _square_and_prune at r >= 4.  A
+    solved sigma raises best to sigma - delta: delta = 0 for an exact tile,
+    and the screen's margin for a float32 one, where best is the lower
+    bound L.  solved, when given, collects (p, sigma) of every solved pair.
 
-    No index array spans the tile.  At r <= 3 the kept pairs are found a
-    run of the mask at a time (_batches), once for the first pair of largest
-    u and once for the rest.  At r >= 4 the squaring ladder ranks the kept
-    pairs together, at most 2^16 / r^2 of them.  Either way the rest are
+    The first pair comes from argmax, before any index array exists: on a
+    tile that opens at best = 0 every pair is held.  The survivors are
     gathered and solved a slice at a time (_slice_pairs).
     """
     r, n_j = g.shape[1], g.shape[2]
     h = _gram_stack(g) if r >= 4 else None
     u, e = (_frobenius_squares(g).ravel(), 2) if h is None else (_power_sums(h), 4)
-    keep = True if keep is None else keep.ravel()
-
-    def held(best):
-        return keep & (u >= _floor(best, e))
+    if keep is not None:
+        np.copyto(u, -1.0, where=~keep.ravel())
 
     def solve(p):
         s = _singular_values(_gather(g, *np.divmod(p, n_j)) if h is None else h[p])[:, -1]
@@ -597,34 +585,18 @@ def _chunk_max(g, keep, best, delta=0.0, solved=None):
             solved.append((p, s))
         return float(s.max())
 
-    hold = max(best - 2 * delta, 0.0)
-    if h is None:
-        top, v_top = -1, -1.0
-        for p in _batches(held(hold), _SLICE_ENTRIES):
-            v = u[p]
-            k = int(v.argmax())
-            if v[k] > v_top:
-                top, v_top = int(p[k]), v[k]
-        if top < 0:
-            return best
-    else:
-        v, p = _square_and_prune(h, u, np.flatnonzero(held(hold)), hold)
-        if not p.size:
-            return best
-        k = int(v.argmax())
-        top, p = int(p[k]), np.delete(p, k)
-    del v  # no certificate is held while the survivors' C and (a, b) are
+    top = int(u.argmax())
+    if u[top] < _floor(max(best - 2 * delta, 0.0), e):
+        return best
     best = max(best, solve(np.array([top])) - delta)
+    u[top] = -1.0
     hold = max(best - 2 * delta, 0.0)
+    p = np.flatnonzero(u >= _floor(hold, e))
+    if h is not None:
+        p = _square_and_prune(h, u, p, hold)
     step = _slice_pairs(r)
-    if h is None:
-        rest = held(hold)
-        rest[top] = False
-        rest = _batches(rest, step)
-    else:
-        rest = _slices(_square_and_prune(h, u, p[u[p] >= _floor(hold, e)], hold)[1], step)
-    for p in rest:
-        best = max(best, solve(p) - delta)
+    for s0 in range(0, p.size, step):
+        best = max(best, solve(p[s0 : s0 + step]) - delta)
     return best
 
 
@@ -659,25 +631,24 @@ def _power_sums(g):
 
 
 def _square_and_prune(h, u, p, best):
-    """(v, p) for the flat pairs p still held against best, v the certificate to rank them by.
+    """The flat pairs p, held by u against best, that the squaring ladder still holds.
 
-    h is the stack of H = C*C, and v = ||H^q||_F^2 certifies
-    sigma_max^(4q), its root tighter for a larger q.  H^2, H^4, ... up to
-    H^32 are formed for the rows the last v kept, while _floor(best, 8q) is
-    nonzero: always on to H^4, since ||H^2||_F^2 is loose at large r, and
-    then while a squaring drops rows.  Where best cannot prune, v is u[p],
-    u being ||H||_F^2 of every row.
+    h is the stack of H = C*C, and u = ||H||_F^2 of every row, the
+    certificate _chunk_max held p by; the ladder reads h alone.  ||H^q||_F^2
+    certifies sigma_max^(4q), its root tighter for a larger q.  H^2, H^4,
+    ... up to H^32 are formed for the rows the last certificate kept, while
+    _floor(best, 8q) is nonzero: always on to H^4, since ||H^2||_F^2 is
+    loose at large r, and then while a squaring drops rows.
     """
-    v, g, power = u[p], h[p], 1
+    g, power = h[p], 1
     while p.size and power < _MAX_POWER and _floor(best, 8 * power):
         g, power = np.matmul(g, g), 2 * power
-        v = _power_sums(g)
-        keep = v >= _floor(best, 4 * power)
+        keep = _power_sums(g) >= _floor(best, 4 * power)
         if not keep.all():
-            p, g, v = p[keep], g[keep], v[keep]
+            p, g = p[keep], g[keep]
         elif power > 2:
             break
-    return v, p
+    return p
 
 
 def average_coherence(frame):

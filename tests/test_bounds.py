@@ -288,6 +288,39 @@ def test_overlap_tail_bound_domain():
         overlap_tail_bound(1.0, 40, 4)
 
 
+@pytest.mark.parametrize(
+    "call, finite",
+    [
+        (log_gamma, 0.5),
+        (lambda v: log_beta(v, 2.0), 0.5),
+        (lambda v: log_beta(2.0, v), 0.5),
+        (lambda v: reg_inc_beta(0.5, v, 2.0), 0.5),
+        (lambda v: reg_inc_beta(0.5, 2.0, v), 0.5),
+        (lambda v: log_reg_inc_beta(0.5, v, 2.0), 0.5),
+        (lambda v: reg_inc_beta(v, 2.0, 2.0), 0.5),
+        (lambda v: overlap_tail_bound(0.5, v, 2), 40),
+        (lambda v: overlap_tail_bound(v, 40, 4), 0.5),
+    ],
+    ids=[
+        "log_gamma",
+        "log_beta-p",
+        "log_beta-q",
+        "reg_inc_beta-p",
+        "reg_inc_beta-q",
+        "log_reg_inc_beta-p",
+        "reg_inc_beta-x",
+        "overlap_tail_bound-n",
+        "overlap_tail_bound-lam",
+    ],
+)
+def test_special_functions_refuse_non_finite_arguments(call, finite):
+    # FrameError, not nan from lgamma(inf) nor a stalled continued fraction
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(FrameError):
+            call(bad)
+    assert math.isfinite(call(finite))
+
+
 # ---------------------------------------------------------------- threshold solver
 
 

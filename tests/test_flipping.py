@@ -253,6 +253,9 @@ def test_flipped_nu_bound_values():
     assert flipped_nu_bound(2048) == pytest.approx((math.sqrt(2048.0) + 1.0) / 2047.0, abs=1e-15)
     with pytest.raises(FrameError):
         flipped_nu_bound(1)
+    # a count beyond int64 is still a Python int that math.sqrt takes
+    assert flipped_nu_bound(2**64) == (2.0**32 + 1.0) / (2.0**64 - 1.0)
+    assert flipped_nu_bound(np.int64(2048)) == flipped_nu_bound(2048)
 
 
 def test_flip_config_validation(monkeypatch):

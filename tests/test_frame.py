@@ -439,6 +439,38 @@ def test_squaring_stops_before_the_certificate_underflows():
     assert frame_module._chunk_max(_as_chunk(c), keep, 0.0) == exhaustive
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_chunk_max_is_the_largest_kept_sigma_less_delta(monkeypatch, r, cplx):
+    # every tile, on and off the diagonal, against all its kept pairs
+    # solved, from a best below, at and above the tile's maximum, exact
+    # (delta = 0), as the screen uses it, and with a margin wide enough to
+    # hold many pairs within 2 delta, every one of which must be solved
+    monkeypatch.setattr(frame_module, "_TILE_COLUMNS", 5 * r)
+    diagonal = set()
+    for seed in range(3):
+        frame = random_frame(3 * r + 4 + seed, r, 12, 70 + 10 * r + seed, complex_blocks=cplx)
+        margin = frame_module._screen_margin(frame.n, r, cplx)
+        tiles = [(g.copy(), keep) for *_, g, keep in frame_module._tiles(frame.data, r)]
+        for g, keep in tiles:
+            diagonal.add(keep is not None)
+            a, b = _tile_pairs(0, 0, g, keep)
+            sigma = dict(zip((a * g.shape[2] + b).tolist(), _tile_sigma(g.copy(), keep)))
+            top = max(sigma.values())
+            for factor in (0.0, 0.5, 0.99, 1.0, 1.01):
+                best = factor * top
+                for delta in (0.0, margin, 0.05 * top):
+                    solved = []
+                    got = frame_module._chunk_max(g, keep, best, delta, solved)
+                    assert got == max(best, top - delta)
+                    pairs = [(p, s) for q, v in solved for p, s in zip(q.tolist(), v)]
+                    assert len(dict(pairs)) == len(pairs)  # no pair solved twice
+                    assert all(sigma[p] == s for p, s in pairs)
+                    near = {p for p, s in sigma.items() if s >= got - 2 * delta}
+                    assert near <= dict(pairs).keys()
+    assert diagonal == {False, True}
+
+
 def _orthogonal_first_block_frame(r, seed):
     """Block 0 = [e_1 .. e_r], every other block random in span(e_{r+1} .. e_{3r})."""
     rng = np.random.default_rng(seed)
@@ -635,15 +667,32 @@ WORKSPACE_FRAMES = ["kerdock"] + [(128, r, 256) for r in (1, 2, 3)]
 @pytest.mark.parametrize("case", WORKSPACE_FRAMES, ids=str)
 def test_a_warm_sweep_allocates_little(case):
     # the tile-sized arrays live in the workspace, and pairs are solved
-    # 2^11 at a time: mu peaked at 302 KiB, and validate at 201 KiB over its
-    # map at r <= 2 and 480 KiB at r = 3, where the closed form holds about
-    # 200 bytes a pair; mu took 1,369 to 1,627 KiB before the workspace
+    # about 2^11 at a time: mu peaked at 236 KiB, and validate at 221 KiB
+    # over its map at r <= 2 and 575 KiB at r = 3, where the closed form
+    # holds about 200 bytes a pair; mu took 1,369 to 1,627 KiB before the
+    # workspace
     if case == "kerdock":
         frame = _kerdock4()
     else:
         frame = sample_block_frame(_benchmark_spec(*case), trial=0)
     assert _warm_peak(worst_case_coherence, frame) <= 384 << 10
     assert _warm_peak(validate, frame) <= frame.m * frame.m * 8 + (768 << 10)
+
+
+def test_a_diagonal_tile_is_solved_in_slabs_sized_by_its_pairs(monkeypatch):
+    # kerdock(4) x H_1 is one diagonal tile of 127 rows and 8,128 pairs; its
+    # rows, sized by the pairs they hold, go to the closed form in
+    # ceil(8128 / 2^11) = 4 slabs, where slabs of 16 full rows took 8
+    solve, slabs = frame_module.singular_values_2x2, []
+
+    def counting(c):
+        slabs.append(len(c))
+        return solve(c)
+
+    monkeypatch.setattr(frame_module, "singular_values_2x2", counting)
+    validate(_kerdock4())
+    assert len(slabs) == 4 and sum(slabs) == 128 * 127 // 2
+    assert max(slabs) < frame_module._slice_pairs(2) + 127
 
 
 def test_the_workspace_is_per_thread_and_grows_on_demand():
@@ -1001,6 +1050,21 @@ def test_distance_extremes():
     assert chordal_distance(disjoint, 0, 1) == pytest.approx(np.sqrt(2.0), abs=1e-12)
     with pytest.raises(FrameError):
         spectral_distance(same, 1, 1)
+
+
+def test_a_block_index_must_be_an_integer():
+    frame = random_frame(5, 2, 4, 11)
+    calls = [
+        lambda: frame.block(1.0),
+        lambda: chordal_distance(frame, 1.5, 2),
+        lambda: spectral_distance(frame, 0, np.float64(2.0)),
+    ]
+    for call in calls:
+        with pytest.raises(FrameError, match="block index must be an integer"):
+            call()
+    assert frame.block(np.int64(2)).tobytes() == frame.block(2).tobytes()
+    assert chordal_distance(frame, np.int64(1), np.uint8(2)) == chordal_distance(frame, 1, 2)
+    assert spectral_distance(frame, np.int32(0), 2) == spectral_distance(frame, 0, 2)
 
 
 # --- container --------------------------------------------------------------
