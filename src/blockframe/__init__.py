@@ -5,6 +5,10 @@ columns.  The package measures their coherence, compares against the known
 lower and upper bounds, builds the deterministic optimal families, samples
 random frames, improves average coherence by sign flipping, and runs
 block-sparse recovery experiments.
+
+Every callable exported here returns a finite result or raises FrameError
+(ConvergenceError from the two iterative solvers), and every count goes
+through matrixcore.check_count or frame.check_nrm.
 """
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ fraction of true blocks missed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,11 @@ class SignalSpec:
 
     def __post_init__(self):
         check_count(self.k, "k")
+        check_count(self.m, "m")
+        check_count(self.r, "r")
         if not self.k <= self.m:
             raise FrameError(f"need 1 <= k <= m, got k={self.k}, m={self.m}")
-        if not 1.0 <= self.dynamic_range < np.inf:
+        if not 1.0 <= self.dynamic_range <= sys.float_info.max:
             raise FrameError(
                 f"dynamic_range must be finite and >= 1, got {self.dynamic_range}"
             )
@@ -101,11 +104,11 @@ def ndp(true_support, est_support):
 
 
 def _noise_ratio(snr_db):
-    """10^(-snr_db / 10), the noise-to-signal power ratio; inf where it overflows float64."""
+    """10^(-snr_db / 10), the noise-to-signal power ratio; 0 or inf where it leaves float64."""
     try:
         return 10.0 ** (-snr_db / 10.0)
     except OverflowError:
-        return math.inf
+        return math.inf if snr_db < 0 else 0.0
 
 
 def _add_noise(y, snr_db, rng):
@@ -166,19 +169,21 @@ def run_ndp_experiment(
     if not frames:
         raise FrameError("no frames given")
     trials = check_count(trials, "trials")
-    if snr_db is not None and not np.isfinite(snr_db):
+    if snr_db is not None and not -math.inf < snr_db < math.inf:
         raise FrameError(f"snr_db must be finite, got {snr_db}")
     cells = [(check_count(k, "k"), dr) for k in k_grid for dr in dr_grid]
+    if not cells:
+        return []
     # a signal of k blocks has at least k entries: a k that no signal can
     # hold is refused here, before it is keyed as an int64
     check_entries(max((k for k, _ in cells), default=0), "a signal of that many blocks")
     check_entries(2 * len(cells) * trials, f"substream keys of {len(cells)} cells x {trials} trials")
     ks = np.array([k for k, _ in cells], dtype=np.int64)
-    path = (
-        ks[:, None],
-        np.array([np.float64(dr).view(np.uint64) for _, dr in cells], np.uint64)[:, None],
-        np.arange(trials),
-    )
+    try:
+        dr_bits = np.array([np.float64(dr).view(np.uint64) for _, dr in cells], np.uint64)
+    except OverflowError:
+        raise FrameError(f"dynamic ranges must be float64 values, got {list(dr_grid)}") from None
+    path = (ks[:, None], dr_bits[:, None], np.arange(trials))
     signal_keys = substream_keys(seed, path)
     noise_keys = None if snr_db is None else substream_keys(seed, (*path, 1))
     # block j of the concatenated supports belongs to cell cell_of[j]

@@ -14,22 +14,24 @@ bisection is exact enough and never guesses wrong.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, FrameError
 from .frame import check_field, check_nrm
+from .matrixcore import check_count
 
 
 def welch_coherence_lower(n, r, m):
     """Lower bound sqrt((m*r - n) / (n*(m-1))) on worst-case coherence."""
-    check_nrm(n, r, m)
+    n, r, m = check_nrm(n, r, m)
     return math.sqrt((m * r - n) / (n * (m - 1)))
 
 
 def orthobases_coherence_lower(n, r):
     """Lower bound sqrt(r/n) for unions of two or more orthonormal bases."""
-    if not 0 < r < n:
-        raise FrameError(f"need 0 < r < n, got r={r}, n={n}")
+    r = check_count(r, "r")
+    n = check_count(n, "n", minimum=r + 1)
     if n % r != 0:
         raise FrameError(f"r must divide n for an orthobasis split, got n={n}, r={r}")
     return math.sqrt(r / n)
@@ -37,27 +39,27 @@ def orthobases_coherence_lower(n, r):
 
 def rankin_chordal_upper(n, r, m):
     """Rankin bound on the minimum chordal distance between m subspaces."""
-    check_nrm(n, r, m)
+    n, r, m = check_nrm(n, r, m)
     return math.sqrt(r * (n - r) / n * m / (m - 1))
 
 
 def rankin_chordal_upper_tight(n, r):
     """m-independent Rankin bound sqrt(r*(n-r)/n), active once m > n + 1."""
-    if r <= 0 or r >= n:
-        raise FrameError(f"need 0 < r < n, got r={r}, n={n}")
+    r = check_count(r, "r")
+    n = check_count(n, "n", minimum=r + 1)
     return math.sqrt(r * (n - r) / n)
 
 
 def spectral_distance_upper(n, r, m):
     """Bound on the minimum spectral distance; clamps at 1 for small m."""
-    check_nrm(n, r, m)
+    n, r, m = check_nrm(n, r, m)
     return math.sqrt(min(1.0, (n - r) / n * m / (m - 1)))
 
 
 def max_equi_isoclinic(n, r, field="complex"):
     """Largest possible number of pairwise equi-isoclinic r-subspaces."""
-    if r <= 0 or r > n:
-        raise FrameError(f"need 0 < r <= n, got r={r}, n={n}")
+    r = check_count(r, "r")
+    n = check_count(n, "n", minimum=r)
     check_field(field)
     if field == "complex":
         return n * n - r * r + 1
@@ -66,8 +68,7 @@ def max_equi_isoclinic(n, r, field="complex"):
 
 def max_orthobases_blocks(n, field="complex"):
     """Cap on the block count of a union of orthobases meeting sqrt(r/n)."""
-    if n < 2:
-        raise FrameError(f"dimension must be at least 2, got {n}")
+    n = check_count(n, "n", minimum=2)
     check_field(field)
     if field == "complex":
         return 2 * (n + 1) * (n - 1)
@@ -76,8 +77,10 @@ def max_orthobases_blocks(n, field="complex"):
 
 def etf_max_blocks(n, r):
     """An equi-isoclinic frame from a column ETF needs m <= (n/r)^2."""
-    if r <= 0 or r >= n or n % r != 0:
-        raise FrameError(f"need r | n and r < n, got n={n}, r={r}")
+    r = check_count(r, "r")
+    n = check_count(n, "n", minimum=r + 1)
+    if n % r != 0:
+        raise FrameError(f"need r | n, got n={n}, r={r}")
     return (n // r) ** 2
 
 
@@ -85,10 +88,13 @@ def etf_max_blocks(n, r):
 
 
 def log_gamma(p):
-    """Natural log of Gamma(p) for finite p > 0."""
+    """Natural log of Gamma(p) for finite p > 0, where it is a float."""
     if not 0 < p < math.inf:
         raise FrameError(f"log_gamma needs finite p > 0, got {p}")
-    return math.lgamma(p)
+    try:
+        return math.lgamma(p)
+    except OverflowError:  # p or log Gamma(p) past float64's range
+        raise FrameError(f"log Gamma({p}) is past float64's range") from None
 
 
 def log_beta(p, q):
@@ -112,25 +118,20 @@ def _beta_cf(a, b, x):
     h = d
     for it in range(1, ITMAX + 1):
         m2 = 2 * it
-        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < FPMIN:
-            d = FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < FPMIN:
-            c = FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < FPMIN:
-            d = FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < FPMIN:
-            c = FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and then the odd step of the fraction, one Lentz update each
+        for aa in (
+            it * (b - it) * x / ((qam + m2) * (a + m2)),
+            -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < FPMIN:
+                d = FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < FPMIN:
+                c = FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < EPS:
             return h
     raise ConvergenceError(
@@ -138,9 +139,9 @@ def _beta_cf(a, b, x):
     )
 
 
-def _log_reg_inc_beta_lower(p, q, x):
-    """log I_x(p, q) on the branch x < (p+1)/(p+q+2), fully in log space."""
-    front = p * math.log(x) + q * math.log1p(-x) - log_beta(p, q)
+def _log_reg_inc_beta_lower(p, q, x, log_b):
+    """log I_x(p, q) on the branch x < (p+1)/(p+q+2), fully in log space; log_b is log B(p, q)."""
+    front = p * math.log(x) + q * math.log1p(-x) - log_b
     return front + math.log(_beta_cf(p, q, x) / p)
 
 
@@ -151,8 +152,7 @@ def reg_inc_beta(x, p, q):
 
 def log_reg_inc_beta(x, p, q):
     """log I_x(p, q), safe when the result underflows a float."""
-    if not (0 < p < math.inf and 0 < q < math.inf):
-        raise FrameError(f"incomplete beta needs finite p, q > 0, got p={p}, q={q}")
+    log_b = log_beta(p, q)  # checks p and q; B(p, q) = B(q, p) serves both branches
     if not 0.0 < x <= 1.0:
         if x == 0.0:
             return -math.inf
@@ -160,8 +160,8 @@ def log_reg_inc_beta(x, p, q):
     if x == 1.0:
         return 0.0
     if x < (p + 1.0) / (p + q + 2.0):
-        return _log_reg_inc_beta_lower(p, q, x)
-    return math.log1p(-math.exp(_log_reg_inc_beta_lower(q, p, 1.0 - x)))
+        return _log_reg_inc_beta_lower(p, q, x, log_b)
+    return math.log1p(-math.exp(_log_reg_inc_beta_lower(q, p, 1.0 - x, log_b)))
 
 
 def overlap_tail_bound(lam, n, r):
@@ -178,15 +178,13 @@ def overlap_tail_bound(lam, n, r):
     """
     if not 0.0 < lam < 1.0:
         raise FrameError(f"need 0 < lam < 1, got {lam}")
-    if r <= 0 or n < 2 * r:
-        raise FrameError(f"need n >= 2r with r >= 1, got n={n}, r={r}")
+    r = check_count(r, "r")
+    n = check_count(n, "n", minimum=2 * r)
+    if not n <= sys.float_info.max:
+        raise FrameError(f"n={n} is past float64's range")
     p = (2 * r - 1) / 2.0
     q = (n - 2 * r + 1) / 2.0
-    log_pre = (
-        0.5 * math.log(math.pi)
-        + log_beta(p, q)
-        - 2.0 * log_beta(r / 2.0, (n - r) / 2.0)
-    )
+    log_pre = 0.5 * math.log(math.pi) + log_beta(p, q) - 2.0 * log_beta(r / 2.0, (n - r) / 2.0)
     log_tail = log_reg_inc_beta(1.0 - lam, q, p)
     return math.exp(log_pre + log_tail)
 

@@ -274,27 +274,6 @@ def _gf2m_trace(z, deg, poly):
     return t
 
 
-def gf2_rank(rows, width):
-    """Rank over GF(2) of a matrix given as row bit masks."""
-    rank = 0
-    rows = list(rows)
-    for col in range(width):
-        bit = 1 << col
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] & bit:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
-
-
 def kerdock_set(k):
     """2^(k-1) binary symmetric k x k matrices with nonsingular differences.
 
@@ -307,16 +286,15 @@ def kerdock_set(k):
     whose polarization (computed here on the standard basis) is the matrix
     P_s.  Diagonals are zeroed: over GF(2) they only shift the linear term
     of the form, so the spanned bases are unchanged while the nonsingular-
-    difference check becomes exactly the flatness condition.  The set is
-    therefore not checked here: kerdock_real verifies the flat union it spans
-    (verify_flat_union), which tests every difference once.
+    difference condition becomes exactly the flatness condition.  The set
+    is therefore not checked here: kerdock_real verifies the flat union it
+    spans (verify_flat_union), which tests every difference once, for this
+    set and for one given to it alike.
     """
-    if k < 4 or k % 2 != 0:
-        raise FrameError(f"need even k >= 4, got {k}")
-    deg = k - 1
-    if deg not in _GF2_POLY:
-        raise FrameError(f"no irreducible polynomial on file for degree {deg}")
-    poly = _GF2_POLY[deg]
+    k = check_count(k, "k")
+    if k - 1 not in _GF2_POLY:  # degrees 3, 5, ..., 11: the even k from 4 to 12
+        raise FrameError(f"need even k from 4 to {max(_GF2_POLY) + 1}, got {k}")
+    deg, poly = k - 1, _GF2_POLY[k - 1]
 
     def form(s, xbits):
         x = xbits & ((1 << deg) - 1)
@@ -345,22 +323,19 @@ def kerdock_set(k):
 
 
 def validate_kerdock_set(mats, k):
-    """Every pairwise difference must have full rank over GF(2)."""
+    """A set as kerdock_real reads it: 2^(k-1) symmetric binary k x k matrices.
+
+    Only the shape is checked here.  Whether the differences are
+    nonsingular, which is what makes the bases mutually flat, is decided by
+    the flat-union verification of the frame kerdock_real builds, as for
+    kerdock_set's own set.
+    """
     if len(mats) != 1 << (k - 1):
         raise FrameError(f"expected {1 << (k - 1)} matrices, got {len(mats)}")
-    packed = []
     for p in mats:
         p = np.asarray(p)
-        if p.shape != (k, k) or not np.array_equal(p, p.T):
+        if p.shape != (k, k) or not np.array_equal(p, p.T) or not np.isin(p, (0, 1)).all():
             raise FrameError("kerdock set entries must be symmetric k x k binary")
-        packed.append([int("".join(map(str, row[::-1])), 2) for row in p % 2])
-    for a in range(len(packed)):
-        for b in range(a + 1, len(packed)):
-            diff = [ra ^ rb for ra, rb in zip(packed[a], packed[b])]
-            if gf2_rank(diff, k) != k:
-                raise FrameError(
-                    f"kerdock set difference {a},{b} is singular over GF(2)"
-                )
 
 
 def kerdock_real(k, mats=None):
@@ -372,8 +347,9 @@ def kerdock_real(k, mats=None):
     of the bases pairwise, which is what puts the average column coherence
     at exactly 1/(m-1); cross-basis moduli are untouched by it.
 
-    A set given as mats is validated here, before the bases are built;
-    kerdock_set's own set is checked by the flat-union verification alone.
+    A set given as mats has its shape checked (validate_kerdock_set); it
+    and kerdock_set's own set are then checked by the flat-union
+    verification of the frame alone.
     """
     k = check_count(k, "k")
     # 2^k x 2^(2k-1) entries; the min spares a huge k a huge integer
@@ -402,7 +378,8 @@ def read_kerdock_set_file(path, k):
 
     Row i is an integer whose bit j is entry (i, j), written in hex; rows
     are separated by spaces.  Blank lines and #-comments are skipped.  The
-    set is only parsed here; kerdock_real validates it.
+    set is only parsed here; kerdock_real checks its shape and verifies the
+    frame it spans.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -46,7 +46,10 @@ def apply_block_signs(frame, signs):
 def flipped_nu_bound(m):
     """(sqrt(m)+1)/(m-1): what the flipped frame's average coherence obeys."""
     m = check_count(m, "m", minimum=2)
-    return (math.sqrt(m) + 1.0) / (m - 1.0)
+    try:
+        return (math.sqrt(m) + 1.0) / (m - 1.0)
+    except OverflowError:  # m past float64: the bound 1/(sqrt(m)-1), to far below an ulp
+        return 1 / (math.isqrt(m) - 1)
 
 
 def _root(x):

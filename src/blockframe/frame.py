@@ -15,6 +15,7 @@ the average: 1/(m-1) * max_i | sum_{j != i} <p_i, p_j> |.
 
 import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ _workspaces = threading.local()
 
 
 def check_nrm(n, r, m):
-    """The one shape rule of a block frame: integers (numpy's too) with 0 < r < n <= m*r."""
+    """The one shape rule, n, r, m returned as ints: 0 < r < n <= m*r, m*r a float64 value."""
     try:
         n, r, m = map(operator.index, (n, r, m))
     except TypeError:
@@ -63,6 +64,9 @@ def check_nrm(n, r, m):
         raise FrameError(f"need r < n, got r={r}, n={n}")
     if not n <= m * r:
         raise FrameError(f"need n <= m*r, got n={n}, m*r={m * r}")
+    if not m * r <= sys.float_info.max:
+        raise FrameError(f"need m*r within float64's range, got m*r={m * r}")
+    return n, r, m
 
 
 def check_field(tag):
@@ -104,7 +108,7 @@ class BlockFrame:
             data = np.ascontiguousarray(data.real)
         elif field_tag == "complex":
             data = data.astype(np.complex128, copy=False)
-        check_nrm(n, r, m)
+        n, r, m = check_nrm(n, r, m)
         if data.shape != (n, m * r):
             raise FrameError(f"data shape {data.shape} does not match n={n}, m={m}, r={r}")
         for name, value in (("n", n), ("r", r), ("m", m), ("data", data)):
@@ -562,9 +566,10 @@ def _chunk_max(g, keep, best, delta=0.0, solved=None):
     keep, an (I, J) mask, selects the pairs where it is given, and pair
     (a, b) is flat a*J + b.  Its certificate u of sigma_max^e is ||C||_F^2
     (e = 2) at r <= 3 and ||H||_F^2 (e = 4) at r >= 4, and -1 where keep is
-    False; no C is gathered for it.  The pair of largest u is solved first,
+    False; no C is gathered for it.  The pair of largest u is taken first,
     if it is held against _floor(best - 2 delta, e), and then every other
-    pair held against the raised best, after _square_and_prune at r >= 4.  A
+    pair held against the raised best; at r >= 4 each goes through
+    _square_and_prune before it is solved, the first pair on its own.  A
     solved sigma raises best to sigma - delta: delta = 0 for an exact tile,
     and the screen's margin for a float32 one, where best is the lower
     bound L.  solved, when given, collects (p, sigma) of every solved pair.
@@ -585,11 +590,13 @@ def _chunk_max(g, keep, best, delta=0.0, solved=None):
             solved.append((p, s))
         return float(s.max())
 
-    top = int(u.argmax())
-    if u[top] < _floor(max(best - 2 * delta, 0.0), e):
+    top, hold = int(u.argmax()), max(best - 2 * delta, 0.0)
+    if u[top] < _floor(hold, e):
         return best
-    best = max(best, solve(np.array([top])) - delta)
     u[top] = -1.0
+    p = np.array([top]) if h is None else _square_and_prune(h, u, np.array([top]), hold)
+    if p.size:
+        best = max(best, solve(p) - delta)
     hold = max(best - 2 * delta, 0.0)
     p = np.flatnonzero(u >= _floor(hold, e))
     if h is not None:

@@ -241,8 +241,7 @@ def dft_matrix(p):
     Sizes 1 and 2 are real and come back as float64, without the
     exp(i*pi) roundoff in the imaginary part.
     """
-    if p < 1:
-        raise FrameError(f"dft size must be >= 1, got {p}")
+    p = check_count(p, "dft size")
     check_entries(p * p, f"dft matrix of size {p}")
     j = np.arange(p)
     w = np.exp(2j * np.pi * np.outer(j, j) / p)

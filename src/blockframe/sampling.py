@@ -206,8 +206,9 @@ def substream_keys(seed, path, count=None):
 
 
 def parallel_map(fn, items, threads):
-    """Order-preserving map, threaded when threads > 1."""
-    if threads <= 1:
+    """Order-preserving map, threaded when the count threads is above 1."""
+    threads = check_count(threads, "threads")
+    if threads == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
@@ -224,7 +225,8 @@ class RandomFrameSpec:
     field_tag: str = "real"
 
     def __post_init__(self):
-        check_nrm(self.n, self.r, self.m)
+        for name, count in zip("nrm", check_nrm(self.n, self.r, self.m)):
+            object.__setattr__(self, name, count)
         _substream_address(self.seed, ())
         check_field(self.field_tag)
 
@@ -244,7 +246,10 @@ def sample_subspace(n, r, rng, field_tag="real"):
     Gaussian ensemble under rotation makes the span uniform on the
     Grassmannian.  r = n gives a random orthogonal or unitary matrix.
     """
+    n, r = check_count(n, "n", minimum=0), check_count(r, "r", minimum=0)  # see orthonormalize
     check_field(field_tag)
+    # a side of 0 counts as 1, so neither side alone is past numpy's shapes
+    check_entries(max(n, 1) * max(r, 1), f"random subspace of shape {n} x {r}")
     return orthonormalize(_gaussian(n, r, rng, field_tag))
 
 
@@ -303,13 +308,14 @@ def empirical_mu_curve(n, r_grid, trials, seed, m_cap=400, threads=1):
     the mean and max over trials next to sqrt(a_hat(beta) * beta).
     """
     trials = check_count(trials, "trials")
+    check_entries(trials, f"{trials} trials")
     points = []
     for ri, r in enumerate(r_grid):
         if r < 1 or not 2 * r < n:
             raise FrameError(f"grid point r={r} violates 1 <= r, 2r < n")
         m = default_block_count(n, r, cap=m_cap)
-        beta = r / n
         spec = RandomFrameSpec(n=n, r=r, m=m, seed=seed, field_tag="real")
+        beta = spec.r / spec.n
 
         def one_trial(t, _spec=spec, _ri=ri):
             # trial substreams are keyed on (grid index, trial) so grid

@@ -12,6 +12,7 @@ from blockframe import (
     substream_rng,
 )
 import blockframe.blockcs as blockcs
+import blockframe.sampling as sampling_module
 from blockframe.blockcs import (
     NDPResult,
     SignalSpec,
@@ -342,3 +343,45 @@ def test_run_flipping_table_thread_invariance():
 def test_run_flipping_table_frobenius_variant():
     rows = run_flipping_table(16, 24, [2], realizations=3, seed=1, norm_variant="frobenius")
     assert rows[0].nu_after_mean < rows[0].nu_before_mean
+
+
+@pytest.mark.parametrize("m, r", [(10, 0), (10.5, 2), (10, 2.5), (10, -1)])
+def test_signal_spec_refuses_a_block_count_or_width_that_is_not_a_count(m, r):
+    with pytest.raises(FrameError, match="must be an integer"):
+        SignalSpec(m=m, r=r, k=3)
+
+
+def _flat_union_frame():
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return BlockFrame(n=8, r=2, m=8, data=np.kron(id_hadamard_union(2), h1))
+
+
+@pytest.mark.parametrize("threads", [float("nan"), 2.5, 0, -1])
+def test_experiments_refuse_a_thread_count_before_any_worker_starts(monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an executor was made")
+
+    monkeypatch.setattr(sampling_module, "ThreadPoolExecutor", no_pool)
+    frames = [("a", _flat_union_frame())]
+    with pytest.raises(FrameError, match="threads must be an integer >= 1"):
+        run_ndp_experiment(frames, [1], [10.0], trials=2, seed=0, threads=threads)
+    with pytest.raises(FrameError, match="threads must be an integer >= 1"):
+        run_flipping_table(8, 8, [2], realizations=2, seed=0, threads=threads)
+
+
+def test_a_dynamic_range_past_float64_is_refused():
+    with pytest.raises(FrameError, match="dynamic ranges must be float64"):
+        run_ndp_experiment([("a", _flat_union_frame())], [1], [10**400], trials=2, seed=0)
+    with pytest.raises(FrameError, match="dynamic_range must be finite"):
+        SignalSpec(m=10, r=2, k=3, dynamic_range=10**400)
+
+
+def test_an_snr_past_float64_adds_no_noise():
+    frames = [("a", _flat_union_frame())]
+    args = (frames, [1, 3], [10.0], 4, 5)
+    assert run_ndp_experiment(*args, snr_db=10**400) == run_ndp_experiment(*args)
+
+
+def test_an_empty_grid_gives_no_rows():
+    frames = [("a", _flat_union_frame())]
+    assert run_ndp_experiment(frames, [], [10.0], trials=10**400, seed=0) == []

@@ -407,3 +407,49 @@ def test_threshold_solution_fields():
 
 def test_convergence_error_is_exported():
     assert issubclass(ConvergenceError, Exception)
+
+
+@pytest.mark.parametrize(
+    "bound, args",
+    [
+        (orthobases_coherence_lower, (float("nan"), 1)),
+        (orthobases_coherence_lower, (8.0, 2)),
+        (rankin_chordal_upper_tight, (float("nan"), 1)),
+        (rankin_chordal_upper_tight, (4, 4)),
+        (max_equi_isoclinic, (float("nan"), 1)),
+        (max_equi_isoclinic, (4, 0)),
+        (max_orthobases_blocks, (float("nan"),)),
+        (max_orthobases_blocks, (1,)),
+        (etf_max_blocks, (4.0, 2.0)),
+        (etf_max_blocks, (4, 4)),
+        (overlap_tail_bound, (0.5, 8.0, 2)),
+        (overlap_tail_bound, (0.5, 3, 2)),
+    ],
+)
+def test_bounds_take_counts_through_the_count_rule(bound, args):
+    with pytest.raises(FrameError, match="must be an integer >="):
+        bound(*args)
+
+
+def test_bounds_take_numpy_counts_next_to_huge_ones():
+    assert orthobases_coherence_lower(np.int64(128), np.int64(2)) == 0.125
+    assert max_equi_isoclinic(np.int64(12), 2) == 141
+    assert etf_max_blocks(10**400, np.int64(4)) == (10**400 // 4) ** 2
+    assert welch_coherence_lower(10**300, np.int64(4), 10**300) == math.sqrt(3 / (10**300 - 1))
+    with pytest.raises(FrameError, match="float64"):
+        rankin_chordal_upper(4, 2, 10**400)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (log_beta, (10**400, 2.0)),
+        (log_beta, (1e307, 2.0)),
+        (log_gamma, (10**400,)),
+        (reg_inc_beta, (0.5, 10**400, 3.0)),
+        (overlap_tail_bound, (0.5, 10**400, 2)),
+    ],
+)
+def test_arguments_past_float64_are_refused(fn, args):
+    with pytest.raises(FrameError):
+        fn(*args)

@@ -26,7 +26,6 @@ from blockframe import constructions, matrixcore
 from blockframe.bounds import etf_max_blocks
 from blockframe.constructions import (
     build_frame,
-    gf2_rank,
     is_prime,
     kerdock_set,
     read_kerdock_set_file,
@@ -258,12 +257,6 @@ def test_kerdock_set_structure():
         assert np.all(np.diag(p) == 0)
         assert set(np.unique(p)) <= {0, 1}
     validate_kerdock_set(mats, 4)  # should not raise
-    # all pairwise differences invertible over GF(2)
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            diff = (mats[a] ^ mats[b]) % 2
-            rows = [int("".join(map(str, row[::-1])), 2) for row in diff]
-            assert gf2_rank(rows, 4) == 4
 
 
 def test_validate_kerdock_set_rejects_duplicate():
@@ -271,13 +264,29 @@ def test_validate_kerdock_set_rejects_duplicate():
     bad = list(mats)
     bad[1] = bad[0].copy()
     with pytest.raises(FrameError):
-        validate_kerdock_set(bad, 4)
+        kerdock_real(4, bad)
 
 
-def test_gf2_rank_basics():
-    assert gf2_rank([1, 2, 4, 8], 4) == 4
-    assert gf2_rank([0, 0], 2) == 0
-    assert gf2_rank([0b11, 0b11], 2) == 1
+def test_kerdock_set_diagonal_bits_do_not_change_the_frame():
+    # kerdock_real reads only the off-diagonal bits of each matrix, so a set
+    # whose differences are singular over GF(2) on the diagonal alone still
+    # spans kerdock_real(4), and the flat-union check of that frame passes it
+    mats = [p.copy() for p in kerdock_set(4)]
+    mats[5][0, 0] = mats[6][1, 1] = 1
+    assert np.array_equal(kerdock_real(4, mats), kerdock_real(4))
+
+
+@pytest.mark.parametrize("k", [4.0, 2.5, float("nan")])
+def test_kerdock_set_refuses_a_non_integer_k(k):
+    with pytest.raises(FrameError, match="k must be an integer"):
+        kerdock_set(k)
+
+
+def test_validate_kerdock_set_refuses_a_non_binary_entry():
+    mats = [p.copy() for p in kerdock_set(4)]
+    mats[2][0, 1] = mats[2][1, 0] = 3
+    with pytest.raises(FrameError, match="symmetric k x k binary"):
+        kerdock_real(4, mats)
 
 
 def test_kerdock_real_k4():
@@ -322,21 +331,16 @@ def test_kerdock_set_file_round_trip(tmp_path):
     assert np.array_equal(kerdock_real(4, mats=back), kerdock_real(4))
 
 
-def test_kerdock_set_file_rejects(tmp_path, monkeypatch):
+def test_kerdock_set_file_rejects(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 0 0\n", encoding="utf-8")
     with pytest.raises(FrameError):
         read_kerdock_set_file(path, 4)
-    # duplicated matrix: differences become singular.  The file is only
-    # parsed; kerdock_real validates the set before any frame is built.
+    # duplicated matrix: two bases coincide.  The file is only parsed; the
+    # flat-union check of the frame kerdock_real builds refuses the set.
     _write_set_file(path, [kerdock_set(4)[0]] * 8)
     assert len(read_kerdock_set_file(path, 4)) == 8
-
-    def no_frame(k):
-        raise AssertionError("a frame was built from an invalid set")
-
-    monkeypatch.setattr(constructions, "hadamard_sylvester", no_frame)
-    with pytest.raises(FrameError, match="singular"):
+    with pytest.raises(FrameError, match="failed flat union verification"):
         build_frame("kerdock", 4, ("hadamard", 1), set_file=str(path))
 
 

@@ -268,3 +268,11 @@ def test_flip_config_validation(monkeypatch):
         flip(frame, norm_variant="nuclear")
     assert calls == []
 
+
+
+def test_flipped_nu_bound_past_float64():
+    # (sqrt(m)+1)/(m-1) = 1/(sqrt(m)-1); float64 holds it where m has no float
+    assert flipped_nu_bound(2**1030) == 1 / (2**515 - 1)
+    assert flipped_nu_bound(10**400) == 1 / (10**200 - 1)
+    m = 2**1022
+    assert flipped_nu_bound(m) == (math.sqrt(m) + 1.0) / (m - 1.0)

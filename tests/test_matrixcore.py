@@ -532,3 +532,13 @@ def test_hadamard_guard_refuses_before_allocating(monkeypatch):
         hadamard_sylvester(10**9)
     with pytest.raises(AssertionError, match="np.kron reached"):
         hadamard_sylvester(13)  # 2^26 entries: within the guard
+
+
+@pytest.mark.parametrize("p", [2.5, 0, -1, float("nan"), 3.0])
+def test_dft_matrix_refuses_a_size_that_is_not_a_count(p):
+    with pytest.raises(FrameError, match="dft size must be an integer >= 1"):
+        dft_matrix(p)
+
+
+def test_dft_matrix_takes_a_numpy_size():
+    assert np.array_equal(dft_matrix(np.int64(3)), dft_matrix(3))

@@ -353,3 +353,30 @@ def test_curve_point_frozen():
     p = CurvePoint(beta=0.1, mean_mu=0.2, max_mu=0.3, theory_mu=0.4)
     with pytest.raises(AttributeError):
         p.beta = 0.5
+
+
+@pytest.mark.parametrize("threads", [float("nan"), 2.5, 0, -1])
+def test_a_thread_count_is_refused_before_any_worker_starts(monkeypatch, threads):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an executor was made")
+
+    monkeypatch.setattr(sampling_module, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(FrameError, match="threads must be an integer >= 1"):
+        parallel_map(abs, [1, 2], threads)
+    with pytest.raises(FrameError, match="threads must be an integer >= 1"):
+        empirical_mu_curve(16, [2], trials=2, seed=0, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(4.5, 2), (-1, 2), (4, 2.5), (4, -1), (10**400, 2), (10**400, 0), (0, 10**400)]
+)
+def test_sample_subspace_refuses_a_bad_or_huge_count(n, r):
+    with pytest.raises(FrameError):
+        sample_subspace(n, r, substream_rng(0, 1))
+
+
+def test_a_random_frame_spec_holds_its_counts_as_ints():
+    spec = RandomFrameSpec(np.int64(8), True, np.int64(9), seed=0)
+    assert (spec.n, spec.r, spec.m) == (8, 1, 9)
+    assert all(type(v) is int for v in (spec.n, spec.r, spec.m))
+    assert sample_block_frame(spec).data.shape == (8, 9)
