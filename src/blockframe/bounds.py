@@ -22,6 +22,26 @@ from .frame import check_field, check_nrm
 from .matrixcore import check_count
 
 
+def _sqrt_ratio(a, b, what):
+    """sqrt(a / b) of two positive ints, as float64 holds it, or FrameError naming what.
+
+    The ratio is scaled by an even power of two into [1/4, 2) before it is
+    rounded, and the root scaled back by half that power: the division and
+    the root round once each, exactly as math.sqrt(a / b) does wherever
+    a / b is a normal float, and no step leaves float64's range.
+    """
+    shift = b.bit_length() - a.bit_length()
+    shift -= shift % 2
+    x = (a << shift) / b if shift >= 0 else a / (b << -shift)
+    try:
+        root = math.ldexp(math.sqrt(x), -shift // 2)
+    except OverflowError:
+        root = math.inf
+    if not 0.0 < root < math.inf:
+        raise FrameError(f"{what} is past float64's range")
+    return root
+
+
 def welch_coherence_lower(n, r, m):
     """Lower bound sqrt((m*r - n) / (n*(m-1))) on worst-case coherence."""
     n, r, m = check_nrm(n, r, m)
@@ -34,7 +54,7 @@ def orthobases_coherence_lower(n, r):
     n = check_count(n, "n", minimum=r + 1)
     if n % r != 0:
         raise FrameError(f"r must divide n for an orthobasis split, got n={n}, r={r}")
-    return math.sqrt(r / n)
+    return _sqrt_ratio(r, n, "the bound sqrt(r/n)")
 
 
 def rankin_chordal_upper(n, r, m):
@@ -47,7 +67,7 @@ def rankin_chordal_upper_tight(n, r):
     """m-independent Rankin bound sqrt(r*(n-r)/n), active once m > n + 1."""
     r = check_count(r, "r")
     n = check_count(n, "n", minimum=r + 1)
-    return math.sqrt(r * (n - r) / n)
+    return _sqrt_ratio(r * (n - r), n, "the bound sqrt(r*(n-r)/n)")
 
 
 def spectral_distance_upper(n, r, m):

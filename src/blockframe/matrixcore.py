@@ -177,6 +177,11 @@ def orthonormalize(m):
     entry of each column with modulus above 1e-12 is made real and positive.
     The convention makes subspace representatives reproducible across runs and
     platforms, which the seeded experiments rely on.
+
+    The leads are found by scanning rows from the top, one row of every
+    column at a time, until each column has its lead; a Gaussian draw's
+    leads are all in row 0, so the scan reads that row alone.  A column
+    with no entry above 1e-12 keeps row 0 as its lead.
     """
     m = as_matrix(m, stack=True)
     n, r = m.shape[-2:]
@@ -185,8 +190,15 @@ def orthonormalize(m):
     q, rr = np.linalg.qr(m)
     if np.any(np.abs(np.diagonal(rr, axis1=-2, axis2=-1)) < _RANK_TOL):
         raise FrameError("rank-deficient input: pivot below 1e-12")
-    lead_row = np.argmax(np.abs(q) > 1e-12, axis=-2, keepdims=True)
-    lead = np.take_along_axis(q, lead_row, axis=-2)
+    lead = q[..., :1, :]
+    unset = np.abs(lead) <= 1e-12
+    for i in range(1, n):
+        if not unset.any():
+            break
+        row = q[..., i : i + 1, :]
+        found = unset & (np.abs(row) > 1e-12)
+        lead = np.where(found, row, lead)
+        unset &= ~found
     return q * (np.conj(lead) / np.abs(lead))
 
 

@@ -231,12 +231,18 @@ class RandomFrameSpec:
         check_field(self.field_tag)
 
 
-def _gaussian(n, r, rng, field_tag):
-    """An n x r Gaussian draw, with an imaginary part for a complex field."""
-    g = rng.standard_normal((n, r))
-    if field_tag == "complex":
-        g = g + 1j * rng.standard_normal((n, r))
-    return g
+def _gaussians(rngs, re, im=None):
+    """Gaussian n x r draws, one per generator, into the (c, n, r) stack re.
+
+    Each generator draws its matrix's real parts in place, then, given the
+    second stack im (a complex field), its imaginary parts into im; the
+    result is re, or re + 1j * im.
+    """
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=re[j])
+        if im is not None:
+            rng.standard_normal(out=im[j])
+    return re if im is None else re + 1j * im
 
 
 def sample_subspace(n, r, rng, field_tag="real"):
@@ -250,7 +256,9 @@ def sample_subspace(n, r, rng, field_tag="real"):
     check_field(field_tag)
     # a side of 0 counts as 1, so neither side alone is past numpy's shapes
     check_entries(max(n, 1) * max(r, 1), f"random subspace of shape {n} x {r}")
-    return orthonormalize(_gaussian(n, r, rng, field_tag))
+    re = np.empty((1, n, r))
+    im = np.empty_like(re) if field_tag == "complex" else None
+    return orthonormalize(_gaussians([rng], re, im)[0])
 
 
 def sample_block_frame(spec, *path, trial=None):
@@ -261,9 +269,12 @@ def sample_block_frame(spec, *path, trial=None):
     trial=t) draws from (seed, t, i).  All m keys come from substream_keys,
     and one Philox, re-keyed to (key_i, counter 0) before each block, draws
     them all; it is never shared between calls, hence between threads.
-    Chunks of at most _CHUNK_ENTRIES entries are orthonormalized as stacks,
-    bit for bit as sample_subspace does one block, and each stack's rows of
-    r entries are moved into the frame as single items (frame._items).
+    Blocks go in chunks of at most _CHUNK_ENTRIES entries: each block of a
+    chunk is drawn in place into one (chunk, n, r) float64 stack, allocated
+    once per call (a complex field draws its imaginary parts into a second
+    one), and the chunk is orthonormalized as a stack, bit for bit as
+    sample_subspace does one block.  Each result's rows of r entries are
+    moved into the frame as single items (frame._items).
     """
     if trial is not None:
         path += (trial,)
@@ -275,10 +286,13 @@ def sample_block_frame(spec, *path, trial=None):
     data = np.empty((n, m * r), np.complex128 if spec.field_tag == "complex" else np.float64)
     rows = frame_module._items(data, r)
     per_chunk = max(1, frame_module._CHUNK_ENTRIES // (n * r))
+    re = np.empty((min(per_chunk, m), n, r))
+    im = np.empty_like(re) if np.iscomplexobj(data) else None
     for i0 in range(0, m, per_chunk):
         i1 = min(m, i0 + per_chunk)
-        draws = [_gaussian(n, r, rng_at(keys[i]), spec.field_tag) for i in range(i0, i1)]
-        q = np.ascontiguousarray(orthonormalize(np.stack(draws)))
+        rngs = (rng_at(keys[i]) for i in range(i0, i1))
+        g = _gaussians(rngs, re[: i1 - i0], None if im is None else im[: i1 - i0])
+        q = np.ascontiguousarray(orthonormalize(g))
         rows[:, i0:i1] = frame_module._items(q, r)[..., 0].T
     return BlockFrame(n=n, r=r, m=m, data=data)
 

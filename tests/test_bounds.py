@@ -2,9 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockframe import (
     ConvergenceError,
@@ -87,6 +90,50 @@ def test_rankin_chordal_values():
     loose = rankin_chordal_upper(12, 2, 10**12)
     assert loose == pytest.approx(rankin_chordal_upper_tight(12, 2), rel=1e-10)
     assert loose > rankin_chordal_upper_tight(12, 2)
+
+
+def _within_an_ulp_of_mpmath(got, exact):
+    with mpmath.workdps(60):
+        want = float(exact())
+    assert abs(got - want) <= math.ulp(want), (got, want)
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(10**400, 1), (3 * 10**400, 3), (2**1100, 1), (2**1100 * 5, 5), (2**2000, 1)],
+    ids=["10^400,1", "3*10^400,3", "2^1100,1", "5*2^1100,5", "2^2000,1"],
+)
+def test_orthobases_lower_past_float_range_matches_mpmath(n, r):
+    # r / n underflows a float here, but sqrt(r / n) does not
+    _within_an_ulp_of_mpmath(
+        orthobases_coherence_lower(n, r), lambda: mpmath.sqrt(mpmath.mpf(r) / n)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(10**401, 10**400), (2**1100 + 3, 2**1099), (10**500, 7)],
+    ids=["10^401,10^400", "2^1100+3,2^1099", "10^500,7"],
+)
+def test_rankin_tight_past_float_range_matches_mpmath(n, r):
+    # r * (n - r) / n overflows a float here, but its root does not
+    _within_an_ulp_of_mpmath(
+        rankin_chordal_upper_tight(n, r), lambda: mpmath.sqrt(mpmath.mpf(r) * (n - r) / n)
+    )
+
+
+def test_root_bounds_past_float64_itself_are_refused():
+    with pytest.raises(FrameError, match="float64"):
+        orthobases_coherence_lower(2**2200, 1)  # sqrt(2^-2200) underflows to 0
+    with pytest.raises(FrameError, match="float64"):
+        rankin_chordal_upper_tight(10**700, 10**699)  # about 3e349
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**30), st.integers(1, 10**300))
+def test_root_bounds_keep_the_bits_of_in_range_values(r, k):
+    assert orthobases_coherence_lower((k + 1) * r, r) == math.sqrt(r / ((k + 1) * r))
+    assert rankin_chordal_upper_tight(r + k, r) == math.sqrt(r * k / (r + k))
 
 
 def test_spectral_distance_upper_value_and_identity():

@@ -108,7 +108,8 @@ TABLE = {
     blockframe.solve_threshold: _args(numbers(0.1, 0.49)),
     blockframe.welch_coherence_lower: _args(*NRM),
     bounds.rankin_chordal_upper: _args(*NRM),
-    bounds.rankin_chordal_upper_tight: _args(*NRM[:2]),
+    # n = 10**401 over r = 10**400: the ratio overflows a float, its root does not
+    bounds.rankin_chordal_upper_tight: _args(numbers(4, 8, 10**401), NRM[1]),
     bounds.spectral_distance_upper: _args(*NRM),
     bounds.max_equi_isoclinic: _args(*NRM[:2], FIELDS),
     bounds.max_orthobases_blocks: _args(NRM[0], FIELDS),

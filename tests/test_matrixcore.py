@@ -435,6 +435,41 @@ def test_orthonormalize_stack_equals_one_by_one(case):
             assert abs(col[lead].imag) < 1e-12 and col[lead].real > 0.0
 
 
+def _argmax_phase(m):
+    """orthonormalize's phase step as an argmax over every entry of Q: the reference."""
+    q, _ = np.linalg.qr(m)
+    lead_row = np.argmax(np.abs(q) > 1e-12, axis=-2, keepdims=True)
+    lead = np.take_along_axis(q, lead_row, axis=-2)
+    return q * (np.conj(lead) / np.abs(lead))
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "fill, low, high",
+    [(0.0, 0.0, 1e-12), (1e-13, 1e-15, 1e-12), (2e-12, 1e-12, 1e-11)],
+    ids=["zero", "below", "just-above"],
+)
+def test_orthonormalize_lead_scan_matches_the_argmax_reference(complex_, fill, low, high):
+    # member k's top k % 4 rows hold fill, so the first two columns of Q have
+    # top rows below 1e-12 (fill 0 or 1e-13) or just above it (fill 2e-12);
+    # in every other member the last column also has a 1 in row 0, which
+    # puts its lead there while the other columns scan on
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((12, 6, 3))
+    if complex_:
+        g = g + 1j * rng.standard_normal((12, 6, 3))
+    for k, x in enumerate(g):
+        x[: k % 4] = fill
+        x[0, -1] += k % 2
+    q = np.linalg.qr(g)[0]
+    top = np.abs(np.concatenate([x[: k % 4, :-1].ravel() for k, x in enumerate(q)]))
+    classed = (top >= low) & (top < high)
+    assert classed.all() if fill < 1e-12 else classed.any()
+    assert orthonormalize(g).tobytes() == _argmax_phase(g).tobytes()
+    for x in g:
+        assert orthonormalize(x).tobytes() == _argmax_phase(x).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(stacks(), st.integers(0, 4))
 def test_orthonormalize_stack_rejects_one_rank_deficient_member(case, k):

@@ -19,7 +19,7 @@ from blockframe import (
     solve_threshold,
     substream_rng,
 )
-from blockframe.matrixcore import batch_spectral_norms
+from blockframe.matrixcore import batch_spectral_norms, orthonormalize
 from blockframe.sampling import CurvePoint, substream_keys
 
 
@@ -148,6 +148,18 @@ def test_sample_subspace_orthonormal_complex():
     q = sample_subspace(12, 3, substream_rng(0, 1), field_tag="complex")
     assert np.abs(q.conj().T @ q - np.eye(3)).max() < 1e-10
     assert np.abs(q.imag).max() > 0.0
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+@pytest.mark.parametrize("n, r", [(9, 2), (40, 4), (5, 5)])
+def test_sample_subspace_draws_as_one_matrix_at_a_time(field_tag, n, r):
+    # the reference draw: a fresh (n, r) array, then one more for the imaginary parts
+    rng = substream_rng(6, n, r)
+    g = rng.standard_normal((n, r))
+    if field_tag == "complex":
+        g = g + 1j * rng.standard_normal((n, r))
+    got = sample_subspace(n, r, substream_rng(6, n, r), field_tag)
+    assert got.tobytes() == orthonormalize(g).tobytes()
 
 
 def test_sample_subspace_of_no_dimension_is_refused():
