@@ -22,6 +22,7 @@ families: build_frame(family, value, kron) builds one family's P from its
 one required value and lifts it by a Kronecker factor.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,10 +377,10 @@ def kerdock_real(k, mats=None):
 def read_kerdock_set_file(path, k):
     """Parse a Kerdock set from text: one matrix per line, k hex-packed rows.
 
-    Row i is an integer whose bit j is entry (i, j), written in hex; rows
-    are separated by spaces.  Blank lines and #-comments are skipped.  The
-    set is only parsed here; kerdock_real checks its shape and verifies the
-    frame it spans.
+    Row i is an integer below 2^k whose bit j is entry (i, j), written in
+    hex digits alone; rows are separated by spaces.  Blank lines and
+    #-comments are skipped.  The set is only parsed here; kerdock_real
+    checks its shape and verifies the frame it spans.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -395,10 +396,9 @@ def read_kerdock_set_file(path, k):
             continue
         if len(words) != k:
             raise FrameError(f"{path}: expected {k} rows per line, got {len(words)}")
-        try:
-            rows = [int(w, 16) for w in words]
-        except ValueError:
-            raise FrameError(f"{path}: rows must be hex words, got {line.strip()!r}") from None
+        if not all(re.fullmatch("[0-9a-fA-F]+", w) and int(w, 16) < 1 << k for w in words):
+            raise FrameError(f"{path}: rows must be hex words below 2^{k}, got {line.strip()!r}")
+        rows = [int(w, 16) for w in words]
         mats.append(np.array([[(rv >> j) & 1 for j in range(k)] for rv in rows], np.uint8))
     return mats
 

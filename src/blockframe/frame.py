@@ -398,8 +398,9 @@ def worst_case_coherence(frame):
 
     Where _screens allows, most tiles are never formed in float64:
 
-    - Seed.  Tile (0, 0) is swept exactly.  Its maximum is attained, a lower
-      bound on mu.  If it solves more than one pair within a relative 1e-11
+    - Seed.  The walk's first tile, (0, 0), or (0, 1) where a side is one
+      block, is swept exactly.  Its maximum is attained, a lower bound on
+      mu.  If it solves more than one pair within a relative 1e-11
       (_TIE_TOL) of that maximum, the frame ties many pairs (a Kerdock or
       ETF lift), every tile would survive the screen, and the other tiles
       are swept exactly.  Pairs tied in exact arithmetic differ only by
@@ -409,16 +410,17 @@ def worst_case_coherence(frame):
       p = 503, r = 1, 4,032 ulp; the harmonic ETF's spread grows with p),
       while Kerdock and id-hadamard lifts lie within 3 ulp.  Random pairs
       rarely come that close, where 2 delta (1e-6 and up) takes in many.
-    - Screen.  Every other tile is formed in float32 (_tiles with single),
-      sigma^ being the float64 solver's sigma_max of its C~, and goes
-      through _chunk_max against L - 2 delta, where
-      L = max(seed, largest sigma^ - delta) <= mu.
-    - Exact pass.  The tiles that hold a pair with sigma^ >= L - 2 delta are
-      formed again in float64, in order of decreasing sigma^, from the
-      seed's best: the same tiles, and so the same bits, as gram_map's.
+    - Screen.  Every other tile is formed in float32 (_tiles_max with
+      delta), sigma^ being the float64 solver's sigma_max of its C~, goes
+      through _chunk_max against L - 2 delta, where L = max(seed, largest
+      sigma^ - delta) <= mu, and keeps one record, keyed by its (t0, s0):
+      the pairs solved there and their sigma^.
+    - Exact pass.  Each tile whose largest sigma^ is >= L - 2 delta is
+      formed again in float64, by decreasing sigma^ (ties in walk order),
+      from the seed's best: the same tiles, and bits, as gram_map's.
     - Guard.  If the pair that attains mu lies outside the seed tile, its
-      sigma^ must be within delta of mu; if not, the BLAS broke the bound,
-      and every tile after the seed is swept exactly.
+      sigma^ in its tile's record must be within delta of mu; if not, the
+      BLAS broke the bound, and every tile after the seed is swept exactly.
 
     delta (_screen_margin) bounds |sigma_max(C~) - sigma_max(C)|.  Let
     u = 2^-24, and gamma_k = k u / (1 - k u) (Higham, Accuracy and
@@ -456,11 +458,12 @@ def worst_case_coherence(frame):
     origins = _origins(frame.m, side)
     best = 0.0
     if _screens(n, r, origins[-1][0] // side + 1):
-        delta, seed = _screen_margin(n, r, cplx), []
+        delta, seed = _screen_margin(n, r, cplx), {}
         best = _tiles_max(x, r, origins[:1], 0.0, records=seed)
         origins = origins[1:]
-        if np.count_nonzero(_solved_pairs(seed)[2] >= best * (1 - _TIE_TOL)) == 1:
-            mu = _screened_max(x, r, side, origins, best, delta)
+        [(_, sigma)] = seed.values()
+        if np.count_nonzero(sigma >= best * (1 - _TIE_TOL)) == 1:
+            mu = _screened_max(x, r, origins, best, delta)
             if mu is not None:
                 return mu
     return _tiles_max(x, r, origins, best)
@@ -507,44 +510,39 @@ def _screen_margin(n, r, cplx):
     return r * entry * (2**0.5 if cplx else 1.0)
 
 
-def _tiles_max(x, r, origins, best, delta=0.0, single=False, records=None):
-    """best raised through the tiles at origins, each by _chunk_max.
+def _tiles_max(x, r, origins, best, delta=0.0, records=None):
+    """best raised through the tiles at origins, each by _chunk_max; float32 ones if delta > 0.
 
-    records, when given, collects (t0, s0, J, solved) of each tile, J its
-    column count and solved the (p, sigma) of every pair solved there.
+    records, when given, maps the (t0, s0) of each tile where _chunk_max
+    solved a pair to (p, sigma): the flat pairs solved there, in the order
+    solved, and their sigma_max.
     """
-    for t0, s0, g, keep in _tiles(x, r, origins, single):
+    for t0, s0, g, keep in _tiles(x, r, origins, delta > 0):
         solved = None if records is None else []
         best = _chunk_max(g, keep, best, delta, solved)
-        if records is not None:
-            records.append((t0, s0, g.shape[2], solved))
+        if solved:
+            records[t0, s0] = tuple(map(np.concatenate, zip(*solved)))
     return best
 
 
-def _solved_pairs(records):
-    """(i, j, sigma) arrays of the pairs that _tiles_max records."""
-    out = [(t0 + p // n_j, s0 + p % n_j, s) for t0, s0, n_j, solved in records for p, s in solved]
-    if not out:
-        return np.empty(0, int), np.empty(0, int), np.empty(0)
-    return tuple(np.concatenate(parts) for parts in zip(*out))
+def _screened_max(x, r, origins, best, delta):
+    """mu from the seed's best, the screen of origins and the exact pass; None on a failed guard.
 
-
-def _screened_max(x, r, side, origins, best, delta):
-    """mu from the seed's best, the screen of origins and the exact pass; None on a failed guard."""
-    screened = []
-    lower = _tiles_max(x, r, origins, best, delta, single=True, records=screened)
-    i, j, hat = _solved_pairs(screened)
-    held = np.flatnonzero(hat >= lower - 2 * delta)
-    held = held[np.argsort(-hat[held], kind="stable")]
-    corners = np.stack([i[held], j[held]], axis=1) // side * side
-    exact = []
-    best = _tiles_max(x, r, list(dict.fromkeys(map(tuple, corners.tolist()))), best, records=exact)
-    ei, ej, sigma = _solved_pairs(exact)
-    top = np.flatnonzero(sigma == best)  # empty where the seed attains mu
-    if top.size:
-        at = (i == ei[top[0]]) & (j == ej[top[0]])
-        if not at.any() or abs(hat[at][0] - best) > delta:
-            return None
+    The held tiles are formed again by key, largest sigma^ first (sorted,
+    reversed too, keeps ties in walk order); the guard reads the attaining
+    pair's own sigma^ in its tile's record.
+    """
+    screened, exact = {}, {}
+    lower = _tiles_max(x, r, origins, best, delta, records=screened)
+    tops = {key: hat.max() for key, (_, hat) in screened.items()}
+    held = [key for key in tops if tops[key] >= lower - 2 * delta]
+    best = _tiles_max(x, r, sorted(held, key=tops.get, reverse=True), best, records=exact)
+    for key, (p, sigma) in exact.items():
+        at = p[sigma == best]
+        if at.size:  # none where the seed attains mu
+            p_hat, hat = screened[key]
+            hat = hat[p_hat == at[0]]
+            return best if hat.size and abs(hat[0] - best) <= delta else None
     return best
 
 

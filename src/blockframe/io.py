@@ -31,6 +31,7 @@ import csv
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 
@@ -101,15 +102,15 @@ def _read_header(path, fh):
     header = fh.readline().rstrip("\n")
     if header != _MAGIC:
         raise FrameError(f"{path}: not a frame file (bad magic {header!r})")
-    meta = {}
-    for tok in fh.readline().split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
+    line = fh.readline().rstrip("\n")
+    meta = re.fullmatch(r"n=([0-9]+) r=([0-9]+) m=([0-9]+) field=(\S+)", line)
+    if meta is None:
+        raise FrameError(f"{path}: bad header line")
     try:
-        n, r, m = int(meta["n"]), int(meta["r"]), int(meta["m"])
-        field_tag = meta["field"]
-    except (KeyError, ValueError) as exc:
+        n, r, m = map(int, meta.group(1, 2, 3))
+    except ValueError as exc:  # more digits than int() reads
         raise FrameError(f"{path}: bad header line") from exc
+    field_tag = meta[4]
     try:
         check_field(field_tag)
         check_nrm(n, r, m)

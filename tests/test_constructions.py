@@ -344,6 +344,16 @@ def test_kerdock_set_file_rejects(tmp_path):
         build_frame("kerdock", 4, ("hadamard", 1), set_file=str(path))
 
 
+@pytest.mark.parametrize("word", ["0x8", "+8", "-1", "18", "\u0668", "1_0"])
+def test_kerdock_set_file_reads_plain_hex_words_below_2_to_the_k(tmp_path, word):
+    # int(w, 16) takes each of these: at k = 4, 0x8, +8, 18 and the
+    # Arabic-Indic eight would be row 8, -1 all ones and 1_0 a zero row
+    path = tmp_path / "set.txt"
+    path.write_text(f"{word} 4 2 1\n", encoding="utf-8")
+    with pytest.raises(FrameError, match="hex words below 2\\^4"):
+        read_kerdock_set_file(path, 4)
+
+
 # ---------------------------------------------------------------- size guard
 
 

@@ -942,6 +942,60 @@ def test_only_ties_within_rounding_skip_the_screen(monkeypatch):
     assert mu == best == _off_diagonal_max(gram_map(frame)) == _unscreened_mu(frame)
 
 
+def test_the_guard_reads_the_attaining_pair_not_its_tile(monkeypatch):
+    # _near_tie_frame's planted pairs moved into tile (256, 256), outside the
+    # seed's: (300, 301) attains mu and (302, 303) lies within delta / 2 of
+    # it.  The float32 tile moves (300, 301)'s C~ alone, by 2 delta, so the
+    # tile's largest sigma^, that of (302, 303), stays within delta of mu,
+    # but the attaining pair's does not: the guard trips, and every tile
+    # after the seed is swept in float64
+    blocks = list(_near_tie_frame(1e-3, 4).blocks3d())
+    blocks[:4], blocks[300:304] = blocks[300:304], blocks[:4]
+    frame = BlockFrame.from_blocks(blocks, field_tag="real")
+    gram = gram_map(frame)
+    mu, delta = _off_diagonal_max(gram), frame_module._screen_margin(128, 2, False)
+    assert mu == gram[300, 301] and mu - gram[302, 303] < delta / 2
+    tiles, tops = frame_module._tiles, []
+
+    def moved(x, r, origins=None, single=False):
+        for t0, s0, g, keep in tiles(x, r, origins, single):
+            if single and (t0, s0) == (256, 256):
+                g[44, :, 45, :] *= 1 - 2 * delta
+                tops.append(_tile_sigma(g, keep).max())
+            yield t0, s0, g, keep
+
+    monkeypatch.setattr(frame_module, "_tiles", moved)
+    formed = _tile_spy(monkeypatch)
+    assert worst_case_coherence(frame) == mu
+    assert len(tops) == 1 and abs(tops[0] - mu) <= delta
+    origins = frame_module._origins(800, 128)
+    exact = [(t0, s0) for t0, s0, _, single in formed if not single]
+    assert exact[0] == origins[0] and exact[1 - len(origins) :] == origins[1:]
+
+
+# the float64 tiles mu forms after the seed's: the held tiles by decreasing
+# largest sigma^, ties in walk order; none where the seed's pair is far above
+EXACT_PASS_ORIGINS = {
+    0: [(100, 125), (0, 125)],
+    1: [(150, 150), (100, 175)],
+    2: [(25, 175)],
+    "near tie": [],
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_PASS_ORIGINS))
+def test_the_exact_pass_tile_order_is_pinned(monkeypatch, case):
+    if case == "near tie":
+        frame = _near_tie_frame(1e-6, 4)
+    else:
+        frame = sample_block_frame(RandomFrameSpec(200, 10, 200, case), trial=0)
+    formed = _tile_spy(monkeypatch)
+    worst_case_coherence(frame)
+    assert any(single for *_, single in formed)
+    exact = [(t0, s0) for t0, s0, _, single in formed if not single]
+    assert exact[0] == (0, 0) and exact[1:] == EXACT_PASS_ORIGINS[case]
+
+
 def test_the_screen_runs_where_the_gemm_is_most_of_mu(monkeypatch):
     screened, tiles = [], frame_module._tiles
 
@@ -984,10 +1038,10 @@ def test_the_screen_is_sign_invariant(monkeypatch):
     signs = np.random.default_rng(3).choice([-1, 1], size=frame.m)
     passes, tiles_max = [], frame_module._tiles_max
 
-    def spy(x, r, origins, best, delta=0.0, single=False, records=None):
-        out = tiles_max(x, r, origins, best, delta, single, records)
-        pairs = frame_module._solved_pairs(records or [])
-        passes.append((single, out, *(v.tobytes() for v in pairs)))
+    def spy(x, r, origins, best, delta=0.0, records=None):
+        out = tiles_max(x, r, origins, best, delta, records)
+        pairs = [(key, p.tobytes(), s.tobytes()) for key, (p, s) in (records or {}).items()]
+        passes.append((delta > 0, out, pairs))
         return out
 
     monkeypatch.setattr(frame_module, "_tiles_max", spy)

@@ -292,6 +292,27 @@ def test_bfm_header_checked_before_rows(tmp_path):
             read_bfm(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "n=2 r=1 m=5 field=real field=complex",  # a repeated key
+        "n=2 r=1 m=4 m=5 field=real",
+        "n=2 r=1 m=5 field=real extra=1",  # an unknown key
+        "n=0_2 r=1 m=5 field=real",  # digits that int() reads and the body refuses
+        "n=+2 r=1 m=5 field=real",
+        "n=\u0662 r=1 m=5 field=real",
+    ],
+)
+def test_bfm_header_is_the_line_write_bfm_writes(tmp_path, header):
+    # each body has the rows that a token-by-token reading of the header asks for
+    path = tmp_path / "x.bfm"
+    write_bfm(path, sample_block_frame(RandomFrameSpec(n=2, r=1, m=5, seed=4)))
+    magic, _, body = path.read_text().split("\n", 2)
+    path.write_text(f"{magic}\n{header}\n{body}")
+    with pytest.raises(FrameError, match="bad header line$"):
+        read_bfm(path)
+
+
 def test_write_json_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     payload = {"z": 1, "a": [1.5, 2.5], "m": {"k": None}}

@@ -1,4 +1,4 @@
-"""The package's own layout: no private helper is left behind unused."""
+"""The package's own layout: no private helper, or optional parameter of one, is left unused."""
 
 import ast
 from pathlib import Path
@@ -39,3 +39,54 @@ def test_every_private_helper_is_used():
     used = _references()
     unused = [f"{module}: {name}" for module, name in _private_definitions() if name not in used]
     assert not unused, f"private names that nothing in the package uses: {unused}"
+
+
+def _optional_parameters(node):
+    """(position, name) of each parameter of a def with a default; None for a keyword-only one."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    optional = [(k, a.arg) for k, a in enumerate(positional) if k >= first]
+    keyword = zip(args.kwonlyargs, args.kw_defaults)
+    return optional + [(None, a.arg) for a, d in keyword if d is not None]
+
+
+def _callee(call):
+    """The name the function of f(...) or x.f(...) goes by: f."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _sets(call, position, name):
+    """Whether a call sets the parameter at this position and of this name.
+
+    A *args may fill any positional parameter, and a **kwargs any parameter.
+    """
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    by_position = position is not None and (position < len(call.args) or starred)
+    return by_position or any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def test_every_optional_parameter_of_a_private_function_is_set():
+    # a function the package also uses as a value, as FAMILIES holds
+    # _kerdock_recipe, is called where no call names it, and is skipped
+    nodes = [node for tree in TREES.values() for node in ast.walk(tree)]
+    calls = [node for node in nodes if isinstance(node, ast.Call)]
+    called = {id(call.func) for call in calls}
+    values = {
+        node.id
+        for node in nodes
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in called
+    }
+    unset = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            private = isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            if not private or node.name in values:
+                continue
+            sites = [call for call in calls if _callee(call) == node.name]
+            unset += [
+                f"{module}: {node.name}({name})"
+                for position, name in _optional_parameters(node)
+                if not any(_sets(call, position, name) for call in sites)
+            ]
+    assert not unset, f"optional parameters that no call in the package sets: {unset}"
